@@ -75,7 +75,6 @@ class RunConfig:
     anisotropy: float = 1.0
     fock_form: str = "reduced"
     xi_reduced_t: float = 1e-4
-    quad_rel_tol: float = 1e-6
     verify_dctau: float = 1e3
     verify_t_over_delta: float = 0.4
     out_format: str = "csv"
@@ -97,7 +96,6 @@ class RunConfig:
         "fit.anisotropy": "anisotropy",
         "fit.fock_form": "fock_form",
         "fit.xi_reduced_t": "xi_reduced_t",
-        "quad.rel_tol": "quad_rel_tol",
         "verify.dctau": "verify_dctau",
         "verify.t_over_delta": "verify_t_over_delta",
         "out.format": "out_format",
@@ -196,9 +194,12 @@ def _convert(attr: str, val):
             raise ConfigError(f"unknown fock_form {val!r}")
         return val
     try:
-        return float(val)
+        num = float(val)
     except ValueError as exc:
         raise ConfigError(f"{attr}: expected number, got {val!r}") from exc
+    if attr == "anisotropy" and not num > 0:
+        raise ConfigError(f"{attr}: need > 0, got {val!r}")
+    return num
 
 
 def _flatten_json(obj: dict) -> dict:
@@ -420,7 +421,6 @@ def _exponent_rows(args):
         nu = critical.fit_nu(
             state, p, lt, cfg.convention, cfg.nu_window, cfg.nu_points,
             anisotropy=cfg.anisotropy, fock_form=cfg.fock_form,
-            rel_tol=cfg.quad_rel_tol,
         )
         rows.append(Row(
             state=tok, quantity="nu", value=nu.exponent,
@@ -459,7 +459,7 @@ def cmd_xi(cfg: RunConfig) -> ResultTable:
         prof = critical.correlation_function(
             state, p, lt, crit.t_c * (1.0 + t_red),
             anisotropy=cfg.anisotropy, fock_form=cfg.fock_form,
-            rel_tol=cfg.quad_rel_tol, convention=cfg.convention,
+            convention=cfg.convention,
         )
         return prof
 
@@ -470,7 +470,7 @@ def cmd_xi(cfg: RunConfig) -> ResultTable:
             state=state_label(state), quantity="xi", value=prof.xi * unit,
             window_lo=prof.fit_window[0] * unit, window_hi=prof.fit_window[1] * unit,
             r_squared=prof.r_squared,
-            provenance=f"critical.correlation_function[{prof.engine}]",
+            provenance="critical.correlation_function",
             note=f"reduced_t={_fmt(t_red)}",
         )
         table.add(
@@ -619,24 +619,20 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
         f"|sum|/|leading| = {off.ratio:.3e} at dc*tau={cfg.verify_dctau:g}",
     )
 
-    from scipy.special import k0 as bessel_k0
-
-    pc = cfg.params()
-    ltc = cfg.lifetime_model()
-    crit = critical.find_tc(pc, ltc, "thermal", cfg.convention)
-    slope = critical.mass_slope(pc, ltc, "thermal", cfg.convention, tc=crit.t_c)
+    # closed-form correlations vs the independent contour quadrature on the
+    # fit grid, for a simple and a third-order anisotropic pole summed
+    pc, ltc = cfg.params(), cfg.lifetime_model()
+    mix = DiagonalMixture({0: 0.5, 2: 0.5})
+    kw = dict(anisotropy=cfg.anisotropy, fock_form="power", convention=cfg.convention)
+    crit = critical.critical_temperature_for_state(mix, pc, ltc, cfg.convention)
     T = crit.t_c * (1.0 + 1e-4)
-    a = cfg.anisotropy
-    mt = slope * (T - crit.t_c)
-    kappa = math.sqrt(mt / a)
-    rs = np.geomspace(1.0 / kappa, 10.0 / kappa, 7)
-    prof = critical.correlation_function(
-        Thermal(), pc, ltc, T, r_grid=rs, anisotropy=a, isotropic=True,
-        rel_tol=cfg.quad_rel_tol, convention=cfg.convention,
-    )
-    oracle = abs(ladder.bare_vertex(pc)) * bessel_k0(kappa * rs) / (2 * math.pi * a)
-    rel = float(np.max(np.abs(np.array(prof.values) / oracle - 1.0)))
-    record("correlation_bessel", rel < 1e-4, f"max rel dev {rel:.3e} on r in [xi, 10 xi]")
+    prof = critical.correlation_function(mix, pc, ltc, T, **kw)
+    rs, vals = np.array(prof.r_grid[::4]), np.array(prof.values[::4])
+    ref = critical.correlation_quadrature(mix, pc, ltc, T, rs, **kw)
+    rel = float(np.max(np.abs(vals / ref - 1.0)))
+    record("correlation_bessel", rel < 1e-4,
+           f"max rel dev {rel:.3e} vs contour quadrature at 5 fit-grid points in [3 xi, 10 xi] "
+           "(mix:{0,2} power anisotropic, q=1 and q=3)")
 
     passed = all(c["passed"] for c in checks)
     report = {

@@ -16,13 +16,16 @@ precisely what the binomial collapse of the power form gives at small P (the
 exact power form shares the value and curvature at P = 0 but its tail slope
 is not what sets the physical decay scale; see ``vertex_P`` for both).
 
-Two correlation engines are provided.  The default reduces the Cartesian P_x
-integral by closing the contour on the quadratic form's simple pole, leaving
-one smooth non-oscillatory integral over P_y (machine-accurate at any r).
-The literal nested polar scheme (adaptive radial rule under a 64-point
-angular trapezoid) is kept as ``engine="polar"``; its angular aliasing limits
-it to roughly kappa*r <~ 3 at the few-1e-4 level, which is why it is not the
-default.
+Each Lorentzian term amp / (c_par P_x^2 + c_perp P_y^2 + m)^q transforms in
+closed form (DLMF 10.32.10-11; Gradshteyn-Ryzhik 6.565.4):
+
+    C(r) = amp / (2 pi sqrt(c_par c_perp)) (r' / (2 sqrt(m)))^(q-1)
+           K_{q-1}(sqrt(m) r') / (q-1)!,        r' = r / sqrt(c_par),
+
+evaluated with ``scipy.special.kv`` over the whole r grid at once.
+``correlation_quadrature`` keeps an independent numerical transform (residue
+in P_x, adaptive quadrature in P_y) as the reference that ``verify`` checks
+the closed form against.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import kv
 
 from . import ladder
 from .ladder import KernelScalars, vertex_for_state
@@ -45,6 +49,7 @@ from .model import (
     ModelParams,
     Thermal,
     Vacuum,
+    statistical_factor,
 )
 from .sectors import QuadratureError
 
@@ -57,6 +62,7 @@ __all__ = [
     "FitRejected",
     "SlopeError",
     "correlation_function",
+    "correlation_quadrature",
     "critical_report",
     "critical_temperature_for_state",
     "find_tc",
@@ -117,7 +123,6 @@ class CorrelationProfile:
     anisotropy: float
     fit_window: tuple[float, float]
     r_squared: float
-    engine: str
 
 
 @dataclass(frozen=True)
@@ -224,7 +229,7 @@ def critical_temperature_for_state(
     if isinstance(state, Thermal):
         if state.beta is None:
             return find_tc(p, lt, "thermal", convention, **kw)
-        stat = 1.0 / math.tanh(state.beta * p.delta_c / 2.0)
+        stat = statistical_factor(state, p)
         return find_tc(p, lt, "thermal", convention, thermal_stat=stat, **kw)
     raise TypeError(f"unknown photon state {state!r}")
 
@@ -427,79 +432,100 @@ def vertex_P(
 
 def _slope_for_state(state, p, lt, convention, crit) -> float:
     if isinstance(state, Thermal):
-        stat = None
-        if state.beta is not None:
-            stat = 1.0 / math.tanh(state.beta * p.delta_c / 2.0)
+        stat = None if state.beta is None else statistical_factor(state, p)
         return mass_slope(p, lt, "thermal", convention, tc=crit.t_c, thermal_stat=stat)
     return mass_slope(p, lt, "vacuum", convention, tc=crit.t_c)
 
 
-def _corr_contour(term: _LorentzianTerm, r: float, epsrel: float) -> tuple[float, float, int]:
+def _correlation_terms(state, p, lt, T, anisotropy, fock_form, isotropic, convention):
+    """Lorentzian terms of the |gamma0|-normalised vertex at T > T_c, and the slope."""
+    crit = critical_temperature_for_state(state, p, lt, convention)
+    slope = _slope_for_state(state, p, lt, convention, crit)
+    dT = T - crit.t_c
+    if dT <= 0:
+        raise DomainError("correlation_function needs T > T_c")
+    terms = _vertex_terms(
+        state, abs(ladder.bare_vertex(p)), slope * dT, anisotropy, fock_form, isotropic
+    )
+    return terms, slope
+
+
+def _bessel_transform(term: _LorentzianTerm, r: np.ndarray) -> np.ndarray:
+    """Exact 2D Fourier transform of one Lorentzian term on the grid r."""
+    nu = term.order - 1
+    rs = r / math.sqrt(term.c_par)
+    sm = math.sqrt(term.mass)
+    pref = term.amp / (
+        2.0 * math.pi * math.sqrt(term.c_par * term.c_perp) * math.factorial(nu)
+    )
+    return pref * (rs / (2.0 * sm)) ** nu * kv(nu, sm * rs)
+
+
+# quad's error estimate must stay below this fraction of the reference value
+_QUAD_REL_TOL = 1e-8
+
+
+def _contour_transform(term: _LorentzianTerm, r: float) -> tuple[float, float]:
     """Fourier transform of one Lorentzian term by residue in P_x.
 
     Closing the P_x contour on the pole at i*mu(P_y), mu = sqrt((c_perp
     P_y^2 + mass)/c_par), turns the oscillatory 2D integral into a single
-    smooth decaying integral over P_y.  Exact for every pole order.
+    smooth decaying integral over P_y.  The order-q residue is
+    exp(-mu r) sum_j coef_j mu^-(q+j) with real positive coef_j.  Exact for
+    every pole order; returns the value and quad's absolute error estimate.
     """
     q = term.order
     c_par, c_perp, mass = term.c_par, term.c_perp, term.mass
-    fact = math.factorial
-    binom = math.comb
+    fq = math.factorial(q - 1)
+    coefs = [
+        2.0 * math.pi * math.comb(q - 1, j) * r ** (q - 1 - j) * math.factorial(q + j - 1)
+        / (fq * fq * 2.0 ** (q + j) * c_par**q)
+        for j in range(q)
+    ]
 
     def inner(py: float) -> float:
         mu = math.sqrt((c_perp * py * py + mass) / c_par)
-        s = 0j
-        for j in range(q):
-            s += (
-                binom(q - 1, j)
-                * (1j * r) ** (q - 1 - j)
-                * (-1) ** j
-                * (fact(q + j - 1) // fact(q - 1))
-                * (2j * mu) ** (-(q + j))
-            )
-        val = 2j * math.pi * s * math.exp(-mu * r) / (fact(q - 1) * c_par**q)
-        return val.real
+        return math.exp(-mu * r) * sum(c * mu ** -(q + j) for j, c in enumerate(coefs))
 
     mu0 = math.sqrt(mass / c_par)
     decay = r * math.sqrt(c_perp / c_par)
     y_max = (60.0 + mu0 * r) / max(decay, 1e-300)
-    v, e, info = quad(
-        inner, 0.0, y_max, epsabs=0.0, epsrel=epsrel, limit=400, full_output=1
-    )[:3]
-    return 2.0 * v * term.amp / (2.0 * math.pi) ** 2, 2.0 * abs(term.amp) * e / (2.0 * math.pi) ** 2, info["neval"]
+    v, e = quad(inner, 0.0, y_max, epsabs=0.0, epsrel=1e-2 * _QUAD_REL_TOL, limit=400)
+    scale = 2.0 / (2.0 * math.pi) ** 2
+    return scale * term.amp * v, scale * abs(term.amp) * e
 
 
-def _corr_polar(
-    term: _LorentzianTerm, r: float, epsrel: float, n_angles: int
-) -> tuple[float, float, int]:
-    """Literal nested scheme: adaptive radial rule x angular trapezoid.
+def correlation_quadrature(
+    state: InitialPhotonState,
+    p: ModelParams,
+    lt: LifetimeModel,
+    T: float,
+    r_grid: Sequence[float],
+    anisotropy: float = 1.0,
+    fock_form: str = "reduced",
+    isotropic: bool = False,
+    convention: str = "canonical",
+) -> np.ndarray:
+    """Reference C(r) by numerical transform, independent of the closed form.
 
-    The angular rule uses midpoints of n_angles equal sectors over the full
-    circle (evaluated on a quarter by symmetry).  Radial support is capped at
-    48/r with a smooth taper so the angular rule never aliases; the cap makes
-    the scheme accurate only while the integrand dies out before the cap,
-    i.e. for kappa*r up to a few.
+    Same vertex terms as ``correlation_function``, transformed by residue in
+    P_x and adaptive quadrature in P_y.  Raises ``QuadratureError`` when the
+    summed error estimate exceeds ``_QUAD_REL_TOL`` of the value.
     """
-    n_q = n_angles // 4
-    th = (np.arange(n_q) + 0.5) * (math.pi / (2 * n_q))  # quarter circle by symmetry
-    cs2 = np.cos(th) ** 2
-    c_eff = term.c_par * cs2 + term.c_perp * (1.0 - cs2)
-    rc = r * np.cos(th)
-    p_max = 48.0 / r
-    p_taper = 0.7 * p_max
-
-    def radial(P: float) -> float:
-        w = 1.0
-        if P > p_taper:
-            w = math.cos(0.5 * math.pi * (P - p_taper) / (p_max - p_taper)) ** 2
-        ang = np.mean(np.cos(P * rc) / (c_eff * P * P + term.mass) ** term.order)
-        return w * P * ang
-
-    v, e, info = quad(
-        radial, 0.0, p_max, epsabs=0.0, epsrel=epsrel, limit=600, full_output=1
-    )[:3]
-    scale = term.amp / (2.0 * math.pi)
-    return v * scale, abs(scale) * e, info["neval"]
+    terms, _ = _correlation_terms(
+        state, p, lt, T, anisotropy, fock_form, isotropic, convention
+    )
+    out = np.empty(len(r_grid))
+    for i, r in enumerate(r_grid):
+        parts = [_contour_transform(term, float(r)) for term in terms]
+        tot = sum(v for v, _ in parts)
+        err = sum(e for _, e in parts)
+        if err > _QUAD_REL_TOL * abs(tot):
+            raise QuadratureError(
+                f"quadrature error {err:.3e} exceeds {_QUAD_REL_TOL:.1e} relative at r={r}"
+            )
+        out[i] = tot
+    return out
 
 
 def correlation_function(
@@ -511,9 +537,6 @@ def correlation_function(
     anisotropy: float = 1.0,
     fock_form: str = "reduced",
     isotropic: bool = False,
-    engine: str = "contour",
-    angular_points: int = 64,
-    rel_tol: float = 1e-6,
     convention: str = "canonical",
     refit: bool = True,
 ) -> CorrelationProfile:
@@ -521,44 +544,25 @@ def correlation_function(
 
     C(r) is the 2D Fourier transform of the momentum-resolved vertex along
     the distinguished axis, normalised with |gamma0| so the profile is
-    positive.  xi comes from a log-linear fit of the tail over r in
-    [3 xi_est, 10 xi_est] with one re-estimation pass.  For number states the
-    default ``fock_form="reduced"`` fits the leading-pole form whose mass is
-    reduced by n+1, the form whose decay sets the physical correlation
-    length; ``"power"`` transforms the full (n+1)-order pole instead.
+    positive, summed over the closed-form transforms of its Lorentzian terms.
+    xi comes from a log-linear fit of the tail over r in [3 xi_est, 10 xi_est]
+    with one re-estimation pass.  For number states the default
+    ``fock_form="reduced"`` fits the leading-pole form whose mass is reduced
+    by n+1, the form whose decay sets the physical correlation length;
+    ``"power"`` transforms the full (n+1)-order pole instead.
     """
-    crit = critical_temperature_for_state(state, p, lt, convention)
-    slope = _slope_for_state(state, p, lt, convention, crit)
-    dT = T - crit.t_c
-    if dT <= 0:
-        raise DomainError("correlation_function needs T > T_c")
-    terms = _vertex_terms(
-        state, abs(ladder.bare_vertex(p)), slope * dT, anisotropy, fock_form, isotropic
+    terms, slope = _correlation_terms(
+        state, p, lt, T, anisotropy, fock_form, isotropic, convention
     )
     # slowest decay across terms sets the expected length
     xi_est = max(math.sqrt(t.c_par / t.mass) for t in terms)
 
     def evaluate(grid: np.ndarray) -> np.ndarray:
-        out = np.empty(len(grid))
-        for i, r in enumerate(grid):
-            tot = err = 0.0
-            for term in terms:
-                if engine == "contour":
-                    v, e, _ = _corr_contour(term, float(r), rel_tol * 1e-2)
-                elif engine == "polar":
-                    v, e, _ = _corr_polar(term, float(r), rel_tol * 1e-2, angular_points)
-                else:
-                    raise ValueError(f"unknown engine {engine!r}")
-                tot += v
-                err += e
-            if tot <= 0:
-                raise QuadratureError(f"non-positive correlation value at r={r}")
-            if err > rel_tol * abs(tot):
-                raise QuadratureError(
-                    f"quadrature error {err:.3e} exceeds {rel_tol:.1e} relative at r={r}"
-                )
-            out[i] = tot
-        return out
+        values = sum(_bessel_transform(term, grid) for term in terms)
+        bad = np.flatnonzero(~(values > 0))
+        if bad.size:
+            raise QuadratureError(f"non-positive correlation value at r={grid[bad[0]]}")
+        return values
 
     external_grid = r_grid is not None
     if external_grid:
@@ -587,7 +591,6 @@ def correlation_function(
         anisotropy,
         (float(grid[0]), float(grid[-1])),
         r2,
-        engine,
     )
 
 

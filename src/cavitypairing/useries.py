@@ -20,23 +20,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
-    "BigRational",
     "ExpansionPoleError",
     "RationalFunction",
-    "SeriesCoefficients",
     "apply_L_mixture",
     "f_factor",
     "perturbative_weight",
-    "rf_add",
-    "rf_div",
-    "rf_mul",
     "taylor",
 ]
-
-# Arbitrary-precision rational: stored in lowest terms, denominator > 0.
-BigRational = Fraction
-
-SeriesCoefficients = Sequence[Fraction]
 
 RationalLike = Union[int, Fraction]
 
@@ -268,21 +258,6 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def rf_add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    """Exact sum, gcd-reduced."""
-    return a + b
-
-
-def rf_mul(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    """Exact product, gcd-reduced."""
-    return a * b
-
-
-def rf_div(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    """Exact quotient; rejects the zero divisor."""
-    return a / b
-
 
 def taylor(rf: RationalFunction, order: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[Fraction]:
     """Taylor coefficients of ``rf`` at u = 0, orders 0..order inclusive.

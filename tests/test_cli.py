@@ -138,6 +138,27 @@ def test_main_config_error_exit_code(tmp_path):
     assert cli.main(["--config", str(bad), "--out", str(tmp_path), "tc"]) == cli.EXIT_CONFIG
 
 
+def test_main_rejects_non_positive_anisotropy(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("fit.anisotropy = 0\n")
+    for command in ("xi", "vertex"):
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path), command])
+        assert rc == cli.EXIT_CONFIG
+        assert "config error: anisotropy: need > 0" in capsys.readouterr().err
+    for bad in ("-1", "nan"):
+        with pytest.raises(ConfigError, match="anisotropy"):
+            RunConfig.parse(f"fit.anisotropy = {bad}\n")
+
+
+def test_main_rejects_removed_quad_rel_tol_key(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("quad.rel_tol = 1e-15\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "xi"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown config key 'quad.rel_tol'" in err
+    assert "Traceback" not in err
+
+
 def test_main_missing_config_file(tmp_path):
     assert cli.main(
         ["--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path), "tc"]
@@ -160,6 +181,9 @@ def test_verify_passes_and_reports(tmp_path, capsys):
     assert {"oracle_equivalence", "thermal_resummation", "sector_chain",
             "bcs_quadrature", "offshell_cancellation", "gaussian_collapse",
             "correlation_bessel", "thermal_identity"} <= names
+    bessel = next(c for c in report["checks"] if c["name"] == "correlation_bessel")
+    assert "vs contour quadrature" in bessel["detail"]
+    assert "power anisotropic, q=1 and q=3" in bessel["detail"]
     assert out.count("PASS") == len(report["checks"])
 
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import k0 as bessel_k0
 
 from cavitypairing import critical as cr
 from cavitypairing.ladder import KernelScalars, bare_vertex
@@ -227,19 +226,20 @@ def test_vertex_p_requires_supercritical_temperature(const_params, const_lifetim
 
 # -- correlation function ---------------------------------------------------------
 
-def test_correlation_isotropic_matches_bessel(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "thermal")
-    m = cr.mass_slope(const_params, const_lifetime, "thermal", tc=crit.t_c)
-    a = 1.3
+@pytest.mark.parametrize("isotropic", [True, False], ids=["isotropic", "anisotropic"])
+@pytest.mark.parametrize("n", range(5))
+def test_correlation_closed_form_matches_quadrature(const_params, const_lifetime, n,
+                                                   isotropic):
+    # power form of Fock(n) is a single pole of order q = n + 1
+    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
     T = crit.t_c * (1 + 1e-4)
-    kappa = math.sqrt(m * (T - crit.t_c) / a)
-    rs = np.geomspace(1.0 / kappa, 10.0 / kappa, 9)
-    prof = cr.correlation_function(
-        Thermal(), const_params, const_lifetime, T, r_grid=rs,
-        anisotropy=a, isotropic=True,
-    )
-    oracle = abs(bare_vertex(const_params)) * bessel_k0(kappa * rs) / (2 * math.pi * a)
-    assert np.max(np.abs(np.asarray(prof.values) / oracle - 1.0)) < 1e-4
+    kw = dict(anisotropy=1.3, fock_form="power", isotropic=isotropic)
+    xi = cr.correlation_function(Fock(n), const_params, const_lifetime, T, **kw).xi
+    rs = np.geomspace(xi, 10.0 * xi, 9)
+    prof = cr.correlation_function(Fock(n), const_params, const_lifetime, T,
+                                   r_grid=rs, **kw)
+    ref = cr.correlation_quadrature(Fock(n), const_params, const_lifetime, T, rs, **kw)
+    assert np.max(np.abs(np.asarray(prof.values) / ref - 1.0)) < 1e-8
 
 
 def test_correlation_xi_ratio_sqrt_n_plus_one(const_params, const_lifetime):
@@ -274,20 +274,6 @@ def test_correlation_profile_positive_logconvex_tail(const_params, const_lifetim
     assert np.all(np.diff(slopes) > -1e-12)
     assert prof.xi > 0
     assert prof.r_squared > 0.999
-
-
-def test_correlation_polar_engine_agrees_at_moderate_range(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
-    m = cr.mass_slope(const_params, const_lifetime, "vacuum", tc=crit.t_c)
-    T = crit.t_c * (1 + 1e-4)
-    kappa = math.sqrt(m * (T - crit.t_c) / 2.0)
-    rs = np.linspace(0.5 / kappa, 2.5 / kappa, 4)
-    ref = cr.correlation_function(Vacuum(), const_params, const_lifetime, T,
-                                  r_grid=rs, engine="contour")
-    alt = cr.correlation_function(Vacuum(), const_params, const_lifetime, T,
-                                  r_grid=rs, engine="polar", rel_tol=1e-5)
-    dev = np.max(np.abs(np.asarray(alt.values) / np.asarray(ref.values) - 1.0))
-    assert dev < 5e-3
 
 
 def test_correlation_needs_supercritical_temperature(const_params, const_lifetime):

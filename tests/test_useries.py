@@ -11,9 +11,6 @@ from cavitypairing.useries import (
     apply_L_mixture,
     f_factor,
     perturbative_weight,
-    rf_add,
-    rf_div,
-    rf_mul,
     taylor,
 )
 
@@ -23,21 +20,21 @@ GEOM = ONE / RF((1, -1))  # 1/(1-u)
 
 
 def test_inverse_pair_cancels():
-    assert rf_mul(GEOM, RF((1, -1))) == ONE
+    assert GEOM * RF((1, -1)) == ONE
 
 
 def test_sum_of_reciprocal_factors():
-    lhs = rf_add(f_factor(1), RF((1, -1), (1, 1)))
+    lhs = f_factor(1) + RF((1, -1), (1, 1))
     assert lhs == RF((2, 0, 2), (1, 0, -1))  # (2+2u^2)/(1-u^2)
 
 
 def test_div_identity():
-    assert rf_div(ONE, ONE) == ONE
+    assert ONE / ONE == ONE
 
 
 def test_div_by_zero_function_rejected():
     with pytest.raises(ZeroDivisionError):
-        rf_div(ONE, RF((0,)))
+        ONE / RF((0,))
 
 
 def test_geometric_series():
