@@ -174,11 +174,17 @@ def _convert(attr: str, val):
         return tuple(_split_states(val))
     if attr in ("gamma_window", "nu_window"):
         lo, hi = (float(s) for s in val.split(","))
-        if not 0 < lo < hi:
-            raise ConfigError(f"{attr}: need 0 < lo < hi, got {val!r}")
+        if not 0 < lo < hi < math.inf:
+            raise ConfigError(f"{attr}: need 0 < lo < hi < inf, got {val!r}")
+        if attr == "nu_window" and hi / lo < critical.MIN_NU_WINDOW_RATIO:
+            raise ConfigError(f"{attr}: must span at least two decades, got {val!r}")
         return (lo, hi)
     if attr in ("gamma_points", "nu_points"):
-        return int(val)
+        num = int(val)
+        least = critical.MIN_GAMMA_POINTS if attr == "gamma_points" else critical.MIN_NU_POINTS
+        if num < least:
+            raise ConfigError(f"{attr}: need >= {least}, got {val!r}")
+        return num
     if attr == "physical_units":
         if val.lower() in ("true", "1", "yes"):
             return True
@@ -197,7 +203,10 @@ def _convert(attr: str, val):
         num = float(val)
     except ValueError as exc:
         raise ConfigError(f"{attr}: expected number, got {val!r}") from exc
-    if attr == "anisotropy" and not num > 0:
+    if not math.isfinite(num):
+        raise ConfigError(f"{attr}: need a finite number, got {val!r}")
+    # xi and vertex rows sit at T = T_c (1 + xi_reduced_t), which must be above T_c
+    if attr in ("anisotropy", "xi_reduced_t") and not num > 0:
         raise ConfigError(f"{attr}: need > 0, got {val!r}")
     return num
 
@@ -379,20 +388,20 @@ def cmd_tc(cfg: RunConfig) -> ResultTable:
     table = ResultTable()
     unit = _scale(cfg)
     for state in cfg.state_objects():
-        crit = critical.critical_temperature_for_state(state, p, lt, cfg.convention)
+        point = critical.criticality(state, p, lt, cfg.convention).point
         note = ""
-        if isinstance(state, (Vacuum, Fock, DiagonalMixture)):
+        if point.mode == "vacuum":
             note = "vacuum-kernel root (occupation-independent)"
-        if crit.flagged:
+        if point.flagged:
             note = (note + "; " if note else "") + (
-                f"{crit.n_brackets} crossings, refined largest downward"
+                f"{point.n_brackets} crossings, refined largest downward"
             )
         table.add(
             state=state_label(state),
             quantity="t_c",
-            value=crit.t_c / unit,
-            uncertainty=crit.residual,
-            provenance=f"critical.find_tc[{crit.mode}]",
+            value=point.t_c / unit,
+            uncertainty=point.residual,
+            provenance=f"critical.find_tc[{point.mode}]",
             note=note,
         )
     return table
@@ -401,12 +410,10 @@ def cmd_tc(cfg: RunConfig) -> ResultTable:
 def _exponent_rows(args):
     cfg, tok = args
     p, lt = cfg.params(), cfg.lifetime_model()
-    state = parse_state(tok)
+    crit = critical.criticality(parse_state(tok), p, lt, cfg.convention)
     rows = []
     try:
-        g = critical.fit_gamma(
-            state, p, lt, cfg.convention, cfg.gamma_window, cfg.gamma_points
-        )
+        g = critical.fit_gamma(crit, cfg.gamma_window, cfg.gamma_points)
         rows.append(Row(
             state=tok, quantity="gamma", value=g.exponent,
             uncertainty=g.residual_max, window_lo=g.window[0], window_hi=g.window[1],
@@ -419,7 +426,7 @@ def _exponent_rows(args):
         ))
     try:
         nu = critical.fit_nu(
-            state, p, lt, cfg.convention, cfg.nu_window, cfg.nu_points,
+            crit, cfg.nu_window, cfg.nu_points,
             anisotropy=cfg.anisotropy, fock_form=cfg.fock_form,
         )
         rows.append(Row(
@@ -455,13 +462,11 @@ def cmd_xi(cfg: RunConfig) -> ResultTable:
     t_red = cfg.xi_reduced_t
 
     def xi_of(state):
-        crit = critical.critical_temperature_for_state(state, p, lt, cfg.convention)
-        prof = critical.correlation_function(
-            state, p, lt, crit.t_c * (1.0 + t_red),
+        crit = critical.criticality(state, p, lt, cfg.convention)
+        return critical.correlation_function(
+            crit, crit.point.t_c * (1.0 + t_red),
             anisotropy=cfg.anisotropy, fock_form=cfg.fock_form,
-            convention=cfg.convention,
         )
-        return prof
 
     base = xi_of(Vacuum())
     for state in cfg.state_objects():
@@ -488,21 +493,17 @@ def cmd_vertex(cfg: RunConfig) -> ResultTable:
     unit = _scale(cfg)
     t_red = cfg.xi_reduced_t
     for state in cfg.state_objects():
-        crit = critical.critical_temperature_for_state(state, p, lt, cfg.convention)
-        T = crit.t_c * (1.0 + t_red)
+        crit = critical.criticality(state, p, lt, cfg.convention)
+        T = crit.point.t_c * (1.0 + t_red)
         k = KernelScalars.from_model(p, lt, T, cfg.convention)
         table.add(
             state=state_label(state), quantity="gamma_on_shell",
             value=float(ladder.vertex_for_state(state, k)) * unit,
             provenance="ladder.vertex_for_state", note=f"reduced_t={_fmt(t_red)}",
         )
-        slope = critical._slope_for_state(state, p, lt, cfg.convention, crit)
         for P in (0.0, 0.05, 0.1):
             for theta in (0.0, math.pi / 4, math.pi / 2):
-                v = critical.vertex_P(
-                    state, P, theta, T, p, lt, cfg.anisotropy, cfg.fock_form,
-                    cfg.convention, crit=crit, slope=slope,
-                )
+                v = critical.vertex_P(crit, P, theta, T, cfg.anisotropy, cfg.fock_form)
                 table.add(
                     state=state_label(state), quantity=f"vertex_P[{_fmt(P)},{_fmt(theta)}]",
                     value=v * unit, provenance="critical.vertex_P",
@@ -621,14 +622,13 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
 
     # closed-form correlations vs the independent contour quadrature on the
     # fit grid, for a simple and a third-order anisotropic pole summed
-    pc, ltc = cfg.params(), cfg.lifetime_model()
     mix = DiagonalMixture({0: 0.5, 2: 0.5})
-    kw = dict(anisotropy=cfg.anisotropy, fock_form="power", convention=cfg.convention)
-    crit = critical.critical_temperature_for_state(mix, pc, ltc, cfg.convention)
-    T = crit.t_c * (1.0 + 1e-4)
-    prof = critical.correlation_function(mix, pc, ltc, T, **kw)
+    crit = critical.criticality(mix, cfg.params(), cfg.lifetime_model(), cfg.convention)
+    kw = dict(anisotropy=cfg.anisotropy, fock_form="power")
+    T = crit.point.t_c * (1.0 + 1e-4)
+    prof = critical.correlation_function(crit, T, **kw)
     rs, vals = np.array(prof.r_grid[::4]), np.array(prof.values[::4])
-    ref = critical.correlation_quadrature(mix, pc, ltc, T, rs, **kw)
+    ref = critical.correlation_quadrature(crit, T, rs, **kw)
     rel = float(np.max(np.abs(vals / ref - 1.0)))
     record("correlation_bessel", rel < 1e-4,
            f"max rel dev {rel:.3e} vs contour quadrature at 5 fit-grid points in [3 xi, 10 xi] "
@@ -712,6 +712,13 @@ def main(argv: list[str] | None = None) -> int:
             ladder.CriticalityError, DomainError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+
+    # a non-finite value is a numerical failure unless its fit was rejected
+    for r in table.rows:
+        if not math.isfinite(r.value) and not r.note.startswith("REJECTED"):
+            print(f"numerical failure: {r.quantity} = {_fmt(r.value)} for state {r.state}",
+                  file=sys.stderr)
+            return EXIT_NUMERIC
 
     rejected = [r for r in table.rows if r.note.startswith("REJECTED")]
     for path in emit(table, cfg.out_format, args.out, args.command):

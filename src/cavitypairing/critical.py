@@ -26,6 +26,11 @@ evaluated with ``scipy.special.kv`` over the whole r grid at once.
 ``correlation_quadrature`` keeps an independent numerical transform (residue
 in P_x, adaptive quadrature in P_y) as the reference that ``verify`` checks
 the closed form against.
+
+``criticality`` is the one place that maps a photon state to its root.  It
+returns a frozen ``Criticality`` holding the state, the model, the root and
+the mass slope, computed once; the fits, the correlation functions and the
+momentum-resolved vertex all take it instead of re-deriving T_c and m.
 """
 
 from __future__ import annotations
@@ -41,14 +46,11 @@ from scipy.special import kv
 from . import ladder
 from .ladder import KernelScalars, vertex_for_state
 from .model import (
-    DiagonalMixture,
     DomainError,
-    Fock,
     InitialPhotonState,
     LifetimeModel,
     ModelParams,
     Thermal,
-    Vacuum,
     statistical_factor,
 )
 from .sectors import QuadratureError
@@ -58,13 +60,14 @@ __all__ = [
     "CorrelationProfile",
     "CriticalPoint",
     "CriticalReport",
+    "Criticality",
     "ExponentFit",
     "FitRejected",
     "SlopeError",
     "correlation_function",
     "correlation_quadrature",
     "critical_report",
-    "critical_temperature_for_state",
+    "criticality",
     "find_tc",
     "fit_gamma",
     "fit_nu",
@@ -123,6 +126,22 @@ class CorrelationProfile:
     anisotropy: float
     fit_window: tuple[float, float]
     r_squared: float
+
+
+@dataclass(frozen=True)
+class Criticality:
+    """The root a photon state orders at and the mass slope there.
+
+    Built by ``criticality``; ``point.mode`` says which kernel mass the root
+    belongs to.
+    """
+
+    state: InitialPhotonState
+    params: ModelParams
+    lifetime: LifetimeModel
+    convention: str
+    point: CriticalPoint
+    slope: float
 
 
 @dataclass(frozen=True)
@@ -211,35 +230,13 @@ def find_tc(
     return CriticalPoint(tc, mode, bracket0, abs(f(tc)), flagged, len(brackets))
 
 
-def critical_temperature_for_state(
-    state: InitialPhotonState,
-    p: ModelParams,
-    lt: LifetimeModel,
-    convention: str = "canonical",
-    **kw,
-) -> CriticalPoint:
-    """Dispatch the root mode on the photon state.
-
-    Vacuum, number states and diagonal mixtures all diverge at the vacuum
-    root; the equilibrium thermal state uses M_th, and a fixed-beta thermal
-    state freezes its statistical factor.
-    """
-    if isinstance(state, (Vacuum, Fock, DiagonalMixture)):
-        return find_tc(p, lt, "vacuum", convention, **kw)
-    if isinstance(state, Thermal):
-        if state.beta is None:
-            return find_tc(p, lt, "thermal", convention, **kw)
-        stat = statistical_factor(state, p)
-        return find_tc(p, lt, "thermal", convention, thermal_stat=stat, **kw)
-    raise TypeError(f"unknown photon state {state!r}")
-
-
 def mass_slope(
     p: ModelParams,
     lt: LifetimeModel,
     mode: str = "vacuum",
     convention: str = "canonical",
-    tc: float | None = None,
+    *,
+    tc: float,
     h_rel: float = 1e-6,
     thermal_stat: float | None = None,
 ) -> float:
@@ -247,16 +244,36 @@ def mass_slope(
 
     The linear Taylor term then reads 1 - M(T) ~ m (T - T_c) with m > 0.
     """
-    if tc is None:
-        tc = find_tc(p, lt, mode, convention, thermal_stat=thermal_stat).t_c
     f = lambda T: kernel_mass(p, lt, T, mode, convention, thermal_stat)
     h = h_rel * tc
     d1 = (f(tc + h) - f(tc - h)) / (2 * h)
     d2 = (f(tc + h / 2) - f(tc - h / 2)) / h
     m = -(4 * d2 - d1) / 3
-    if m <= 0:
+    if not m > 0:
         raise SlopeError(f"mass slope {m} is not positive at T_c={tc}")
     return m
+
+
+def criticality(
+    state: InitialPhotonState,
+    p: ModelParams,
+    lt: LifetimeModel,
+    convention: str = "canonical",
+) -> Criticality:
+    """Root and mass slope of the kernel mass the photon state orders at.
+
+    The equilibrium thermal state closes onto M_th, and a fixed-beta thermal
+    state freezes its statistical factor; vacuum, number states and diagonal
+    mixtures all diverge at the vacuum root.
+    """
+    mode, stat = "vacuum", None
+    if isinstance(state, Thermal):
+        mode = "thermal"
+        if state.beta is not None:
+            stat = statistical_factor(state, p)
+    point = find_tc(p, lt, mode, convention, thermal_stat=stat)
+    slope = mass_slope(p, lt, mode, convention, tc=point.t_c, thermal_stat=stat)
+    return Criticality(state, p, lt, convention, point, slope)
 
 
 def fitted_pole_location(
@@ -298,25 +315,33 @@ def fitted_pole_location(
 # susceptibility exponent
 # ---------------------------------------------------------------------------
 
+# Least fit settings the exponent fits accept; config parsing checks the same.
+MIN_GAMMA_POINTS = 20
+MIN_NU_POINTS = 8
+MIN_NU_WINDOW_RATIO = 99.0  # two decades
+
+
 def _geom(lo: float, hi: float, n: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line: slope, r^2 and the largest |residual|.
+
+    Non-finite data give NaN for all three, and no fit gate accepts r^2 = NaN.
+    """
+    if not np.all(np.isfinite(y)):
+        return math.nan, math.nan, math.nan
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2, float(np.max(np.abs(ly - pred)))
+    return float(slope), r2, float(np.max(np.abs(y - pred)))
 
 
 def fit_gamma(
-    state: InitialPhotonState,
-    p: ModelParams,
-    lt: LifetimeModel,
-    convention: str = "canonical",
+    crit: Criticality,
     window: tuple[float, float] = (1e-6, 1e-3),
     points: int = 24,
     r2_min: float = 0.999,
@@ -327,19 +352,20 @@ def fit_gamma(
     give 1.  The window must sit strictly above T_c; with the defaults the
     leading pole dominates subleading ones by >= 1e3 for n <= 5.
     """
-    if points < 20:
-        raise ValueError("need at least 20 window points")
-    crit = critical_temperature_for_state(state, p, lt, convention)
+    if points < MIN_GAMMA_POINTS:
+        raise ValueError(f"need at least {MIN_GAMMA_POINTS} window points")
     red = _geom(window[0], window[1], points)
     gams = np.empty(points)
     for i, t in enumerate(red):
-        k = KernelScalars.from_model(p, lt, crit.t_c * (1.0 + t), convention)
-        gams[i] = abs(float(vertex_for_state(state, k)))
-    slope, r2, resid = _loglog_fit(red, gams)
-    if r2 <= r2_min:
+        k = KernelScalars.from_model(
+            crit.params, crit.lifetime, crit.point.t_c * (1.0 + t), crit.convention
+        )
+        gams[i] = abs(float(vertex_for_state(crit.state, k)))
+    slope, r2, resid = _line_fit(np.log(red), np.log(gams))
+    if not r2 > r2_min:
         raise FitRejected(
             f"gamma fit rejected: r^2 = {r2:.6f} <= {r2_min}",
-            {"window": window, "r_squared": r2, "slope": slope, "state": state},
+            {"window": window, "r_squared": r2, "slope": slope, "state": crit.state},
         )
     return ExponentFit(-slope, window, r2, resid, points)
 
@@ -363,21 +389,23 @@ class _LorentzianTerm:
 
 
 def _vertex_terms(
-    state: InitialPhotonState,
+    crit: Criticality,
+    T: float,
     gamma0: float,
-    mass_gap: float,
     anisotropy: float,
     fock_form: str,
     isotropic: bool,
 ) -> list[_LorentzianTerm]:
+    """Lorentzian terms of the momentum-resolved vertex at T > T_c."""
     if anisotropy <= 0:
         raise ValueError("anisotropy must be > 0")
-    if mass_gap <= 0:
-        raise ValueError("mass gap must be > 0 (need T > T_c)")
+    mass_gap = crit.slope * (T - crit.point.t_c)
+    if not mass_gap > 0:
+        raise DomainError("the momentum-resolved vertex needs T > T_c")
     c_par = anisotropy if isotropic else 1.0 + anisotropy
     c_perp = anisotropy
 
-    def fock_term(n: int, weight: float = 1.0) -> _LorentzianTerm:
+    def fock_term(n: int, weight: float) -> _LorentzianTerm:
         if fock_form == "power":
             return _LorentzianTerm(weight * gamma0, c_par, c_perp, mass_gap, n + 1)
         if fock_form == "reduced":
@@ -385,29 +413,18 @@ def _vertex_terms(
             return _LorentzianTerm(amp, c_par, c_perp, mass_gap / (n + 1), 1)
         raise ValueError(f"unknown fock_form {fock_form!r}")
 
-    if isinstance(state, Thermal):
+    if isinstance(crit.state, Thermal):
         return [_LorentzianTerm(gamma0, c_par, c_perp, mass_gap, 1)]
-    if isinstance(state, Vacuum):
-        return [fock_term(0)]
-    if isinstance(state, Fock):
-        return [fock_term(state.n)]
-    if isinstance(state, DiagonalMixture):
-        return [fock_term(n, w) for n, w in state.weights.items() if w > 0]
-    raise TypeError(f"unknown photon state {state!r}")
+    return [fock_term(n, w) for n, w in crit.state.weights.items() if w > 0]
 
 
 def vertex_P(
-    state: InitialPhotonState,
+    crit: Criticality,
     P: float,
     theta: float,
     T: float,
-    p: ModelParams,
-    lt: LifetimeModel,
     anisotropy: float = 1.0,
     fock_form: str = "power",
-    convention: str = "canonical",
-    crit: CriticalPoint | None = None,
-    slope: float | None = None,
 ) -> float:
     """Pair vertex at center-of-mass momentum P and angle theta, T > T_c.
 
@@ -415,39 +432,12 @@ def vertex_P(
     small-P binomial collapse onto a single Lorentzian with the mass divided
     by n+1.  The two agree in value and curvature at P = 0.
     """
-    if crit is None:
-        crit = critical_temperature_for_state(state, p, lt, convention)
-    if slope is None:
-        slope = _slope_for_state(state, p, lt, convention, crit)
-    dT = T - crit.t_c
-    if dT <= 0:
-        raise DomainError("vertex_P needs T > T_c")
     terms = _vertex_terms(
-        state, ladder.bare_vertex(p), slope * dT, anisotropy, fock_form, isotropic=False
+        crit, T, ladder.bare_vertex(crit.params), anisotropy, fock_form, isotropic=False
     )
     px = P * math.cos(theta)
     py = P * math.sin(theta)
     return sum(t.value(px, py) for t in terms)
-
-
-def _slope_for_state(state, p, lt, convention, crit) -> float:
-    if isinstance(state, Thermal):
-        stat = None if state.beta is None else statistical_factor(state, p)
-        return mass_slope(p, lt, "thermal", convention, tc=crit.t_c, thermal_stat=stat)
-    return mass_slope(p, lt, "vacuum", convention, tc=crit.t_c)
-
-
-def _correlation_terms(state, p, lt, T, anisotropy, fock_form, isotropic, convention):
-    """Lorentzian terms of the |gamma0|-normalised vertex at T > T_c, and the slope."""
-    crit = critical_temperature_for_state(state, p, lt, convention)
-    slope = _slope_for_state(state, p, lt, convention, crit)
-    dT = T - crit.t_c
-    if dT <= 0:
-        raise DomainError("correlation_function needs T > T_c")
-    terms = _vertex_terms(
-        state, abs(ladder.bare_vertex(p)), slope * dT, anisotropy, fock_form, isotropic
-    )
-    return terms, slope
 
 
 def _bessel_transform(term: _LorentzianTerm, r: np.ndarray) -> np.ndarray:
@@ -496,15 +486,12 @@ def _contour_transform(term: _LorentzianTerm, r: float) -> tuple[float, float]:
 
 
 def correlation_quadrature(
-    state: InitialPhotonState,
-    p: ModelParams,
-    lt: LifetimeModel,
+    crit: Criticality,
     T: float,
     r_grid: Sequence[float],
     anisotropy: float = 1.0,
     fock_form: str = "reduced",
     isotropic: bool = False,
-    convention: str = "canonical",
 ) -> np.ndarray:
     """Reference C(r) by numerical transform, independent of the closed form.
 
@@ -512,8 +499,8 @@ def correlation_quadrature(
     P_x and adaptive quadrature in P_y.  Raises ``QuadratureError`` when the
     summed error estimate exceeds ``_QUAD_REL_TOL`` of the value.
     """
-    terms, _ = _correlation_terms(
-        state, p, lt, T, anisotropy, fock_form, isotropic, convention
+    terms = _vertex_terms(
+        crit, T, abs(ladder.bare_vertex(crit.params)), anisotropy, fock_form, isotropic
     )
     out = np.empty(len(r_grid))
     for i, r in enumerate(r_grid):
@@ -529,16 +516,12 @@ def correlation_quadrature(
 
 
 def correlation_function(
-    state: InitialPhotonState,
-    p: ModelParams,
-    lt: LifetimeModel,
+    crit: Criticality,
     T: float,
     r_grid: Sequence[float] | None = None,
     anisotropy: float = 1.0,
     fock_form: str = "reduced",
     isotropic: bool = False,
-    convention: str = "canonical",
-    refit: bool = True,
 ) -> CorrelationProfile:
     """Spatial pair correlation C(r) and the fitted correlation length.
 
@@ -546,48 +529,42 @@ def correlation_function(
     the distinguished axis, normalised with |gamma0| so the profile is
     positive, summed over the closed-form transforms of its Lorentzian terms.
     xi comes from a log-linear fit of the tail over r in [3 xi_est, 10 xi_est]
-    with one re-estimation pass.  For number states the default
-    ``fock_form="reduced"`` fits the leading-pole form whose mass is reduced
-    by n+1, the form whose decay sets the physical correlation length;
-    ``"power"`` transforms the full (n+1)-order pole instead.
+    with one re-estimation pass; a given ``r_grid`` is fitted as it is.  For
+    number states the default ``fock_form="reduced"`` fits the leading-pole
+    form whose mass is reduced by n+1, the form whose decay sets the physical
+    correlation length; ``"power"`` transforms the full (n+1)-order pole
+    instead.
     """
-    terms, slope = _correlation_terms(
-        state, p, lt, T, anisotropy, fock_form, isotropic, convention
+    terms = _vertex_terms(
+        crit, T, abs(ladder.bare_vertex(crit.params)), anisotropy, fock_form, isotropic
     )
     # slowest decay across terms sets the expected length
     xi_est = max(math.sqrt(t.c_par / t.mass) for t in terms)
 
-    def evaluate(grid: np.ndarray) -> np.ndarray:
+    def fit(grid: np.ndarray):
         values = sum(_bessel_transform(term, grid) for term in terms)
         bad = np.flatnonzero(~(values > 0))
         if bad.size:
             raise QuadratureError(f"non-positive correlation value at r={grid[bad[0]]}")
-        return values
+        slope, r2, _ = _line_fit(grid, np.log(values))
+        return values, -1.0 / slope, r2
 
     external_grid = r_grid is not None
     if external_grid:
         grid = np.asarray(r_grid, dtype=float)
     else:
         grid = _geom(3.0 * xi_est, 10.0 * xi_est, 20)
-    values = evaluate(grid)
-    coeffs = np.polyfit(grid, np.log(values), 1)
-    xi = -1.0 / coeffs[0]
-    if refit and not external_grid and xi > 0:
+    values, xi, r2 = fit(grid)
+    if not external_grid and xi > 0:
         grid = _geom(3.0 * xi, 10.0 * xi, 20)
-        values = evaluate(grid)
-        coeffs = np.polyfit(grid, np.log(values), 1)
-        xi = -1.0 / coeffs[0]
-    pred = np.polyval(coeffs, grid)
-    ss_res = float(np.sum((np.log(values) - pred) ** 2))
-    ss_tot = float(np.sum((np.log(values) - np.log(values).mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+        values, xi, r2 = fit(grid)
     if xi <= 0:
         raise QuadratureError("fitted correlation length is not positive")
     return CorrelationProfile(
         tuple(grid.tolist()),
         tuple(values.tolist()),
         float(xi),
-        slope,
+        crit.slope,
         anisotropy,
         (float(grid[0]), float(grid[-1])),
         r2,
@@ -595,31 +572,23 @@ def correlation_function(
 
 
 def critical_report(
-    state: InitialPhotonState,
-    p: ModelParams,
-    lt: LifetimeModel,
-    convention: str = "canonical",
+    crit: Criticality,
     xi_reduced_t: float = 1e-4,
     anisotropy: float = 1.0,
     fock_form: str = "reduced",
 ) -> CriticalReport:
     """Bundle T_c, gamma, nu and xi for one photon state."""
-    crit = critical_temperature_for_state(state, p, lt, convention)
-    gamma = fit_gamma(state, p, lt, convention)
-    nu = fit_nu(state, p, lt, convention,
-                anisotropy=anisotropy, fock_form=fock_form)
+    gamma = fit_gamma(crit)
+    nu = fit_nu(crit, anisotropy=anisotropy, fock_form=fock_form)
     prof = correlation_function(
-        state, p, lt, crit.t_c * (1.0 + xi_reduced_t),
-        anisotropy=anisotropy, fock_form=fock_form, convention=convention,
+        crit, crit.point.t_c * (1.0 + xi_reduced_t),
+        anisotropy=anisotropy, fock_form=fock_form,
     )
-    return CriticalReport(state, crit.t_c, gamma, nu, prof.xi, prof.fit_window)
+    return CriticalReport(crit.state, crit.point.t_c, gamma, nu, prof.xi, prof.fit_window)
 
 
 def fit_nu(
-    state: InitialPhotonState,
-    p: ModelParams,
-    lt: LifetimeModel,
-    convention: str = "canonical",
+    crit: Criticality,
     window: tuple[float, float] = (1e-5, 1e-3),
     n_temps: int = 8,
     r2_min: float = 0.999,
@@ -631,22 +600,19 @@ def fit_nu(
     for Gaussian and number states alike (only the amplitude of xi knows the
     photon number).
     """
-    if n_temps < 8:
-        raise ValueError("need at least 8 temperatures")
-    if window[1] / window[0] < 99.0:
+    if n_temps < MIN_NU_POINTS:
+        raise ValueError(f"need at least {MIN_NU_POINTS} temperatures")
+    if window[1] / window[0] < MIN_NU_WINDOW_RATIO:
         raise ValueError("window must span at least two decades")
-    crit = critical_temperature_for_state(state, p, lt, convention)
     red = _geom(window[0], window[1], n_temps)
     xis = np.empty(n_temps)
     for i, t in enumerate(red):
-        prof = correlation_function(
-            state, p, lt, crit.t_c * (1.0 + t), convention=convention, **corr_kwargs
-        )
+        prof = correlation_function(crit, crit.point.t_c * (1.0 + t), **corr_kwargs)
         xis[i] = prof.xi
-    slope, r2, resid = _loglog_fit(red, xis)
-    if r2 <= r2_min:
+    slope, r2, resid = _line_fit(np.log(red), np.log(xis))
+    if not r2 > r2_min:
         raise FitRejected(
             f"nu fit rejected: r^2 = {r2:.6f} <= {r2_min}",
-            {"window": window, "r_squared": r2, "slope": slope, "state": state},
+            {"window": window, "r_squared": r2, "slope": slope, "state": crit.state},
         )
     return ExponentFit(-slope, window, r2, resid, n_temps)

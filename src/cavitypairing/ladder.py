@@ -32,13 +32,10 @@ from fractions import Fraction
 from typing import Union
 
 from .model import (
-    DiagonalMixture,
-    Fock,
     InitialPhotonState,
     LifetimeModel,
     ModelParams,
     Thermal,
-    Vacuum,
     tau_inv,
 )
 from .useries import RationalFunction, taylor
@@ -338,14 +335,10 @@ def vertex_for_state(
 ):
     """Physical on-shell vertex for one initial photon state.
 
-    Fock states read the hierarchy, diagonal mixtures average it, and the
-    equilibrium thermal state uses the closed form with the kernel's own
-    statistical factor.
+    The thermal state uses the closed form with the kernel's own statistical
+    factor; every other state averages the hierarchy over its occupation
+    weights (a single sector for the vacuum and number states).
     """
-    if isinstance(state, Vacuum):
-        return solve_fock_hierarchy(0, kernel, weight_mode).values[0]
-    if isinstance(state, Fock):
-        return solve_fock_hierarchy(state.n, kernel, weight_mode).values[state.n]
     if isinstance(state, Thermal):
         k = kernel
         if state.beta is not None:
@@ -356,8 +349,5 @@ def vertex_for_state(
                 thermal_stat=1.0 / math.tanh(state.beta * float(kernel.delta_c) / 2.0),
             )
         return solve_thermal(k)
-    if isinstance(state, DiagonalMixture):
-        top = max(state.weights)
-        hier = solve_fock_hierarchy(top, kernel, weight_mode)
-        return sum(w * hier.values[m] for m, w in state.weights.items())
-    raise TypeError(f"unknown photon state {state!r}")
+    hier = solve_fock_hierarchy(max(state.weights), kernel, weight_mode)
+    return sum(w * hier.values[m] for m, w in state.weights.items())

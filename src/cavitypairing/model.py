@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Sequence, Union
 
 __all__ = [
     "ConstantLifetime",
@@ -38,7 +38,6 @@ __all__ = [
     "fermion_gr",
     "mean_photon_number",
     "photon_d0",
-    "photon_da",
     "photon_dk_physical",
     "photon_dr",
     "photon_gk_two_time",
@@ -70,8 +69,8 @@ class ModelParams:
     ``delta_c`` the photon gap, ``q0`` the cavity momentum, ``e_f``/``k_f``
     the Fermi energy and momentum.  The derived dimensionless coupling
     ``gtilde = g0**2 / (4*pi*delta_c)**2`` is recomputed on access and never
-    stored.  ``dispersion`` may override the default quadratic band
-    ``e_f * ((k/k_f)**2 - 1)`` (measured from the Fermi surface).
+    stored.  The band is quadratic, ``e_f * ((k/k_f)**2 - 1)`` measured from
+    the Fermi surface.
     """
 
     g0: float
@@ -79,9 +78,11 @@ class ModelParams:
     q0: float
     e_f: float
     k_f: float
-    dispersion: Callable[[float], float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        fields = (self.g0, self.delta_c, self.q0, self.e_f, self.k_f)
+        if not all(math.isfinite(x) for x in fields):
+            raise DomainError("model parameters must be finite")
         if self.delta_c <= 0:
             raise DomainError("delta_c must be > 0 (attractive regime)")
         if self.e_f <= 0 or self.k_f <= 0:
@@ -107,8 +108,6 @@ class ModelParams:
 
     def eps(self, k: float) -> float:
         """Band dispersion measured from the Fermi surface."""
-        if self.dispersion is not None:
-            return self.dispersion(k)
         return self.e_f * ((k / self.k_f) ** 2 - 1.0)
 
     def in_cavity_units(self) -> "ModelParams":
@@ -120,7 +119,6 @@ class ModelParams:
             q0=self.q0,
             e_f=self.e_f / s,
             k_f=self.k_f,
-            dispersion=None if self.dispersion is None else (lambda k: self.dispersion(k) / s),
         )
 
 
@@ -135,8 +133,8 @@ class ConstantLifetime:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise DomainError("constant lifetime rate must be > 0")
+        if not 0 < self.rate < math.inf:
+            raise DomainError("constant lifetime rate must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -163,9 +161,15 @@ def tau_inv(lt: LifetimeModel, p: ModelParams, temperature: float) -> float:
 # initial photon states
 # ---------------------------------------------------------------------------
 
+# Vacuum and Fock(n) read as point-mass diagonal mixtures through ``weights``.
+# The weight is the int 1, so exact (Fraction) kernels stay exact and float
+# results are bit-identical to reading the single sector directly.
+
 @dataclass(frozen=True)
 class Vacuum:
-    pass
+    @property
+    def weights(self) -> Mapping[int, int]:
+        return {0: 1}
 
 
 @dataclass(frozen=True)
@@ -175,6 +179,10 @@ class Fock:
     def __post_init__(self):
         if self.n < 0:
             raise DomainError("Fock occupation must be >= 0")
+
+    @property
+    def weights(self) -> Mapping[int, int]:
+        return {self.n: 1}
 
 
 @dataclass(frozen=True)
@@ -220,10 +228,6 @@ def statistical_factor(
     state: InitialPhotonState, p: ModelParams, temperature: float | None = None
 ) -> float:
     """Scalar s multiplying the vacuum Keldysh photon function."""
-    if isinstance(state, Vacuum):
-        return 1.0
-    if isinstance(state, Fock):
-        return 1.0 + 2.0 * state.n
     if isinstance(state, Thermal):
         beta = state.beta
         if beta is None:
@@ -231,29 +235,16 @@ def statistical_factor(
                 raise DomainError("equilibrium thermal state needs a positive ambient temperature")
             beta = 1.0 / temperature
         return 1.0 / math.tanh(beta * p.delta_c / 2.0)
-    if isinstance(state, DiagonalMixture):
-        return sum(w * (1.0 + 2.0 * n) for n, w in state.weights.items())
-    raise TypeError(f"unknown photon state {state!r}")
+    return sum(w * (1.0 + 2.0 * n) for n, w in state.weights.items())
 
 
 def mean_photon_number(
     state: InitialPhotonState, p: ModelParams, temperature: float | None = None
 ) -> float:
     """Mean occupation of the cavity mode in the given initial state."""
-    if isinstance(state, Vacuum):
-        return 0.0
-    if isinstance(state, Fock):
-        return float(state.n)
     if isinstance(state, Thermal):
-        beta = state.beta
-        if beta is None:
-            if temperature is None or temperature <= 0:
-                raise DomainError("equilibrium thermal state needs a positive ambient temperature")
-            beta = 1.0 / temperature
-        return 0.5 / math.tanh(beta * p.delta_c / 2.0) - 0.5
-    if isinstance(state, DiagonalMixture):
-        return sum(w * n for n, w in state.weights.items())
-    raise TypeError(f"unknown photon state {state!r}")
+        return 0.5 * statistical_factor(state, p, temperature) - 0.5
+    return float(sum(w * n for n, w in state.weights.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +299,6 @@ def photon_dr(omega: float, p: ModelParams, eta: float, advanced: bool = False) 
     sign = -1.0 if advanced else 1.0
     z = complex(omega, sign * eta)
     return _finite(1.0 / (2.0 * z * z - 2.0 * p.delta_c**2))
-
-
-def photon_da(omega, p, eta):
-    return photon_dr(omega, p, eta, advanced=True)
 
 
 def photon_d0(z: complex, p: ModelParams) -> complex:

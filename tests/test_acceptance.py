@@ -101,11 +101,11 @@ def test_criterion_4_susceptibility_exponents(const_params, const_lifetime):
     devs = []
     ok = True
     for n in range(6):
-        fit = cr.fit_gamma(Fock(n), const_params, const_lifetime)
+        fit = cr.fit_gamma(cr.criticality(Fock(n), const_params, const_lifetime))
         dev = abs(fit.exponent - (n + 1))
         devs.append(f"n={n}: {dev:.1e}")
         ok = ok and dev <= 0.05
-    th = cr.fit_gamma(Thermal(), const_params, const_lifetime)
+    th = cr.fit_gamma(cr.criticality(Thermal(), const_params, const_lifetime))
     ok = ok and abs(th.exponent - 1.0) <= 0.02
     dt = time.perf_counter() - t0
     _report(4, ok and dt < 30.0, dt,
@@ -115,18 +115,19 @@ def test_criterion_4_susceptibility_exponents(const_params, const_lifetime):
 
 def test_criterion_5_correlation_length(const_params, const_lifetime):
     t0 = time.perf_counter()
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
-    T = crit.t_c * (1.0 + 1e-4)
-    xi0 = cr.correlation_function(Vacuum(), const_params, const_lifetime, T).xi
+    crit = cr.criticality(Vacuum(), const_params, const_lifetime)
+    T = crit.point.t_c * (1.0 + 1e-4)
+    xi0 = cr.correlation_function(crit, T).xi
     ratio_devs = []
     ok = True
     for n in (1, 3, 8):
-        xin = cr.correlation_function(Fock(n), const_params, const_lifetime, T).xi
+        xin = cr.correlation_function(
+            cr.criticality(Fock(n), const_params, const_lifetime), T).xi
         dev = abs(xin / xi0 / math.sqrt(n + 1) - 1.0)
         ratio_devs.append(f"n={n}: {dev:.1e}")
         ok = ok and dev < 0.02
-    nu_th = cr.fit_nu(Thermal(), const_params, const_lifetime)
-    nu_f4 = cr.fit_nu(Fock(4), const_params, const_lifetime)
+    nu_th = cr.fit_nu(cr.criticality(Thermal(), const_params, const_lifetime))
+    nu_f4 = cr.fit_nu(cr.criticality(Fock(4), const_params, const_lifetime))
     ok = ok and abs(nu_th.exponent - 0.5) <= 0.02 and abs(nu_f4.exponent - 0.5) <= 0.02
     dt = time.perf_counter() - t0
     _report(5, ok and dt < 120.0, dt,

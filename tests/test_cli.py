@@ -159,6 +159,27 @@ def test_main_rejects_removed_quad_rel_tol_key(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line, command", [
+    ("fit.gamma_points = 5", "exponents"),
+    ("fit.nu_points = 3", "exponents"),
+    ("fit.nu_window = 1e-4,1e-3", "exponents"),
+    ("fit.xi_reduced_t = -1", "vertex"),
+    ("fit.xi_reduced_t = nan", "xi"),
+    ("model.g0 = nan", "tc"),
+    ("model.e_f = nan", "tc"),
+    ("model.delta_c = inf", "tc"),
+    ("model.lifetime = constant:nan", "tc"),
+])
+def test_main_rejects_out_of_range_config(tmp_path, capsys, line, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    rc = cli.main(["--config", str(cfg), "--out", str(tmp_path), "--jobs", "1", command])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CONFIG
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_main_missing_config_file(tmp_path):
     assert cli.main(
         ["--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path), "tc"]
@@ -241,6 +262,32 @@ def test_exponents_parallel_matches_serial(tmp_path):
                      "--jobs", "2", "exponents"]) == cli.EXIT_OK
     assert (tmp_path / "a" / "exponents.csv").read_text() == (
         tmp_path / "b" / "exponents.csv").read_text()
+
+
+def test_overflowing_fits_are_rejected(tmp_path):
+    # the fock:60 hierarchy overflows, so both fits see non-finite data
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("states.list = fock:60\n")
+    args = ["--config", str(cfgf), "--out", str(tmp_path), "--jobs", "1"]
+    assert cli.main(args + ["exponents"]) == cli.EXIT_OK
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "exponents.csv").read_text())))
+    assert [r["quantity"] for r in rows] == ["gamma", "nu"]
+    assert all(r["note"].startswith("REJECTED") for r in rows)
+    assert all(r["r_squared"] == "nan" for r in rows)
+    assert cli.main(args + ["--strict", "exponents"]) == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("command, row", [
+    ("vertex", "gamma_on_shell = -inf"),
+    ("xi", "xi = nan"),
+])
+def test_unflagged_non_finite_value_is_a_numerical_failure(tmp_path, capsys, command, row):
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("states.list = fock:200\n")
+    rc = cli.main(["--config", str(cfgf), "--out", str(tmp_path), command])
+    assert rc == cli.EXIT_NUMERIC
+    assert f"numerical failure: {row} for state fock:200" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -110,30 +110,31 @@ def test_mass_slope_richardson_stable(fl_params, fl_lifetime):
 # -- susceptibility exponent ----------------------------------------------------
 
 def test_gamma_thermal(const_params, const_lifetime):
-    fit = cr.fit_gamma(Thermal(), const_params, const_lifetime)
+    fit = cr.fit_gamma(cr.criticality(Thermal(), const_params, const_lifetime))
     assert abs(fit.exponent - 1.0) <= 0.02
     assert fit.r_squared > 0.999
 
 
 def test_gamma_vacuum(const_params, const_lifetime):
-    fit = cr.fit_gamma(Fock(0), const_params, const_lifetime)
+    fit = cr.fit_gamma(cr.criticality(Fock(0), const_params, const_lifetime))
     assert abs(fit.exponent - 1.0) <= 0.02
 
 
 def test_gamma_fock3(const_params, const_lifetime):
-    fit = cr.fit_gamma(Fock(3), const_params, const_lifetime)
+    fit = cr.fit_gamma(cr.criticality(Fock(3), const_params, const_lifetime))
     assert abs(fit.exponent - 4.0) <= 0.05
 
 
 def test_gamma_mixture_pole_order(const_params, const_lifetime):
-    fit = cr.fit_gamma(DiagonalMixture({0: 0.5, 2: 0.5}), const_params, const_lifetime)
+    mix = DiagonalMixture({0: 0.5, 2: 0.5})
+    fit = cr.fit_gamma(cr.criticality(mix, const_params, const_lifetime))
     assert abs(fit.exponent - 3.0) <= 0.05
 
 
 def test_gamma_invariant_under_vertex_rescale_and_convention():
     base = ModelParams.with_gtilde(0.02, 1.0, 0.0, 100.0, 1.0)
     lt = ConstantLifetime(0.2)  # c2 small enough that every convention is subcritical
-    fits = [cr.fit_gamma(Fock(2), base, lt, convention=c)
+    fits = [cr.fit_gamma(cr.criticality(Fock(2), base, lt, convention=c))
             for c in ("canonical", "eq-bs-u-freq", "subsec-tc")]
     assert all(abs(f.exponent - 3.0) <= 0.05 for f in fits)
     # gamma0 -> lambda gamma0 shifts the log intercept only: the fitted slope
@@ -155,7 +156,7 @@ def test_gamma_invariant_under_vertex_rescale_and_convention():
 
 def test_gamma_needs_enough_points(const_params, const_lifetime):
     with pytest.raises(ValueError):
-        cr.fit_gamma(Vacuum(), const_params, const_lifetime, points=5)
+        cr.fit_gamma(cr.criticality(Vacuum(), const_params, const_lifetime), points=5)
 
 
 # -- momentum-resolved vertex ----------------------------------------------------
@@ -165,8 +166,7 @@ def test_vertex_p_reduces_to_on_shell_pole(const_params, const_lifetime):
     m = cr.mass_slope(const_params, const_lifetime, "vacuum", tc=crit.t_c)
     T = crit.t_c * 1.001
     for n in (0, 2):
-        v = cr.vertex_P(Fock(n), 0.0, 0.3, T, const_params, const_lifetime,
-                        crit=crit, slope=m)
+        v = cr.vertex_P(cr.criticality(Fock(n), const_params, const_lifetime), 0.0, 0.3, T)
         expect = bare_vertex(const_params) / (m * (T - crit.t_c)) ** (n + 1)
         assert v == pytest.approx(expect, rel=1e-12)
 
@@ -176,8 +176,8 @@ def test_vertex_p_angular_factor(const_params, const_lifetime):
     m = cr.mass_slope(const_params, const_lifetime, "vacuum", tc=crit.t_c)
     T = crit.t_c * 1.001
     a = 0.7
-    v = cr.vertex_P(Vacuum(), 2.0, math.pi / 2, T, const_params, const_lifetime,
-                    anisotropy=a, crit=crit, slope=m)
+    c = cr.Criticality(Vacuum(), const_params, const_lifetime, "canonical", crit, m)
+    v = cr.vertex_P(c, 2.0, math.pi / 2, T, anisotropy=a)
     expect = bare_vertex(const_params) / (4.0 * a + m * (T - crit.t_c))
     assert v == pytest.approx(expect, rel=1e-12)
 
@@ -186,15 +186,13 @@ def test_vertex_p_inversion_symmetry(const_params, const_lifetime):
     crit = cr.find_tc(const_params, const_lifetime, "vacuum")
     m = cr.mass_slope(const_params, const_lifetime, "vacuum", tc=crit.t_c)
     T = crit.t_c * 1.0005
+    c = cr.Criticality(Fock(1), const_params, const_lifetime, "canonical", crit, m)
     rng = np.random.default_rng(7)
     for _ in range(12):
         P, th = rng.uniform(0, 3), rng.uniform(0, 2 * math.pi)
-        v1 = cr.vertex_P(Fock(1), P, th, T, const_params, const_lifetime,
-                         crit=crit, slope=m)
-        v2 = cr.vertex_P(Fock(1), P, th + math.pi, T, const_params, const_lifetime,
-                         crit=crit, slope=m)
-        v3 = cr.vertex_P(Fock(1), P, -th, T, const_params, const_lifetime,
-                         crit=crit, slope=m)
+        v1 = cr.vertex_P(c, P, th, T)
+        v2 = cr.vertex_P(c, P, th + math.pi, T)
+        v3 = cr.vertex_P(c, P, -th, T)
         assert v1 == pytest.approx(v2, rel=1e-14)
         assert v1 == pytest.approx(v3, rel=1e-14)
 
@@ -203,25 +201,21 @@ def test_vertex_p_forms_agree_at_small_momentum(const_params, const_lifetime):
     crit = cr.find_tc(const_params, const_lifetime, "vacuum")
     m = cr.mass_slope(const_params, const_lifetime, "vacuum", tc=crit.t_c)
     T = crit.t_c * 1.001
-    kw = dict(crit=crit, slope=m)
     mass = m * (T - crit.t_c)
     p_small = 1e-3 * math.sqrt(mass)
     for n in (1, 4):
-        full = cr.vertex_P(Fock(n), p_small, 0.9, T, const_params, const_lifetime,
-                           fock_form="power", **kw)
-        red = cr.vertex_P(Fock(n), p_small, 0.9, T, const_params, const_lifetime,
-                          fock_form="reduced", **kw)
+        c = cr.Criticality(Fock(n), const_params, const_lifetime, "canonical", crit, m)
+        full = cr.vertex_P(c, p_small, 0.9, T, fock_form="power")
+        red = cr.vertex_P(c, p_small, 0.9, T, fock_form="reduced")
         assert red == pytest.approx(full, rel=1e-5)
-        assert cr.vertex_P(Fock(n), 0.0, 0.0, T, const_params, const_lifetime,
-                           fock_form="reduced", **kw) == pytest.approx(
-            cr.vertex_P(Fock(n), 0.0, 0.0, T, const_params, const_lifetime,
-                        fock_form="power", **kw), rel=1e-14)
+        assert cr.vertex_P(c, 0.0, 0.0, T, fock_form="reduced") == pytest.approx(
+            cr.vertex_P(c, 0.0, 0.0, T, fock_form="power"), rel=1e-14)
 
 
 def test_vertex_p_requires_supercritical_temperature(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
+    c = cr.criticality(Vacuum(), const_params, const_lifetime)
     with pytest.raises(DomainError):
-        cr.vertex_P(Vacuum(), 0.1, 0.0, crit.t_c * 0.5, const_params, const_lifetime)
+        cr.vertex_P(c, 0.1, 0.0, c.point.t_c * 0.5)
 
 
 # -- correlation function ---------------------------------------------------------
@@ -231,40 +225,37 @@ def test_vertex_p_requires_supercritical_temperature(const_params, const_lifetim
 def test_correlation_closed_form_matches_quadrature(const_params, const_lifetime, n,
                                                    isotropic):
     # power form of Fock(n) is a single pole of order q = n + 1
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
-    T = crit.t_c * (1 + 1e-4)
+    crit = cr.criticality(Fock(n), const_params, const_lifetime)
+    T = crit.point.t_c * (1 + 1e-4)
     kw = dict(anisotropy=1.3, fock_form="power", isotropic=isotropic)
-    xi = cr.correlation_function(Fock(n), const_params, const_lifetime, T, **kw).xi
+    xi = cr.correlation_function(crit, T, **kw).xi
     rs = np.geomspace(xi, 10.0 * xi, 9)
-    prof = cr.correlation_function(Fock(n), const_params, const_lifetime, T,
-                                   r_grid=rs, **kw)
-    ref = cr.correlation_quadrature(Fock(n), const_params, const_lifetime, T, rs, **kw)
+    prof = cr.correlation_function(crit, T, r_grid=rs, **kw)
+    ref = cr.correlation_quadrature(crit, T, rs, **kw)
     assert np.max(np.abs(np.asarray(prof.values) / ref - 1.0)) < 1e-8
 
 
 def test_correlation_xi_ratio_sqrt_n_plus_one(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
-    T = crit.t_c * (1 + 1e-4)
-    xi0 = cr.correlation_function(Vacuum(), const_params, const_lifetime, T).xi
+    crit = cr.criticality(Vacuum(), const_params, const_lifetime)
+    T = crit.point.t_c * (1 + 1e-4)
+    xi0 = cr.correlation_function(crit, T).xi
     for n in (1, 3, 8):
-        xin = cr.correlation_function(Fock(n), const_params, const_lifetime, T).xi
+        xin = cr.correlation_function(
+            cr.criticality(Fock(n), const_params, const_lifetime), T).xi
         assert abs(xin / xi0 / math.sqrt(n + 1) - 1.0) < 0.02
 
 
 def test_correlation_xi_shrinks_sqrt2_on_doubling(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
+    crit = cr.criticality(Vacuum(), const_params, const_lifetime)
     t = 1e-4
-    x1 = cr.correlation_function(
-        Vacuum(), const_params, const_lifetime, crit.t_c * (1 + t)).xi
-    x2 = cr.correlation_function(
-        Vacuum(), const_params, const_lifetime, crit.t_c * (1 + 2 * t)).xi
+    x1 = cr.correlation_function(crit, crit.point.t_c * (1 + t)).xi
+    x2 = cr.correlation_function(crit, crit.point.t_c * (1 + 2 * t)).xi
     assert abs(x1 / x2 / math.sqrt(2.0) - 1.0) < 0.01
 
 
 def test_correlation_profile_positive_logconvex_tail(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
-    prof = cr.correlation_function(
-        Fock(2), const_params, const_lifetime, crit.t_c * (1 + 1e-4))
+    crit = cr.criticality(Fock(2), const_params, const_lifetime)
+    prof = cr.correlation_function(crit, crit.point.t_c * (1 + 1e-4))
     vals = np.asarray(prof.values)
     assert np.all(vals > 0)
     # log-convexity via divided differences (geometric grid)
@@ -277,9 +268,9 @@ def test_correlation_profile_positive_logconvex_tail(const_params, const_lifetim
 
 
 def test_correlation_needs_supercritical_temperature(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
+    crit = cr.criticality(Vacuum(), const_params, const_lifetime)
     with pytest.raises(DomainError):
-        cr.correlation_function(Vacuum(), const_params, const_lifetime, crit.t_c)
+        cr.correlation_function(crit, crit.point.t_c)
 
 
 # -- correlation-length exponent ---------------------------------------------------
@@ -294,24 +285,25 @@ def test_nu_closed_form_is_half():
 
 
 def test_nu_thermal(const_params, const_lifetime):
-    fit = cr.fit_nu(Thermal(), const_params, const_lifetime)
+    fit = cr.fit_nu(cr.criticality(Thermal(), const_params, const_lifetime))
     assert abs(fit.exponent - 0.5) <= 0.02
 
 
 def test_nu_fock4(const_params, const_lifetime):
-    fit = cr.fit_nu(Fock(4), const_params, const_lifetime)
+    fit = cr.fit_nu(cr.criticality(Fock(4), const_params, const_lifetime))
     assert abs(fit.exponent - 0.5) <= 0.02
 
 
 def test_nu_window_validation(const_params, const_lifetime):
+    crit = cr.criticality(Vacuum(), const_params, const_lifetime)
     with pytest.raises(ValueError):
-        cr.fit_nu(Vacuum(), const_params, const_lifetime, window=(1e-4, 1e-3))
+        cr.fit_nu(crit, window=(1e-4, 1e-3))
     with pytest.raises(ValueError):
-        cr.fit_nu(Vacuum(), const_params, const_lifetime, n_temps=4)
+        cr.fit_nu(crit, n_temps=4)
 
 
 def test_critical_report_bundle(const_params, const_lifetime):
-    rep = cr.critical_report(Fock(2), const_params, const_lifetime)
+    rep = cr.critical_report(cr.criticality(Fock(2), const_params, const_lifetime))
     assert rep.t_c == pytest.approx(0.04, rel=1e-10)
     assert abs(rep.gamma.exponent - 3.0) <= 0.05
     assert abs(rep.nu.exponent - 0.5) <= 0.02

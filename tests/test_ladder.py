@@ -194,6 +194,9 @@ def test_vertex_for_state_dispatch():
     h = solve_fock_hierarchy(4, K_REF)
     assert vertex_for_state(Vacuum(), K_REF) == h.values[0]
     assert vertex_for_state(Fock(3), K_REF) == h.values[3]
+    # point-mass weights keep exact kernels exact
+    assert isinstance(vertex_for_state(Vacuum(), K_REF), F)
+    assert isinstance(vertex_for_state(Fock(3), K_REF), F)
     mix = DiagonalMixture({0: 0.5, 2: 0.5})
     assert float(vertex_for_state(mix, K_REF)) == pytest.approx(
         0.5 * float(h.values[0]) + 0.5 * float(h.values[2])

@@ -34,6 +34,13 @@ def test_params_validation():
         ModelParams(g0=1.0, delta_c=-1.0, q0=0.0, e_f=1.0, k_f=1.0)
     with pytest.raises(DomainError):
         ModelParams(g0=1.0, delta_c=1.0, q0=0.5, e_f=1.0, k_f=1.0)  # q0 not << k_F
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            ModelParams(g0=bad, delta_c=1.0, q0=0.0, e_f=1.0, k_f=1.0)
+        with pytest.raises(DomainError, match="finite"):
+            ModelParams(g0=1.0, delta_c=bad, q0=0.0, e_f=1.0, k_f=1.0)
+        with pytest.raises(DomainError, match="finite"):
+            ConstantLifetime(bad)
 
 
 def test_gtilde_recomputed():
@@ -205,6 +212,8 @@ def test_statistical_factor_mixture():
 
 def test_mean_photon_number():
     assert mean_photon_number(Fock(5), P) == 5.0
+    assert type(mean_photon_number(Vacuum(), P)) is float
+    assert mean_photon_number(Vacuum(), P) == 0.0
     assert mean_photon_number(Thermal(beta=80.0), P) == pytest.approx(0.0, abs=1e-12)
     assert mean_photon_number(Thermal(beta=math.log(2.0)), P) == pytest.approx(1.0)
     assert mean_photon_number(DiagonalMixture({0: 0.5, 4: 0.5}), P) == 2.0
