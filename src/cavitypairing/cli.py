@@ -15,10 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -49,6 +47,10 @@ EXIT_NUMERIC = 3
 
 class ConfigError(ValueError):
     pass
+
+
+# the model the quadrature checks of ``verify`` run on, whatever the config says
+_VERIFY_PARAMS = ModelParams(g0=1.0, delta_c=1.0, q0=0.0, e_f=100.0, k_f=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,11 @@ def _convert(attr: str, val):
     # xi and vertex rows sit at T = T_c (1 + xi_reduced_t), which must be above T_c
     if attr in ("anisotropy", "xi_reduced_t") and not num > 0:
         raise ConfigError(f"{attr}: need > 0, got {val!r}")
+    # verify integrates at lifetime rate 1/dctau and temperature t_over_delta * delta_c
+    if attr == "verify_dctau" and not (num > 0 and 1.0 / num < math.inf):
+        raise ConfigError(f"{attr}: need dctau > 0 with 1/dctau finite, got {val!r}")
+    if attr == "verify_t_over_delta" and not 0 < num * _VERIFY_PARAMS.delta_c < math.inf:
+        raise ConfigError(f"{attr}: need t_over_delta * delta_c finite and > 0, got {val!r}")
     return num
 
 
@@ -446,6 +453,8 @@ def cmd_exponents(cfg: RunConfig, jobs: int = 1) -> ResultTable:
     table = ResultTable()
     tasks = [(cfg, tok) for tok in cfg.states]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # kept off the cold start
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for rows in pool.map(_exponent_rows, tasks):
                 table.rows.extend(rows)
@@ -602,7 +611,7 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     record("sector_chain", sol == closed and series_match,
            "linear solve == closed form; series == hierarchy (exact)")
 
-    p = ModelParams(g0=1.0, delta_c=1.0, q0=0.0, e_f=100.0, k_f=1.0)
+    p = _VERIFY_PARAMS
     lt = ConstantLifetime(1.0 / cfg.verify_dctau)
     T = cfg.verify_t_over_delta * p.delta_c
     qr = sectors.bcs_kernel_quadrature(p, lt, T)
@@ -658,7 +667,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     ap.add_argument("--format", choices=("csv", "json", "plot-script"), help="output format override")
     ap.add_argument("--strict", action="store_true", help="fail on rejected fits")
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes")
+    ap.add_argument("--jobs", type=int, default=1, help="worker processes for exponents")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("tc", "exponents", "xi", "vertex", "scan"):
         sub.add_parser(name)

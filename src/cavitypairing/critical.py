@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import kv
 
 from . import ladder
 from .ladder import KernelScalars, vertex_for_state
@@ -53,7 +51,7 @@ from .model import (
     Thermal,
     statistical_factor,
 )
-from .sectors import QuadratureError
+from .sectors import QuadratureError, quad
 
 __all__ = [
     "BracketError",
@@ -173,7 +171,13 @@ def kernel_mass(
     if mode == "thermal":
         if thermal_stat is None:
             return float(k.m_th)
-        return float(k.a_bcs + 2 * k.c2 * thermal_stat**2)
+        try:
+            return float(k.a_bcs + 2 * k.c2 * thermal_stat**2)
+        except OverflowError as exc:
+            raise OverflowError(
+                f"thermal kernel mass a_bcs + 2 c2 s**2 overflows: photon statistical "
+                f"factor s = coth(beta * delta_c / 2) = {thermal_stat:.6g} at T = {temperature:.6g}"
+            ) from exc
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -442,6 +446,8 @@ def vertex_P(
 
 def _bessel_transform(term: _LorentzianTerm, r: np.ndarray) -> np.ndarray:
     """Exact 2D Fourier transform of one Lorentzian term on the grid r."""
+    from scipy.special import kv  # only the correlation commands pay its import
+
     nu = term.order - 1
     rs = r / math.sqrt(term.c_par)
     sm = math.sqrt(term.mass)

@@ -142,10 +142,17 @@ class KernelScalars:
         fa, fc = CONVENTIONS[convention]
         g = p.gtilde
         dct = p.delta_c / tau_inv(lt, p, temperature)
+        try:
+            c2 = fc * (g * dct) ** 2
+        except OverflowError as exc:
+            raise OverflowError(
+                f"resonant kernel c2 = (gtilde * delta_c * tau)**2 overflows: "
+                f"delta_c * tau = {dct:.6g} for lifetime {lt} at T = {temperature:.6g}"
+            ) from exc
         return cls(
             gamma0=bare_vertex(p),
             a_bcs=fa * g * p.delta_c / temperature,
-            c2=fc * (g * dct) ** 2,
+            c2=c2,
             thermal_stat=1.0 / math.tanh(p.delta_c / (2.0 * temperature)),
             gtilde=g,
             dct=dct,

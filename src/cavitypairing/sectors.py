@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from . import model
 from .ladder import CriticalityError, KernelScalars
 from .model import LifetimeModel, ModelParams, tau_inv
@@ -177,6 +175,18 @@ def truncation_diagnostic(p: ModelParams, lt: LifetimeModel, temperature: float)
 # ---------------------------------------------------------------------------
 # quadrature validation of the contour reductions
 # ---------------------------------------------------------------------------
+
+def quad(func, *args, **kwargs):
+    """``scipy.integrate.quad``, imported on first use.
+
+    Importing ``scipy.integrate`` costs more than the whole run of a command
+    that never integrates, so only the quadrature checks pay for it.  Call
+    sites look this name up at call time, so it can be rebound from outside.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, *args, **kwargs)
+
 
 def _static_loop_weight(omega, p, lt, temperature):
     """i/(2pi) * [G_K(w) G_R(-w) + G_R(w) G_K(-w)] at the Fermi surface; real."""

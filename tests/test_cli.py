@@ -169,6 +169,9 @@ def test_main_rejects_removed_quad_rel_tol_key(tmp_path, capsys):
     ("model.e_f = nan", "tc"),
     ("model.delta_c = inf", "tc"),
     ("model.lifetime = constant:nan", "tc"),
+    ("verify.dctau = -1", "verify"),
+    ("verify.dctau = 1e-320", "verify"),
+    ("verify.t_over_delta = 0", "verify"),
 ])
 def test_main_rejects_out_of_range_config(tmp_path, capsys, line, command):
     cfg = tmp_path / "c.cfg"
@@ -177,6 +180,23 @@ def test_main_rejects_out_of_range_config(tmp_path, capsys, line, command):
     err = capsys.readouterr().err
     assert rc == cli.EXIT_CONFIG
     assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, named", [
+    ("model.lifetime = constant:1e-300", "c2 = (gtilde * delta_c * tau)**2 overflows: "
+                                         "delta_c * tau = 1e+300"),
+    ("states.list = thermal:beta=1e-300", "statistical factor s = coth(beta * delta_c / 2) "
+                                          "= 2e+300"),
+], ids=["lifetime", "thermal-beta"])
+def test_overflow_names_quantity_and_input(tmp_path, capsys, line, named):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    rc = cli.main(["--config", str(cfg), "--out", str(tmp_path), "tc"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_NUMERIC
+    assert err.startswith("numerical failure:")
+    assert named in err
     assert "Traceback" not in err
 
 
