@@ -531,7 +531,7 @@ def cmd_scan(cfg: RunConfig, n_grid: int = 60) -> ResultTable:
         note = f"T={_fmt(T / unit)}"
         table.add(state="-", quantity="m_vac", value=float(k.m_vac),
                   provenance="ladder.KernelScalars", note=note)
-        table.add(state="-", quantity="m_th", value=float(k.m_th),
+        table.add(state="-", quantity="m_th", value=float(k.pole_mass(Thermal())),
                   provenance="ladder.KernelScalars", note=note)
     return table
 

@@ -1,10 +1,12 @@
 """Critical properties of the pairing transition.
 
-The on-shell vertex diverges where the relevant kernel mass M(T) crosses 1:
-M_vac for vacuum/number states (the root is occupation-independent), M_th for
-the equilibrium thermal state (strictly larger, so its root sits above the
-vacuum one).  Near the root, 1 - M(T) ~ m (T - T_c) defines the mass slope m,
-and the center-of-mass-momentum-resolved vertex takes the quadratic form
+The on-shell vertex diverges where the photon state's pole mass M(T)
+(``KernelScalars.pole_mass``) crosses 1: M_vac for vacuum, number states and
+mixtures (the root is occupation-independent), a_bcs + 2 c2 s**2 at the
+statistical factor s for a thermal state (strictly larger, so its root sits
+above the vacuum one).  Near the root, 1 - M(T) ~ m (T - T_c) defines the
+mass slope m, and the center-of-mass-momentum-resolved vertex takes the
+quadratic form
 
     thermal:   gamma0 / [P^2 (cos^2 theta + a) + m (T - T_c)]
     n quanta:  gamma0 / [P^2 (cos^2 theta + a) + m (T - T_c)]^(n+1)
@@ -27,10 +29,11 @@ evaluated with ``scipy.special.kv`` over the whole r grid at once.
 in P_x, adaptive quadrature in P_y) as the reference that ``verify`` checks
 the closed form against.
 
-``criticality`` is the one place that maps a photon state to its root.  It
-returns a frozen ``Criticality`` holding the state, the model, the root and
-the mass slope, computed once; the fits, the correlation functions and the
-momentum-resolved vertex all take it instead of re-deriving T_c and m.
+``kernel_mass``, ``find_tc`` and ``mass_slope`` take the photon state and
+read its mass through ``pole_mass``.  ``criticality`` returns a frozen
+``Criticality`` holding the state, the model, the root and the mass slope,
+computed once; the fits, the correlation functions and the momentum-resolved
+vertex all take it instead of re-deriving T_c and m.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .model import (
     LifetimeModel,
     ModelParams,
     Thermal,
-    statistical_factor,
+    Vacuum,
 )
 from .sectors import QuadratureError, quad
 
@@ -160,38 +163,23 @@ def kernel_mass(
     p: ModelParams,
     lt: LifetimeModel,
     temperature: float,
-    mode: str = "vacuum",
+    state: InitialPhotonState,
     convention: str = "canonical",
-    thermal_stat: float | None = None,
 ) -> float:
-    """M_vac(T) or M_th(T); ``thermal_stat`` fixes the photon statistics."""
-    k = KernelScalars.from_model(p, lt, temperature, convention)
-    if mode == "vacuum":
-        return float(k.m_vac)
-    if mode == "thermal":
-        if thermal_stat is None:
-            return float(k.m_th)
-        try:
-            return float(k.a_bcs + 2 * k.c2 * thermal_stat**2)
-        except OverflowError as exc:
-            raise OverflowError(
-                f"thermal kernel mass a_bcs + 2 c2 s**2 overflows: photon statistical "
-                f"factor s = coth(beta * delta_c / 2) = {thermal_stat:.6g} at T = {temperature:.6g}"
-            ) from exc
-    raise ValueError(f"unknown mode {mode!r}")
+    """The photon state's pole mass M(T): M_vac, or mass(s) for a thermal state."""
+    return float(KernelScalars.from_model(p, lt, temperature, convention).pole_mass(state))
 
 
 def find_tc(
     p: ModelParams,
     lt: LifetimeModel,
-    mode: str = "vacuum",
+    state: InitialPhotonState,
     convention: str = "canonical",
     scan_range: tuple[float, float] = (1e-8, 0.99),
     n_scan: int = 512,
     rtol: float = 1e-12,
-    thermal_stat: float | None = None,
 ) -> CriticalPoint:
-    """Locate the root of M(T) = 1 by geometric scan plus bisection.
+    """Locate the root of the state's M(T) = 1 by geometric scan plus bisection.
 
     The scan covers ``scan_range`` in units of E_F.  The upper end stays
     strictly below E_F: the Fermi-liquid lifetime formula degenerates
@@ -199,11 +187,12 @@ def find_tc(
     high-temperature crossing.  The instability root is a downward crossing
     (M > 1 below T_c: the vertex diverges on cooling); if the scan finds
     several crossings, the largest downward one is refined and the result is
-    flagged.
+    flagged.  ``CriticalPoint.mode`` names the mass: "thermal" or "vacuum".
     """
+    mode = "thermal" if isinstance(state, Thermal) else "vacuum"
     lo_f, hi_f = scan_range
     ts = np.geomspace(lo_f * p.e_f, hi_f * p.e_f, n_scan)
-    f = lambda T: kernel_mass(p, lt, T, mode, convention, thermal_stat) - 1.0
+    f = lambda T: kernel_mass(p, lt, T, state, convention) - 1.0
     vals = np.array([f(t) for t in ts])
     brackets = [
         (ts[i], ts[i + 1], vals[i] > vals[i + 1])
@@ -237,18 +226,17 @@ def find_tc(
 def mass_slope(
     p: ModelParams,
     lt: LifetimeModel,
-    mode: str = "vacuum",
+    state: InitialPhotonState,
     convention: str = "canonical",
     *,
     tc: float,
     h_rel: float = 1e-6,
-    thermal_stat: float | None = None,
 ) -> float:
     """m = -dM/dT at T_c, Richardson-extrapolated central difference.
 
     The linear Taylor term then reads 1 - M(T) ~ m (T - T_c) with m > 0.
     """
-    f = lambda T: kernel_mass(p, lt, T, mode, convention, thermal_stat)
+    f = lambda T: kernel_mass(p, lt, T, state, convention)
     h = h_rel * tc
     d1 = (f(tc + h) - f(tc - h)) / (2 * h)
     d2 = (f(tc + h / 2) - f(tc - h / 2)) / h
@@ -264,19 +252,9 @@ def criticality(
     lt: LifetimeModel,
     convention: str = "canonical",
 ) -> Criticality:
-    """Root and mass slope of the kernel mass the photon state orders at.
-
-    The equilibrium thermal state closes onto M_th, and a fixed-beta thermal
-    state freezes its statistical factor; vacuum, number states and diagonal
-    mixtures all diverge at the vacuum root.
-    """
-    mode, stat = "vacuum", None
-    if isinstance(state, Thermal):
-        mode = "thermal"
-        if state.beta is not None:
-            stat = statistical_factor(state, p)
-    point = find_tc(p, lt, mode, convention, thermal_stat=stat)
-    slope = mass_slope(p, lt, mode, convention, tc=point.t_c, thermal_stat=stat)
+    """Root and mass slope of the pole mass the photon state orders at."""
+    point = find_tc(p, lt, state, convention)
+    slope = mass_slope(p, lt, state, convention, tc=point.t_c)
     return Criticality(state, p, lt, convention, point, slope)
 
 
@@ -293,7 +271,7 @@ def fitted_pole_location(
     at the pole, so the divergence can be bisected without referencing the
     kernel mass directly.
     """
-    anchor = find_tc(p, lt, "vacuum", convention)
+    anchor = find_tc(p, lt, Vacuum(), convention)
     lo, hi = anchor.bracket
 
     def ratio(T):

@@ -17,7 +17,9 @@ Gamma(u)/(1-u).  Equivalently, the sector values obey the recursion
 with hierarchy coupling weight w = 8*c2 and m_vac = a_bcs + 2*c2.  Both routes
 are implemented independently; ``oracle_check`` demands bit-exact agreement in
 rational arithmetic.  A thermal (Gaussian) photon state collapses the whole
-structure to a single equation with m_th = a_bcs + 2*c2*coth(delta_c/2T)**2.
+structure to a single equation with the mass a_bcs + 2*c2*s**2 at its
+statistical factor s = coth(beta*delta_c/2).  The kernels are state-free; the
+state enters only through ``KernelScalars.pole_mass``.
 
 Published variants of the kernel normalisation differ by factors of two; they
 are exposed as a convention switch and rescale ``a_bcs``/``c2`` only.  No
@@ -26,7 +28,6 @@ critical exponent depends on the choice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
@@ -36,6 +37,7 @@ from .model import (
     LifetimeModel,
     ModelParams,
     Thermal,
+    statistical_factor,
     tau_inv,
 )
 from .useries import RationalFunction, taylor
@@ -91,17 +93,18 @@ def bare_vertex(p: ModelParams) -> float:
 class KernelScalars:
     """Scalar kernels of the on-shell ladder at one temperature.
 
-    ``thermal_stat`` is coth(delta_c / 2T) for the equilibrium thermal
-    closure; 1 reproduces the vacuum.  ``gtilde`` and ``dct`` (= delta_c *
-    tau) are kept when known so the frequency-sector system can be assembled
-    from the same primitives.  Fields may be floats or Fractions; ``exact()``
-    lifts every float to its exact binary rational.
+    The kernels carry no photon state: ``mass(s)`` is the kernel mass at a
+    photon statistical factor s, and ``pole_mass(state)`` picks the mass a
+    state's pole sits on.  ``gtilde`` and ``dct`` (= delta_c * tau) are kept
+    when known so the frequency-sector system can be assembled from the same
+    primitives; ``delta_c`` and ``temperature`` give a thermal state its s.
+    Fields may be floats or Fractions; ``exact()`` lifts every float to its
+    exact binary rational.
     """
 
     gamma0: Number
     a_bcs: Number
     c2: Number
-    thermal_stat: Number = 1
     gtilde: Number | None = None
     dct: Number | None = None
     delta_c: Number | None = None
@@ -119,13 +122,29 @@ class KernelScalars:
         """Hierarchy coupling weight, 8*c2."""
         return 8 * self.c2
 
-    @property
-    def m_vac(self) -> Number:
-        return self.a_bcs + 2 * self.c2
+    def mass(self, s: Number) -> Number:
+        """Kernel mass a_bcs + 2*c2*s**2 at photon statistical factor s."""
+        try:
+            return self.a_bcs + 2 * self.c2 * s**2
+        except OverflowError as exc:
+            raise OverflowError(
+                f"thermal kernel mass a_bcs + 2 c2 s**2 overflows: photon statistical "
+                f"factor s = coth(beta * delta_c / 2) = {s:.6g} at T = {self.temperature}"
+            ) from exc
 
     @property
-    def m_th(self) -> Number:
-        return self.a_bcs + 2 * self.c2 * self.thermal_stat**2
+    def m_vac(self) -> Number:
+        return self.mass(1)
+
+    def pole_mass(self, state: InitialPhotonState) -> Number:
+        """Kernel mass whose crossing of 1 is the pole of the state's vertex.
+
+        A thermal state closes onto mass(s) at its statistical factor; all
+        poles of every other state's hierarchy sit at 1 - m_vac.
+        """
+        if isinstance(state, Thermal):
+            return self.mass(statistical_factor(state, self.delta_c, self.temperature))
+        return self.m_vac
 
     @classmethod
     def from_model(
@@ -153,7 +172,6 @@ class KernelScalars:
             gamma0=bare_vertex(p),
             a_bcs=fa * g * p.delta_c / temperature,
             c2=c2,
-            thermal_stat=1.0 / math.tanh(p.delta_c / (2.0 * temperature)),
             gtilde=g,
             dct=dct,
             delta_c=p.delta_c,
@@ -168,15 +186,8 @@ class KernelScalars:
             gamma0=_exact(self.gamma0),
             a_bcs=_exact(self.a_bcs),
             c2=_exact(self.c2),
-            thermal_stat=_exact(self.thermal_stat),
             gtilde=None if self.gtilde is None else _exact(self.gtilde),
             dct=None if self.dct is None else _exact(self.dct),
-        )
-
-    def is_exact(self) -> bool:
-        return all(
-            isinstance(x, (int, Fraction))
-            for x in (self.gamma0, self.a_bcs, self.c2, self.thermal_stat)
         )
 
 
@@ -282,14 +293,14 @@ def oracle_check(n: int, kernel: KernelScalars, mutate_f: bool = False) -> Oracl
     return OracleReport(worst == 0, worst, rec, ser)
 
 
-def solve_thermal(kernel: KernelScalars):
-    """Closed thermal vertex gamma0 / (1 - m_th)."""
-    denom = 1 - kernel.m_th
+def solve_thermal(kernel: KernelScalars, s: Number):
+    """Closed thermal vertex gamma0 / (1 - mass(s)) at statistical factor s."""
+    denom = 1 - kernel.mass(s)
     if isinstance(denom, Fraction):
         if denom == 0:
-            raise CriticalityError("m_th = 1: thermal kernel on the instability")
+            raise CriticalityError("mass(s) = 1: thermal kernel on the instability")
     elif abs(denom) < 1e-14:
-        raise CriticalityError(f"|1 - m_th| = {abs(denom):.3e} < 1e-14")
+        raise CriticalityError(f"|1 - mass(s)| = {abs(denom):.3e} < 1e-14")
     return kernel.gamma0 / denom
 
 
@@ -304,7 +315,7 @@ class ResummationReport:
 def thermal_resummation_check(
     kernel: KernelScalars, x: Number, n_max: int | None = None
 ) -> ResummationReport:
-    """Check that the Boltzmann-weighted sector sum closes onto m_th.
+    """Check that the Boltzmann-weighted sector sum closes onto mass(s).
 
     ``x`` is the Boltzmann ratio exp(-beta * delta_c) of the photon mode.
     The truncated weighted sum (1-x) * sum_{m<=N} x^m Gamma^m is compared
@@ -326,9 +337,7 @@ def thermal_resummation_check(
     partial = (1 - xe) * sum(
         (xe**m * hier.values[m] for m in range(n_max + 1)), Fraction(0)
     )
-    stat = (1 + xe) / (1 - xe)
-    closed_kernel = replace(k, thermal_stat=stat)
-    closed = solve_thermal(closed_kernel)
+    closed = solve_thermal(k, (1 + xe) / (1 - xe))
     residual = abs(float(partial - closed))
     tail = float(xe**n_max)
     warned = xe > 0 and tail >= 1e-12
@@ -342,19 +351,15 @@ def vertex_for_state(
 ):
     """Physical on-shell vertex for one initial photon state.
 
-    The thermal state uses the closed form with the kernel's own statistical
-    factor; every other state averages the hierarchy over its occupation
-    weights (a single sector for the vacuum and number states).
+    The thermal state uses the closed form at its statistical factor; every
+    other state averages the hierarchy over its occupation weights (a single
+    sector for the vacuum and number states).
     """
     if isinstance(state, Thermal):
-        k = kernel
-        if state.beta is not None:
-            if kernel.delta_c is None:
-                raise ValueError("fixed-beta thermal vertex needs delta_c on the kernel")
-            k = replace(
-                kernel,
-                thermal_stat=1.0 / math.tanh(state.beta * float(kernel.delta_c) / 2.0),
-            )
-        return solve_thermal(k)
+        if kernel.delta_c is None:
+            raise ValueError("thermal vertex needs delta_c on the kernel")
+        return solve_thermal(
+            kernel, statistical_factor(state, kernel.delta_c, kernel.temperature)
+        )
     hier = solve_fock_hierarchy(max(state.weights), kernel, weight_mode)
     return sum(w * hier.values[m] for m, w in state.weights.items())

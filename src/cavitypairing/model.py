@@ -225,16 +225,17 @@ InitialPhotonState = Union[Vacuum, Fock, Thermal, DiagonalMixture]
 
 
 def statistical_factor(
-    state: InitialPhotonState, p: ModelParams, temperature: float | None = None
+    state: InitialPhotonState, delta_c: float, temperature: float | None = None
 ) -> float:
-    """Scalar s multiplying the vacuum Keldysh photon function."""
+    """Scalar s multiplying the vacuum Keldysh photon function (beta = 1/T at equilibrium)."""
     if isinstance(state, Thermal):
-        beta = state.beta
-        if beta is None:
-            if temperature is None or temperature <= 0:
-                raise DomainError("equilibrium thermal state needs a positive ambient temperature")
-            beta = 1.0 / temperature
-        return 1.0 / math.tanh(beta * p.delta_c / 2.0)
+        if state.beta is not None:
+            x = state.beta * delta_c / 2.0
+        elif temperature is None or temperature <= 0:
+            raise DomainError("equilibrium thermal state needs a positive ambient temperature")
+        else:
+            x = delta_c / (2.0 * temperature)
+        return 1.0 / math.tanh(x)
     return sum(w * (1.0 + 2.0 * n) for n, w in state.weights.items())
 
 
@@ -243,7 +244,7 @@ def mean_photon_number(
 ) -> float:
     """Mean occupation of the cavity mode in the given initial state."""
     if isinstance(state, Thermal):
-        return 0.5 * statistical_factor(state, p, temperature) - 0.5
+        return 0.5 * statistical_factor(state, p.delta_c, temperature) - 0.5
     return float(sum(w * n for n, w in state.weights.items()))
 
 
@@ -280,7 +281,13 @@ def fermion_gk(
     rate = tau_inv(lt, p, temperature)
     e = p.eps(k)
     num = -2.0j * rate * math.tanh(omega / (2.0 * temperature))
-    return _finite(num / ((omega - e) ** 2 + rate**2))
+    try:
+        return _finite(num / ((omega - e) ** 2 + rate**2))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ArithmeticError(
+            f"Keldysh fermion denominator (w - eps)**2 + rate**2 leaves the float range: lifetime "
+            f"rate 1/tau = {rate:.6g} (delta_c * tau = {p.delta_c / rate:.6g})"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +335,7 @@ def photon_dk_physical(
     temperature: float | None = None,
 ) -> complex:
     """Physical Keldysh photon function -i s cos(delta_c (t-t')) / (2 delta_c)."""
-    s = statistical_factor(state, p, temperature)
+    s = statistical_factor(state, p.delta_c, temperature)
     return _finite(-1.0j * s * math.cos(p.delta_c * (t - tp)) / (2.0 * p.delta_c))
 
 

@@ -293,7 +293,13 @@ def offshell_bcs_cancellation(
     """
     dc = p.delta_c
     rate = tau_inv(lt, p, temperature)
-    pref = -math.tan(rate / (2.0 * temperature)) / (2.0 * rate)
+    x = rate / (2.0 * temperature)
+    if not math.isfinite(x):
+        raise ArithmeticError(
+            f"off-shell prefactor tan(rate / 2T): rate / 2T overflows at "
+            f"delta_c * tau = {dc / rate:.6g}, T / delta_c = {temperature / dc:.6g}"
+        )
+    pref = -math.tan(x) / (2.0 * rate)
     piece_a = pref * model.photon_d0(complex(-dc, -rate), p)
     piece_b = pref * model.photon_d0(complex(-dc, +rate), p)
     total = piece_a + piece_b

@@ -82,8 +82,8 @@ def test_criterion_3_tc_invariance(const_params, const_lifetime, fl_params, fl_l
         (const_params, const_lifetime, "constant"),
         (fl_params, fl_lifetime, "fermi-liquid"),
     ):
-        vac = cr.find_tc(p, lt, "vacuum")
-        th = cr.find_tc(p, lt, "thermal")
+        vac = cr.find_tc(p, lt, Vacuum())
+        th = cr.find_tc(p, lt, Thermal())
         ok = ok and th.t_c > vac.t_c
         worst = 0.0
         for n in (0, 1, 3, 5):

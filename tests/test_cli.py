@@ -183,16 +183,23 @@ def test_main_rejects_out_of_range_config(tmp_path, capsys, line, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("line, named", [
-    ("model.lifetime = constant:1e-300", "c2 = (gtilde * delta_c * tau)**2 overflows: "
-                                         "delta_c * tau = 1e+300"),
-    ("states.list = thermal:beta=1e-300", "statistical factor s = coth(beta * delta_c / 2) "
-                                          "= 2e+300"),
-], ids=["lifetime", "thermal-beta"])
-def test_overflow_names_quantity_and_input(tmp_path, capsys, line, named):
+@pytest.mark.parametrize("line, command, named", [
+    ("model.lifetime = constant:1e-300", "tc", "c2 = (gtilde * delta_c * tau)**2 overflows: "
+                                               "delta_c * tau = 1e+300"),
+    ("states.list = thermal:beta=1e-300", "tc", "statistical factor s = coth(beta * delta_c / 2) "
+                                                "= 2e+300"),
+    ("verify.dctau = 1e-300", "verify", "(w - eps)**2 + rate**2 leaves the float range: "
+                                        "lifetime rate 1/tau = 1e+300 (delta_c * tau = 1e-300)"),
+    ("verify.dctau = 1e300", "verify", "(w - eps)**2 + rate**2 leaves the float range: "
+                                       "lifetime rate 1/tau = 1e-300 (delta_c * tau = 1e+300)"),
+    ("verify.t_over_delta = 1e-320", "verify", "tan(rate / 2T): rate / 2T overflows at "
+                                               "delta_c * tau = 1000, T / delta_c = 9.99989e-321"),
+], ids=["lifetime", "thermal-beta", "verify-dctau-small", "verify-dctau-large",
+        "verify-t-over-delta-small"])
+def test_overflow_names_quantity_and_input(tmp_path, capsys, line, command, named):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(line + "\n")
-    rc = cli.main(["--config", str(cfg), "--out", str(tmp_path), "tc"])
+    rc = cli.main(["--config", str(cfg), "--out", str(tmp_path), command])
     err = capsys.readouterr().err
     assert rc == cli.EXIT_NUMERIC
     assert err.startswith("numerical failure:")

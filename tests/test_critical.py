@@ -22,25 +22,42 @@ def test_tc_closed_form_constant_lifetime():
     # M_vac = A/T + B with A = 0.5, B = 0.5: root at A/(1-B) = 1
     p = ModelParams.with_gtilde(0.5, 1.0, 0.0, 100.0, 1.0)
     lt = ConstantLifetime(1.0)  # c2 = (0.5 * 1)**2 = 0.25, B = 0.5
-    crit = cr.find_tc(p, lt, "vacuum")
+    crit = cr.find_tc(p, lt, Vacuum())
     assert crit.t_c == pytest.approx(1.0, rel=1e-12)
     assert crit.residual < 1e-12 * max(1.0, 0.5 / crit.t_c)
 
 
 def test_tc_reference_set(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
+    crit = cr.find_tc(const_params, const_lifetime, Vacuum())
     assert crit.t_c == pytest.approx(0.02 / (1 - 0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("convention, f_a, f_c", [("canonical", 1, 1), ("subsec-tc", 2, 16)])
+@pytest.mark.parametrize("beta", [None, 2.0, 30.0], ids=["vacuum", "beta=2", "beta=30"])
+def test_tc_closed_form_vacuum_and_fixed_beta(convention, f_a, f_c, beta):
+    # constant lifetime: M(T) = A/T + 2 c2 s**2 with A = f_a gtilde delta_c,
+    # c2 = f_c (gtilde delta_c / rate)**2, so T_c = A / (1 - 2 c2 s**2)
+    p = ModelParams.with_gtilde(0.01, 1.0, 0.0, 100.0, 1.0)
+    lt = ConstantLifetime(0.1)
+    a = f_a * p.gtilde * p.delta_c
+    c2 = f_c * (p.gtilde * p.delta_c / lt.rate) ** 2
+    if beta is None:
+        state, s = Vacuum(), 1.0
+    else:
+        state, s = Thermal(beta), 1.0 / math.tanh(beta * p.delta_c / 2.0)
+    point = cr.find_tc(p, lt, state, convention)
+    assert point.t_c == pytest.approx(a / (1.0 - 2.0 * c2 * s**2), rel=1e-12)
 
 
 def test_tc_thermal_strictly_larger(const_params, const_lifetime, fl_params, fl_lifetime):
     for p, lt in ((const_params, const_lifetime), (fl_params, fl_lifetime)):
-        vac = cr.find_tc(p, lt, "vacuum")
-        th = cr.find_tc(p, lt, "thermal")
+        vac = cr.find_tc(p, lt, Vacuum())
+        th = cr.find_tc(p, lt, Thermal())
         assert th.t_c > vac.t_c
 
 
 def test_tc_fermi_liquid_vs_dense_scan(fl_params, fl_lifetime):
-    crit = cr.find_tc(fl_params, fl_lifetime, "vacuum")
+    crit = cr.find_tc(fl_params, fl_lifetime, Vacuum())
     p = fl_params
     ts = np.geomspace(1e-8 * p.e_f, 0.99 * p.e_f, 10**6)
     rate = (np.pi * ts**2 / (8 * p.e_f)) * np.log(p.e_f / ts)
@@ -68,13 +85,13 @@ def test_tc_no_root_reports_scan_table():
     p = ModelParams.with_gtilde(1e-12, 1.0, 0.0, 100.0, 1.0)
     lt = ConstantLifetime(1.0)
     with pytest.raises(cr.BracketError) as err:
-        cr.find_tc(p, lt, "vacuum")
+        cr.find_tc(p, lt, Vacuum())
     assert err.value.scan_table is not None
     assert len(err.value.scan_table) == 512
 
 
 def test_fitted_pole_matches_kernel_root(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
+    crit = cr.find_tc(const_params, const_lifetime, Vacuum())
     for n in (0, 1, 3, 5):
         pole = cr.fitted_pole_location(n, const_params, const_lifetime)
         assert pole == pytest.approx(crit.t_c, rel=1e-10)
@@ -86,21 +103,21 @@ def test_mass_slope_analytic():
     # pure static channel M = A/T: T_c = A and m = A/T_c^2 = 1/A
     p = ModelParams.with_gtilde(0.5, 1.0, 0.0, 100.0, 1.0)
     lt = ConstantLifetime(1e6)  # c2 ~ 2.5e-13, negligible
-    crit = cr.find_tc(p, lt, "vacuum")
-    m = cr.mass_slope(p, lt, "vacuum", tc=crit.t_c)
+    crit = cr.find_tc(p, lt, Vacuum())
+    m = cr.mass_slope(p, lt, Vacuum(), tc=crit.t_c)
     assert m == pytest.approx(1.0 / 0.5, rel=1e-8)
 
 
 def test_mass_slope_vs_analytic_derivative(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
-    m = cr.mass_slope(const_params, const_lifetime, "vacuum", tc=crit.t_c)
+    crit = cr.find_tc(const_params, const_lifetime, Vacuum())
+    m = cr.mass_slope(const_params, const_lifetime, Vacuum(), tc=crit.t_c)
     assert m == pytest.approx(0.02 / crit.t_c**2, rel=1e-8)
 
 
 def test_mass_slope_richardson_stable(fl_params, fl_lifetime):
-    crit = cr.find_tc(fl_params, fl_lifetime, "vacuum")
+    crit = cr.find_tc(fl_params, fl_lifetime, Vacuum())
     slopes = [
-        cr.mass_slope(fl_params, fl_lifetime, "vacuum", tc=crit.t_c, h_rel=h)
+        cr.mass_slope(fl_params, fl_lifetime, Vacuum(), tc=crit.t_c, h_rel=h)
         for h in (1e-5, 1e-6, 1e-7)
     ]
     ref = slopes[1]
@@ -143,7 +160,7 @@ def test_gamma_invariant_under_vertex_rescale_and_convention():
 
     lam = 7.0
     t = np.geomspace(1e-6, 1e-3, 24)
-    crit = cr.find_tc(base, lt, "vacuum")
+    crit = cr.find_tc(base, lt, Vacuum())
     g = np.array([
         abs(float(solve_fock_hierarchy(
             2, KernelScalars.from_model(base, lt, crit.t_c * (1 + x))).values[2]))
@@ -162,8 +179,8 @@ def test_gamma_needs_enough_points(const_params, const_lifetime):
 # -- momentum-resolved vertex ----------------------------------------------------
 
 def test_vertex_p_reduces_to_on_shell_pole(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
-    m = cr.mass_slope(const_params, const_lifetime, "vacuum", tc=crit.t_c)
+    crit = cr.find_tc(const_params, const_lifetime, Vacuum())
+    m = cr.mass_slope(const_params, const_lifetime, Vacuum(), tc=crit.t_c)
     T = crit.t_c * 1.001
     for n in (0, 2):
         v = cr.vertex_P(cr.criticality(Fock(n), const_params, const_lifetime), 0.0, 0.3, T)
@@ -172,8 +189,8 @@ def test_vertex_p_reduces_to_on_shell_pole(const_params, const_lifetime):
 
 
 def test_vertex_p_angular_factor(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
-    m = cr.mass_slope(const_params, const_lifetime, "vacuum", tc=crit.t_c)
+    crit = cr.find_tc(const_params, const_lifetime, Vacuum())
+    m = cr.mass_slope(const_params, const_lifetime, Vacuum(), tc=crit.t_c)
     T = crit.t_c * 1.001
     a = 0.7
     c = cr.Criticality(Vacuum(), const_params, const_lifetime, "canonical", crit, m)
@@ -183,8 +200,8 @@ def test_vertex_p_angular_factor(const_params, const_lifetime):
 
 
 def test_vertex_p_inversion_symmetry(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
-    m = cr.mass_slope(const_params, const_lifetime, "vacuum", tc=crit.t_c)
+    crit = cr.find_tc(const_params, const_lifetime, Vacuum())
+    m = cr.mass_slope(const_params, const_lifetime, Vacuum(), tc=crit.t_c)
     T = crit.t_c * 1.0005
     c = cr.Criticality(Fock(1), const_params, const_lifetime, "canonical", crit, m)
     rng = np.random.default_rng(7)
@@ -198,8 +215,8 @@ def test_vertex_p_inversion_symmetry(const_params, const_lifetime):
 
 
 def test_vertex_p_forms_agree_at_small_momentum(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, "vacuum")
-    m = cr.mass_slope(const_params, const_lifetime, "vacuum", tc=crit.t_c)
+    crit = cr.find_tc(const_params, const_lifetime, Vacuum())
+    m = cr.mass_slope(const_params, const_lifetime, Vacuum(), tc=crit.t_c)
     T = crit.t_c * 1.001
     mass = m * (T - crit.t_c)
     p_small = 1e-3 * math.sqrt(mass)

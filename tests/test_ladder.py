@@ -24,6 +24,7 @@ from cavitypairing.model import (
     ModelParams,
     Thermal,
     Vacuum,
+    statistical_factor,
 )
 from cavitypairing.useries import RationalFunction as RF
 
@@ -42,9 +43,14 @@ def test_bare_vertex():
 def test_kernel_derived_scalars():
     assert K_REF.w == 2
     assert K_REF.m_vac == F(4, 5)
-    k = KernelScalars(gamma0=-1.0, a_bcs=0.1, c2=0.05, thermal_stat=2.0)
-    assert k.m_th == pytest.approx(0.1 + 2 * 0.05 * 4.0)
-    assert float(k.m_vac) < float(k.m_th)
+    k = KernelScalars(gamma0=-1.0, a_bcs=0.1, c2=0.05, delta_c=1.0, temperature=0.5)
+    assert k.mass(2.0) == pytest.approx(0.1 + 2 * 0.05 * 4.0)
+    assert float(k.m_vac) < float(k.mass(2.0))
+    # the state enters only through the pole mass
+    assert k.pole_mass(Thermal()) == k.mass(1.0 / math.tanh(1.0))
+    assert k.pole_mass(Thermal(2.0)) == k.mass(1.0 / math.tanh(1.0))
+    for state in (Vacuum(), Fock(3), DiagonalMixture({0: 0.5, 2: 0.5})):
+        assert k.pole_mass(state) == k.m_vac
 
 
 def test_kernel_conventions():
@@ -127,13 +133,13 @@ def test_unit_weight_display_coefficients():
 
 def test_solve_thermal_substitution():
     k = KernelScalars(gamma0=F(-1), a_bcs=F(1, 2), c2=F(0))
-    assert solve_thermal(k) == -2
+    assert solve_thermal(k, F(3)) == -2
 
 
 def test_solve_thermal_vacuum_limit():
     # coth -> 1 sends the thermal closure onto the vacuum sector
-    k = KernelScalars(gamma0=F(-1), a_bcs=F(1, 10), c2=F(1, 100), thermal_stat=F(1))
-    assert solve_thermal(k) == solve_fock_hierarchy(0, k).values[0]
+    k = KernelScalars(gamma0=F(-1), a_bcs=F(1, 10), c2=F(1, 100))
+    assert solve_thermal(k, F(1)) == solve_fock_hierarchy(0, k).values[0]
 
 
 def test_solve_thermal_finite_on_grid(fl_params, fl_lifetime):
@@ -141,11 +147,11 @@ def test_solve_thermal_finite_on_grid(fl_params, fl_lifetime):
     # shrinks as the kernel mass falls away from 1
     from cavitypairing.critical import find_tc
 
-    tc = find_tc(fl_params, fl_lifetime, "thermal").t_c
+    tc = find_tc(fl_params, fl_lifetime, Thermal()).t_c
     vals = []
     for fac in (2.0, 3.0, 5.0, 8.0):
         k = KernelScalars.from_model(fl_params, fl_lifetime, tc * fac)
-        vals.append(abs(solve_thermal(k)))
+        vals.append(abs(solve_thermal(k, statistical_factor(Thermal(), k.delta_c, tc * fac))))
         assert math.isfinite(vals[-1])
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -204,13 +210,14 @@ def test_vertex_for_state_dispatch():
 
 
 def test_vertex_for_state_thermal_fixed_beta():
-    k = KernelScalars(
-        gamma0=-1.0, a_bcs=0.1, c2=0.01, thermal_stat=1.0, delta_c=1.0
-    )
+    k = KernelScalars(gamma0=-1.0, a_bcs=0.1, c2=0.01, delta_c=1.0)
     beta = math.log(3.0)
     got = vertex_for_state(Thermal(beta), k)
     stat = 1.0 / math.tanh(beta / 2.0)
     assert got == pytest.approx(-1.0 / (1 - 0.1 - 0.02 * stat**2))
+    # a kernel without delta_c has no statistical factor for any thermal state
+    with pytest.raises(ValueError):
+        vertex_for_state(Thermal(), KernelScalars(gamma0=-1.0, a_bcs=0.1, c2=0.01))
 
 
 # -- property tests ----------------------------------------------------------

@@ -206,7 +206,7 @@ def test_mixture_validation():
 
 
 def test_statistical_factor_mixture():
-    s = statistical_factor(DiagonalMixture({0: 0.5, 2: 0.5}), P)
+    s = statistical_factor(DiagonalMixture({0: 0.5, 2: 0.5}), P.delta_c)
     assert s == pytest.approx(0.5 * 1 + 0.5 * 5)
 
 
@@ -221,7 +221,7 @@ def test_mean_photon_number():
 
 def test_equilibrium_thermal_needs_temperature():
     with pytest.raises(DomainError):
-        statistical_factor(Thermal(), P)
-    assert statistical_factor(Thermal(), P, temperature=1.0) == pytest.approx(
+        statistical_factor(Thermal(), P.delta_c)
+    assert statistical_factor(Thermal(), P.delta_c, temperature=1.0) == pytest.approx(
         1.0 / math.tanh(0.5)
     )

@@ -2,6 +2,9 @@
 
 ``perfbench/run.py`` drives the program from outside, through the CLI
 module and configs; this keeps a change to either from breaking it unseen.
+``exponents-sweep`` also takes vacuum, number, equilibrium and fixed-beta
+thermal states and mixtures through the root search against the references
+in ``perfbench/refs.py``.
 """
 
 import json
@@ -9,12 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tc_sweep_run_is_correct():
+@pytest.mark.parametrize("workload", ["tc-sweep", "exponents-sweep"])
+def test_workload_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "tc-sweep",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0.5", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
