@@ -11,7 +11,6 @@ length with its exponent.  See the README for the command-line interface.
 from .ladder import (
     CriticalityError,
     KernelScalars,
-    VertexHierarchy,
     bare_vertex,
     intermediate_vertex_closed_form,
     oracle_check,
@@ -29,7 +28,7 @@ from .model import (
     Thermal,
     Vacuum,
 )
-from .useries import RationalFunction, f_factor, perturbative_weight, taylor
+from .useries import RationalFunction, f_factor, taylor
 
 __version__ = "0.1.0"
 
@@ -44,12 +43,10 @@ __all__ = [
     "RationalFunction",
     "Thermal",
     "Vacuum",
-    "VertexHierarchy",
     "bare_vertex",
     "f_factor",
     "intermediate_vertex_closed_form",
     "oracle_check",
-    "perturbative_weight",
     "solve_fock_hierarchy",
     "solve_thermal",
     "taylor",

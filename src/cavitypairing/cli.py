@@ -520,12 +520,16 @@ def cmd_vertex(cfg: RunConfig) -> ResultTable:
     return table
 
 
-def cmd_scan(cfg: RunConfig, n_grid: int = 60) -> ResultTable:
+# temperatures on the geometric grid of ``scan``, from 1e-4 to 0.5 E_F
+_SCAN_POINTS = 60
+
+
+def cmd_scan(cfg: RunConfig) -> ResultTable:
     """Kernel masses and on-shell vertices over a temperature grid."""
     p, lt = cfg.params(), cfg.lifetime_model()
     table = ResultTable()
     unit = _scale(cfg)
-    ts = np.geomspace(1e-4 * p.e_f, 0.5 * p.e_f, n_grid)
+    ts = np.geomspace(1e-4 * p.e_f, 0.5 * p.e_f, _SCAN_POINTS)
     for T in ts:
         k = KernelScalars.from_model(p, lt, float(T), cfg.convention)
         note = f"T={_fmt(T / unit)}"
@@ -586,7 +590,7 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
 
     kg = KernelScalars(gamma0=Fraction(-1), a_bcs=Fraction(3, 10), c2=Fraction(0))
     hier = ladder.solve_fock_hierarchy(8, kg)
-    collapse = all(v == hier.values[0] for v in hier.values)
+    collapse = all(v == hier[0] for v in hier)
     sys_g = sectors.build_sector_system(
         KernelScalars(
             gamma0=Fraction(-1), a_bcs=Fraction(3, 10), c2=Fraction(1, 100),
@@ -606,7 +610,7 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     sol = sectors.solve_sector_system(sectors.build_sector_system(kx))
     closed = ladder.intermediate_vertex_closed_form(kx)
     series_match = taylor(sol / RationalFunction((1, -1)), 10) == list(
-        ladder.solve_fock_hierarchy(10, kx).values
+        ladder.solve_fock_hierarchy(10, kx)
     )
     record("sector_chain", sol == closed and series_match,
            "linear solve == closed form; series == hierarchy (exact)")
@@ -614,7 +618,13 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     p = _VERIFY_PARAMS
     lt = ConstantLifetime(1.0 / cfg.verify_dctau)
     T = cfg.verify_t_over_delta * p.delta_c
-    qr = sectors.bcs_kernel_quadrature(p, lt, T)
+    try:
+        qr = sectors.bcs_kernel_quadrature(p, lt, T)
+    except sectors.QuadratureError as exc:
+        raise sectors.QuadratureError(
+            f"bcs_quadrature at verify.dctau = {cfg.verify_dctau:g}, "
+            f"verify.t_over_delta = {cfg.verify_t_over_delta:g}: {exc}"
+        ) from exc
     record(
         "bcs_quadrature",
         abs(qr.value.real - 1.0) < 1e-3,

@@ -60,14 +60,12 @@ __all__ = [
     "BracketError",
     "CorrelationProfile",
     "CriticalPoint",
-    "CriticalReport",
     "Criticality",
     "ExponentFit",
     "FitRejected",
     "SlopeError",
     "correlation_function",
     "correlation_quadrature",
-    "critical_report",
     "criticality",
     "find_tc",
     "fit_gamma",
@@ -145,19 +143,30 @@ class Criticality:
     slope: float
 
 
-@dataclass(frozen=True)
-class CriticalReport:
-    state: InitialPhotonState
-    t_c: float
-    gamma: ExponentFit
-    nu: ExponentFit | None
-    xi: float | None
-    xi_window: tuple[float, float] | None
-
-
 # ---------------------------------------------------------------------------
 # critical temperature
 # ---------------------------------------------------------------------------
+
+# Root scan over [lo, hi] * E_F, and the relative width bisection stops at.
+SCAN_RANGE = (1e-8, 0.99)
+N_SCAN = 512
+RTOL = 1e-12
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Midpoint of the sign change of f on [lo, hi], to relative width RTOL."""
+    flo = f(lo)
+    while hi - lo > RTOL * hi:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
 
 def kernel_mass(
     p: ModelParams,
@@ -175,13 +184,10 @@ def find_tc(
     lt: LifetimeModel,
     state: InitialPhotonState,
     convention: str = "canonical",
-    scan_range: tuple[float, float] = (1e-8, 0.99),
-    n_scan: int = 512,
-    rtol: float = 1e-12,
 ) -> CriticalPoint:
     """Locate the root of the state's M(T) = 1 by geometric scan plus bisection.
 
-    The scan covers ``scan_range`` in units of E_F.  The upper end stays
+    The scan covers ``SCAN_RANGE`` in units of E_F.  The upper end stays
     strictly below E_F: the Fermi-liquid lifetime formula degenerates
     (log -> 0) at the band edge, which would manufacture a spurious
     high-temperature crossing.  The instability root is a downward crossing
@@ -190,13 +196,13 @@ def find_tc(
     flagged.  ``CriticalPoint.mode`` names the mass: "thermal" or "vacuum".
     """
     mode = "thermal" if isinstance(state, Thermal) else "vacuum"
-    lo_f, hi_f = scan_range
-    ts = np.geomspace(lo_f * p.e_f, hi_f * p.e_f, n_scan)
+    lo_f, hi_f = SCAN_RANGE
+    ts = np.geomspace(lo_f * p.e_f, hi_f * p.e_f, N_SCAN)
     f = lambda T: kernel_mass(p, lt, T, state, convention) - 1.0
     vals = np.array([f(t) for t in ts])
     brackets = [
         (ts[i], ts[i + 1], vals[i] > vals[i + 1])
-        for i in range(n_scan - 1)
+        for i in range(N_SCAN - 1)
         if vals[i] == 0.0 or (vals[i] > 0) != (vals[i + 1] > 0)
     ]
     if not brackets:
@@ -207,20 +213,8 @@ def find_tc(
     flagged = len(brackets) > 1
     downward = [b for b in brackets if b[2]]
     lo, hi, _ = downward[-1] if downward else brackets[-1]
-    bracket0 = (lo, hi)
-    flo = f(lo)
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    tc = 0.5 * (lo + hi)
-    return CriticalPoint(tc, mode, bracket0, abs(f(tc)), flagged, len(brackets))
+    tc = _bisect(f, lo, hi)
+    return CriticalPoint(tc, mode, (lo, hi), abs(f(tc)), flagged, len(brackets))
 
 
 def mass_slope(
@@ -263,7 +257,6 @@ def fitted_pole_location(
     p: ModelParams,
     lt: LifetimeModel,
     convention: str = "canonical",
-    rtol: float = 1e-12,
 ) -> float:
     """Pole temperature of Gamma^n located from vertex values alone.
 
@@ -271,26 +264,11 @@ def fitted_pole_location(
     at the pole, so the divergence can be bisected without referencing the
     kernel mass directly.
     """
-    anchor = find_tc(p, lt, Vacuum(), convention)
-    lo, hi = anchor.bracket
-
     def ratio(T):
-        vals = ladder.solve_fock_hierarchy(
-            n + 1, KernelScalars.from_model(p, lt, T, convention)
-        ).values
+        vals = ladder.solve_fock_hierarchy(n + 1, KernelScalars.from_model(p, lt, T, convention))
         return vals[n] / vals[n + 1]
 
-    rlo = ratio(lo)
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        rm = ratio(mid)
-        if rm == 0.0:
-            return mid
-        if (rm > 0) == (rlo > 0):
-            lo, rlo = mid, rm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(ratio, *find_tc(p, lt, Vacuum(), convention).bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +279,8 @@ def fitted_pole_location(
 MIN_GAMMA_POINTS = 20
 MIN_NU_POINTS = 8
 MIN_NU_WINDOW_RATIO = 99.0  # two decades
-
-
-def _geom(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.geomspace(lo, hi, n)
+# Least r^2 an exponent fit must exceed to be accepted.
+R2_MIN = 0.999
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -326,7 +302,6 @@ def fit_gamma(
     crit: Criticality,
     window: tuple[float, float] = (1e-6, 1e-3),
     points: int = 24,
-    r2_min: float = 0.999,
 ) -> ExponentFit:
     """Susceptibility exponent from log|Gamma| vs log reduced temperature.
 
@@ -336,7 +311,7 @@ def fit_gamma(
     """
     if points < MIN_GAMMA_POINTS:
         raise ValueError(f"need at least {MIN_GAMMA_POINTS} window points")
-    red = _geom(window[0], window[1], points)
+    red = np.geomspace(window[0], window[1], points)
     gams = np.empty(points)
     for i, t in enumerate(red):
         k = KernelScalars.from_model(
@@ -344,9 +319,9 @@ def fit_gamma(
         )
         gams[i] = abs(float(vertex_for_state(crit.state, k)))
     slope, r2, resid = _line_fit(np.log(red), np.log(gams))
-    if not r2 > r2_min:
+    if not r2 > R2_MIN:
         raise FitRejected(
-            f"gamma fit rejected: r^2 = {r2:.6f} <= {r2_min}",
+            f"gamma fit rejected: r^2 = {r2:.6f} <= {R2_MIN}",
             {"window": window, "r_squared": r2, "slope": slope, "state": crit.state},
         )
     return ExponentFit(-slope, window, r2, resid, points)
@@ -537,10 +512,10 @@ def correlation_function(
     if external_grid:
         grid = np.asarray(r_grid, dtype=float)
     else:
-        grid = _geom(3.0 * xi_est, 10.0 * xi_est, 20)
+        grid = np.geomspace(3.0 * xi_est, 10.0 * xi_est, 20)
     values, xi, r2 = fit(grid)
     if not external_grid and xi > 0:
-        grid = _geom(3.0 * xi, 10.0 * xi, 20)
+        grid = np.geomspace(3.0 * xi, 10.0 * xi, 20)
         values, xi, r2 = fit(grid)
     if xi <= 0:
         raise QuadratureError("fitted correlation length is not positive")
@@ -555,27 +530,10 @@ def correlation_function(
     )
 
 
-def critical_report(
-    crit: Criticality,
-    xi_reduced_t: float = 1e-4,
-    anisotropy: float = 1.0,
-    fock_form: str = "reduced",
-) -> CriticalReport:
-    """Bundle T_c, gamma, nu and xi for one photon state."""
-    gamma = fit_gamma(crit)
-    nu = fit_nu(crit, anisotropy=anisotropy, fock_form=fock_form)
-    prof = correlation_function(
-        crit, crit.point.t_c * (1.0 + xi_reduced_t),
-        anisotropy=anisotropy, fock_form=fock_form,
-    )
-    return CriticalReport(crit.state, crit.point.t_c, gamma, nu, prof.xi, prof.fit_window)
-
-
 def fit_nu(
     crit: Criticality,
     window: tuple[float, float] = (1e-5, 1e-3),
     n_temps: int = 8,
-    r2_min: float = 0.999,
     **corr_kwargs,
 ) -> ExponentFit:
     """Correlation-length exponent from log xi vs log reduced temperature.
@@ -588,15 +546,15 @@ def fit_nu(
         raise ValueError(f"need at least {MIN_NU_POINTS} temperatures")
     if window[1] / window[0] < MIN_NU_WINDOW_RATIO:
         raise ValueError("window must span at least two decades")
-    red = _geom(window[0], window[1], n_temps)
+    red = np.geomspace(window[0], window[1], n_temps)
     xis = np.empty(n_temps)
     for i, t in enumerate(red):
         prof = correlation_function(crit, crit.point.t_c * (1.0 + t), **corr_kwargs)
         xis[i] = prof.xi
     slope, r2, resid = _line_fit(np.log(red), np.log(xis))
-    if not r2 > r2_min:
+    if not r2 > R2_MIN:
         raise FitRejected(
-            f"nu fit rejected: r^2 = {r2:.6f} <= {r2_min}",
+            f"nu fit rejected: r^2 = {r2:.6f} <= {R2_MIN}",
             {"window": window, "r_squared": r2, "slope": slope, "state": crit.state},
         )
     return ExponentFit(-slope, window, r2, resid, n_temps)

@@ -48,7 +48,6 @@ __all__ = [
     "KernelScalars",
     "OracleReport",
     "ResummationReport",
-    "VertexHierarchy",
     "bare_vertex",
     "intermediate_vertex_closed_form",
     "oracle_check",
@@ -109,13 +108,10 @@ class KernelScalars:
     dct: Number | None = None
     delta_c: Number | None = None
     temperature: Number | None = None
-    convention: str = "canonical"
 
     def __post_init__(self):
         if self.c2 < 0:
             raise ValueError("c2 must be >= 0")
-        if self.convention not in CONVENTIONS:
-            raise ValueError(f"unknown convention {self.convention!r}")
 
     @property
     def w(self) -> Number:
@@ -176,7 +172,6 @@ class KernelScalars:
             dct=dct,
             delta_c=p.delta_c,
             temperature=temperature,
-            convention=convention,
         )
 
     def exact(self) -> "KernelScalars":
@@ -191,51 +186,27 @@ class KernelScalars:
         )
 
 
-@dataclass(frozen=True)
-class VertexHierarchy:
-    """On-shell vertex values Gamma^0..Gamma^n at one temperature."""
-
-    values: tuple
-    kernel: KernelScalars
-    temperature: Number | None = None
-    weight_mode: str = "physical"
-
-    def __getitem__(self, n: int):
-        return self.values[n]
-
-    def __len__(self):
-        return len(self.values)
+def _check_off_criticality(denom, name: str) -> None:
+    """Reject a pole denominator ``name`` that is zero (exact) or below 1e-14 (float)."""
+    if isinstance(denom, Fraction):
+        if denom == 0:
+            raise CriticalityError(f"{name} = 0: kernel sits exactly on the instability")
+    elif abs(denom) < 1e-14:
+        raise CriticalityError(f"|{name}| = {abs(denom):.3e} < 1e-14")
 
 
-def _check_off_criticality(one_minus_m) -> None:
-    if isinstance(one_minus_m, Fraction):
-        if one_minus_m == 0:
-            raise CriticalityError("1 - m_vac = 0: kernel sits exactly on the instability")
-    elif abs(one_minus_m) < 1e-14:
-        raise CriticalityError(f"|1 - m_vac| = {abs(one_minus_m):.3e} < 1e-14")
-
-
-def solve_fock_hierarchy(
-    n: int,
-    kernel: KernelScalars,
-    weight_mode: str = "physical",
-    mutate_f: bool = False,
-) -> VertexHierarchy:
+def solve_fock_hierarchy(n: int, kernel: KernelScalars, mutate_f: bool = False) -> tuple:
     """Solve the sector recursion bottom-up from the vacuum component.
 
-    ``weight_mode="physical"`` uses the coupling weight w = 8*c2;
-    ``"unit-weight"`` sets w = 1, which reproduces the display
-    coefficients (1; 1,1; 1,3,1; ...) of the iterated solution.
-    ``mutate_f`` deliberately corrupts the inter-sector coupling
-    coefficients (negative control for the oracle check).
+    Returns the on-shell vertex values Gamma^0..Gamma^n.  ``mutate_f``
+    deliberately corrupts the inter-sector coupling coefficients (negative
+    control for the oracle check).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if weight_mode not in ("physical", "unit-weight"):
-        raise ValueError(f"unknown weight_mode {weight_mode!r}")
     gamma0, denom = kernel.gamma0, 1 - kernel.m_vac
-    _check_off_criticality(denom)
-    w = kernel.w if weight_mode == "physical" else 1
+    _check_off_criticality(denom, "1 - m_vac")
+    w = kernel.w
     values = []
     for m in range(n + 1):
         drive = gamma0
@@ -244,7 +215,7 @@ def solve_fock_hierarchy(
             coeff = w * (k + 1 if mutate_f else k)
             drive = drive + coeff * values[j]
         values.append(drive / denom)
-    return VertexHierarchy(tuple(values), kernel, kernel.temperature, weight_mode)
+    return tuple(values)
 
 
 def intermediate_vertex_closed_form(kernel: KernelScalars) -> RationalFunction:
@@ -286,7 +257,7 @@ def oracle_check(n: int, kernel: KernelScalars, mutate_f: bool = False) -> Oracl
     their dyadic values first); agreement must be bit-exact.
     """
     k = kernel.exact()
-    rec = solve_fock_hierarchy(n, k, mutate_f=mutate_f).values
+    rec = solve_fock_hierarchy(n, k, mutate_f=mutate_f)
     ser = tuple(physical_vertex_series(k, n))
     diffs = [abs(a - b) for a, b in zip(rec, ser)]
     worst = max(diffs) if diffs else Fraction(0)
@@ -296,11 +267,7 @@ def oracle_check(n: int, kernel: KernelScalars, mutate_f: bool = False) -> Oracl
 def solve_thermal(kernel: KernelScalars, s: Number):
     """Closed thermal vertex gamma0 / (1 - mass(s)) at statistical factor s."""
     denom = 1 - kernel.mass(s)
-    if isinstance(denom, Fraction):
-        if denom == 0:
-            raise CriticalityError("mass(s) = 1: thermal kernel on the instability")
-    elif abs(denom) < 1e-14:
-        raise CriticalityError(f"|1 - mass(s)| = {abs(denom):.3e} < 1e-14")
+    _check_off_criticality(denom, "1 - mass(s)")
     return kernel.gamma0 / denom
 
 
@@ -335,7 +302,7 @@ def thermal_resummation_check(
                 n_max += 1
     hier = solve_fock_hierarchy(n_max, k)
     partial = (1 - xe) * sum(
-        (xe**m * hier.values[m] for m in range(n_max + 1)), Fraction(0)
+        (xe**m * hier[m] for m in range(n_max + 1)), Fraction(0)
     )
     closed = solve_thermal(k, (1 + xe) / (1 - xe))
     residual = abs(float(partial - closed))
@@ -344,11 +311,7 @@ def thermal_resummation_check(
     return ResummationReport(residual, n_max, tail, warned)
 
 
-def vertex_for_state(
-    state: InitialPhotonState,
-    kernel: KernelScalars,
-    weight_mode: str = "physical",
-):
+def vertex_for_state(state: InitialPhotonState, kernel: KernelScalars):
     """Physical on-shell vertex for one initial photon state.
 
     The thermal state uses the closed form at its statistical factor; every
@@ -361,5 +324,5 @@ def vertex_for_state(
         return solve_thermal(
             kernel, statistical_factor(state, kernel.delta_c, kernel.temperature)
         )
-    hier = solve_fock_hierarchy(max(state.weights), kernel, weight_mode)
-    return sum(w * hier.values[m] for m, w in state.weights.items())
+    hier = solve_fock_hierarchy(max(state.weights), kernel)
+    return sum(w * hier[m] for m, w in state.weights.items())

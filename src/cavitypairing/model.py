@@ -2,9 +2,8 @@
 
 Fermions live near a 2D Fermi surface with a lifetime broadening; the cavity
 supplies a single gapped boson mode of frequency ``delta_c`` (the detuning of
-the resonance from the drive) and momentum ``q0 << k_F``.  Retarded functions
-know nothing about the initial state; the Keldysh (statistical) functions
-carry it, through a single scalar factor per mode:
+the resonance from the drive) and momentum ``q0 << k_F``.  The photon's
+initial state enters only through ``statistical_factor``, one scalar per mode:
 
     vacuum        1
     n quanta      1 + 2n
@@ -17,10 +16,9 @@ concurrently without coordination.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 __all__ = [
     "ConstantLifetime",
@@ -33,15 +31,9 @@ __all__ = [
     "ModelParams",
     "Thermal",
     "Vacuum",
-    "fermion_ga",
     "fermion_gk",
     "fermion_gr",
-    "mean_photon_number",
     "photon_d0",
-    "photon_dk_physical",
-    "photon_dr",
-    "photon_gk_two_time",
-    "photon_im_dr_weights",
     "statistical_factor",
     "tau_inv",
 ]
@@ -109,17 +101,6 @@ class ModelParams:
     def eps(self, k: float) -> float:
         """Band dispersion measured from the Fermi surface."""
         return self.e_f * ((k / self.k_f) ** 2 - 1.0)
-
-    def in_cavity_units(self) -> "ModelParams":
-        """Return a copy with all energies rescaled so that delta_c = 1."""
-        s = self.delta_c
-        return ModelParams(
-            g0=self.g0 / math.sqrt(s),
-            delta_c=1.0,
-            q0=self.q0,
-            e_f=self.e_f / s,
-            k_f=self.k_f,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +220,6 @@ def statistical_factor(
     return sum(w * (1.0 + 2.0 * n) for n, w in state.weights.items())
 
 
-def mean_photon_number(
-    state: InitialPhotonState, p: ModelParams, temperature: float | None = None
-) -> float:
-    """Mean occupation of the cavity mode in the given initial state."""
-    if isinstance(state, Thermal):
-        return 0.5 * statistical_factor(state, p.delta_c, temperature) - 0.5
-    return float(sum(w * n for n, w in state.weights.items()))
-
-
 # ---------------------------------------------------------------------------
 # fermion Green's functions (frequency domain, near the Fermi surface)
 # ---------------------------------------------------------------------------
@@ -258,16 +230,10 @@ def fermion_gr(
     p: ModelParams,
     lt: LifetimeModel,
     temperature: float,
-    advanced: bool = False,
 ) -> complex:
-    """Retarded (advanced on request) fermion propagator 1/(w - eps_k +- i/tau)."""
+    """Retarded fermion propagator 1/(w - eps_k + i/tau)."""
     rate = tau_inv(lt, p, temperature)
-    sign = -1.0 if advanced else 1.0
-    return _finite(1.0 / complex(omega - p.eps(k), sign * rate))
-
-
-def fermion_ga(k, omega, p, lt, temperature):
-    return fermion_gr(k, omega, p, lt, temperature, advanced=True)
+    return _finite(1.0 / complex(omega - p.eps(k), rate))
 
 
 def fermion_gk(
@@ -294,20 +260,6 @@ def fermion_gk(
 # photon propagators
 # ---------------------------------------------------------------------------
 
-def photon_dr(omega: float, p: ModelParams, eta: float, advanced: bool = False) -> complex:
-    """Retarded/advanced photon propagator 1/[2(w +- i eta)^2 - 2 delta_c^2].
-
-    ``eta`` regularises the resonance poles at +-delta_c and must be > 0;
-    vertex computations never integrate over this Lorentzian; they use the
-    exact delta-comb of ``photon_im_dr_weights`` instead.
-    """
-    if eta <= 0:
-        raise DomainError("eta must be > 0")
-    sign = -1.0 if advanced else 1.0
-    z = complex(omega, sign * eta)
-    return _finite(1.0 / (2.0 * z * z - 2.0 * p.delta_c**2))
-
-
 def photon_d0(z: complex, p: ModelParams) -> complex:
     """Analytic continuation 1/(2 z^2 - 2 delta_c^2), poles at +-delta_c.
 
@@ -315,52 +267,3 @@ def photon_d0(z: complex, p: ModelParams) -> complex:
     principal-value part shared by the retarded and advanced functions.
     """
     return _finite(1.0 / (2.0 * complex(z) ** 2 - 2.0 * p.delta_c**2))
-
-
-def photon_im_dr_weights(p: ModelParams) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Exact delta-comb of 2i Im D_R: weights of delta(w -+ delta_c).
-
-    Returns ((+delta_c, -pi/(2 delta_c)), (-delta_c, +pi/(2 delta_c))); the
-    caller supplies the overall factor i.
-    """
-    w = math.pi / (2.0 * p.delta_c)
-    return ((p.delta_c, -w), (-p.delta_c, +w))
-
-
-def photon_dk_physical(
-    t: float,
-    tp: float,
-    p: ModelParams,
-    state: InitialPhotonState,
-    temperature: float | None = None,
-) -> complex:
-    """Physical Keldysh photon function -i s cos(delta_c (t-t')) / (2 delta_c)."""
-    s = statistical_factor(state, p.delta_c, temperature)
-    return _finite(-1.0j * s * math.cos(p.delta_c * (t - tp)) / (2.0 * p.delta_c))
-
-
-def photon_gk_two_time(
-    omegas: Sequence[float],
-    occupation: Sequence[Sequence[complex]],
-    s: int,
-    sp: int,
-    t: float,
-    tp: float,
-) -> complex:
-    """Two-time Keldysh function for a number-conserving initial state.
-
-    G_K(s, s', t, t') = -i (1 + 2 <b^dag_s b_s'>) exp(-i(w_s t - w_s' t')).
-    ``occupation`` is the matrix of initial correlators and must be Hermitian;
-    off-diagonal entries break time-translation invariance.
-    """
-    m = [list(row) for row in occupation]
-    nmodes = len(m)
-    if nmodes != len(omegas) or any(len(row) != nmodes for row in m):
-        raise ValueError("occupation matrix shape must match the mode list")
-    scale = max(1.0, max(abs(complex(x)) for row in m for x in row))
-    for i in range(nmodes):
-        for j in range(nmodes):
-            if abs(complex(m[i][j]) - complex(m[j][i]).conjugate()) > 1e-12 * scale:
-                raise ValueError("occupation matrix must be Hermitian")
-    phase = cmath.exp(-1.0j * (omegas[s] * t - omegas[sp] * tp))
-    return _finite(-1.0j * (1.0 + 2.0 * complex(m[s][sp])) * phase)

@@ -2,10 +2,10 @@
 
 The ladder couples the on-shell vertex (external frequency near zero) to the
 two off-shell components displaced by one photon gap (+-delta_c); further
-sectors are suppressed by the large gap and are excluded (a diagnostic
-estimates their size).  Assembling the three sectors gives a linear system
-over rational functions of the source u whose on-shell solution must equal
-the closed-form intermediate vertex exactly.
+sectors are suppressed by the large gap and are excluded.  Assembling the
+three sectors gives a linear system over rational functions of the source u
+whose on-shell solution must equal the closed-form intermediate vertex
+exactly.
 
 Two quadrature checks validate the contour-integration steps behind the
 scalar kernels:
@@ -38,11 +38,7 @@ __all__ = [
     "build_sector_system",
     "offshell_bcs_cancellation",
     "solve_sector_system",
-    "truncation_diagnostic",
 ]
-
-SECTOR_LABELS = ("on-shell", "+delta_c", "-delta_c")
-
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
@@ -73,31 +69,16 @@ class SectorSystem:
     matrix: tuple
     rhs: tuple
     kernel: KernelScalars
-    labels: tuple = SECTOR_LABELS
 
 
-def build_sector_system(
-    p_or_kernel,
-    lt: LifetimeModel | None = None,
-    temperature: float | None = None,
-    convention: str = "canonical",
-    zero_dk: bool = False,
-) -> SectorSystem:
-    """Assemble the three-sector system, exactly.
+def build_sector_system(kernel: KernelScalars, zero_dk: bool = False) -> SectorSystem:
+    """Assemble the three-sector system, exactly, from a kernel with ``gtilde`` and ``dct``.
 
-    Accepts either ``(params, lifetime, T)`` or a prebuilt ``KernelScalars``
-    carrying ``gtilde`` and ``dct``.  All coefficients are lifted to exact
-    rationals (floats become their dyadic values), so the downstream solve is
-    exact.  ``zero_dk`` removes the statistical (Keldysh photon) couplings:
-    the on-shell equation then closes on the static channel alone and every
-    state dependence disappears.
+    All coefficients are lifted to exact rationals (floats become their
+    dyadic values), so the downstream solve is exact.  ``zero_dk`` removes
+    the statistical (Keldysh photon) couplings: the on-shell equation then
+    closes on the static channel alone and every state dependence disappears.
     """
-    if isinstance(p_or_kernel, KernelScalars):
-        kernel = p_or_kernel
-    else:
-        if lt is None or temperature is None:
-            raise TypeError("build_sector_system(params, lifetime, T) requires all three")
-        kernel = KernelScalars.from_model(p_or_kernel, lt, temperature, convention)
     if kernel.gtilde is None or kernel.dct is None:
         raise ValueError("sector assembly needs gtilde and dct on the kernel")
     k = kernel.exact()
@@ -157,21 +138,6 @@ def solve_sector_system(system: SectorSystem) -> RationalFunction:
     return on_shell
 
 
-def truncation_diagnostic(p: ModelParams, lt: LifetimeModel, temperature: float) -> float:
-    """Relative weight of the neglected +-2*delta_c sectors.
-
-    Ratio of the retarded pair of propagators evaluated two photon gaps off
-    shell to the on-shell pair: ~ 1/(2 delta_c tau)**2 in the validity regime.
-    """
-    g2 = model.fermion_gr(p.k_f, 2 * p.delta_c, p, lt, temperature) * model.fermion_gr(
-        p.k_f, -2 * p.delta_c, p, lt, temperature
-    )
-    g0 = model.fermion_gr(p.k_f, 0.0, p, lt, temperature) * model.fermion_gr(
-        p.k_f, 0.0, p, lt, temperature
-    )
-    return abs(g2) / abs(g0)
-
-
 # ---------------------------------------------------------------------------
 # quadrature validation of the contour reductions
 # ---------------------------------------------------------------------------
@@ -198,13 +164,15 @@ def _static_loop_weight(omega, p, lt, temperature):
     return val.real
 
 
+# Relative tolerance of the loop quadrature, its frequency cut in units of
+# delta_c, and the most integrand evaluations it may spend.
+_TOL = 1e-9
+_OMEGA_CUT = 50.0
+_MAX_EVALUATIONS = 10**6
+
+
 def bcs_kernel_quadrature(
-    p: ModelParams,
-    lt: LifetimeModel,
-    temperature: float,
-    tol: float = 1e-9,
-    omega_cut: float = 50.0,
-    max_evaluations: int = 10**6,
+    p: ModelParams, lt: LifetimeModel, temperature: float
 ) -> QuadratureResult:
     """Numerically integrate the static-channel frequency loop.
 
@@ -222,15 +190,15 @@ def bcs_kernel_quadrature(
 
     # Psi is even, so the two principal-value poles fold onto one:
     # I = (1/(2 dc)) PV int_{-Om}^{Om} Psi(w)/(w - dc) dw.
-    big = omega_cut * dc
+    big = _OMEGA_CUT * dc
     total = 0.0
     err = 0.0
     nev = 0
-    scale_abs = tol * analytic * 2.0 * dc / 8.0
+    scale_abs = _TOL * analytic * 2.0 * dc / 8.0
 
     v, e, info = quad(
         psi, dc / 2, 3 * dc / 2, weight="cauchy", wvar=dc,
-        epsabs=scale_abs, epsrel=tol, limit=400, full_output=1,
+        epsabs=scale_abs, epsrel=_TOL, limit=400, full_output=1,
     )[:3]
     total += v; err += e; nev += info["neval"]
 
@@ -242,24 +210,24 @@ def bcs_kernel_quadrature(
     )
     g = lambda w: psi(w) / (w - dc)
     v, e, info = quad(
-        g, -big, dc / 2, points=hints, epsabs=scale_abs, epsrel=tol,
+        g, -big, dc / 2, points=hints, epsabs=scale_abs, epsrel=_TOL,
         limit=800, full_output=1,
     )[:3]
     total += v; err += e; nev += info["neval"]
 
     v, e, info = quad(
-        g, 3 * dc / 2, big, epsabs=scale_abs, epsrel=tol, limit=400, full_output=1
+        g, 3 * dc / 2, big, epsabs=scale_abs, epsrel=_TOL, limit=400, full_output=1
     )[:3]
     total += v; err += e; nev += info["neval"]
 
-    if nev > max_evaluations:
-        raise QuadratureError(f"exceeded {max_evaluations} integrand evaluations")
+    if nev > _MAX_EVALUATIONS:
+        raise QuadratureError(f"exceeded {_MAX_EVALUATIONS} integrand evaluations")
     # |Psi| <= (2 rate / pi) / w^3 beyond the cut; bound the discarded tail.
     tail = 2.0 * (2.0 * rate / math.pi) / (2.0 * big**2 * (big - dc))
     value = total / (2.0 * dc)
     est = (err + tail) / (2.0 * dc) / analytic
     ratio = value / analytic
-    if est > max(tol * 1e4, 1e-5):
+    if est > max(_TOL * 1e4, 1e-5):
         raise QuadratureError(f"error estimate {est:.3e} above tolerance")
     return QuadratureResult(complex(ratio), est, nev)
 

@@ -2,12 +2,11 @@
 
 Everything downstream that claims exactness is checked against this module:
 ratios of polynomials in u with arbitrary-precision rational coefficients,
-Taylor-coefficient extraction at u = 0 by power-series long division, and the
-number-diagonal derivative operator realised as a weighted sum of Taylor
-coefficients.  The statistical factor of a single bosonic mode enters as
-f(u) = (1+u)/(1-u); a diagram with p statistical lines carries the weight
-(1+u)^p/(1-u)^(p+1) once the source-dependent normalisation is included, and
-its n-th Taylor coefficient is the physical weight in the n-quantum sector.
+and Taylor-coefficient extraction at u = 0 by power-series long division.
+The statistical factor of a single bosonic mode enters as f(u) = (1+u)/(1-u);
+a diagram with p statistical lines carries the weight (1+u)^p/(1-u)^(p+1)
+once the source-dependent normalisation is included, and its n-th Taylor
+coefficient is the physical weight in the n-quantum sector.
 
 All arithmetic is over ``fractions.Fraction``; nothing in this module touches
 floating point.
@@ -15,23 +14,20 @@ floating point.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "ExpansionPoleError",
     "RationalFunction",
-    "apply_L_mixture",
     "f_factor",
-    "perturbative_weight",
     "taylor",
 ]
 
 RationalLike = Union[int, Fraction]
 
-#: Default cap on requested series order; raise explicitly when you need more.
-DEFAULT_ORDER_CAP = 64
+#: Highest series order ``taylor`` computes.
+ORDER_CAP = 64
 
 
 class ExpansionPoleError(ZeroDivisionError):
@@ -155,16 +151,6 @@ class RationalFunction:
     def __setattr__(self, *_):  # immutable
         raise AttributeError("RationalFunction is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, c: RationalLike) -> "RationalFunction":
-        return cls((c,))
-
-    @classmethod
-    def variable(cls) -> "RationalFunction":
-        return cls((0, 1))
-
     # -- field arithmetic ---------------------------------------------------
 
     def _lift(self, other) -> "RationalFunction":
@@ -237,10 +223,6 @@ class RationalFunction:
         return _pis_zero(self.num)
 
     @property
-    def num_degree(self) -> int:
-        return 0 if self.is_zero() else len(self.num) - 1
-
-    @property
     def den_degree(self) -> int:
         return len(self.den) - 1
 
@@ -251,15 +233,12 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at u = {xf}")
         return _peval(self.num, xf) / d
 
-    def taylor(self, order: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[Fraction]:
-        return taylor(self, order, order_cap=order_cap)
-
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
-def taylor(rf: RationalFunction, order: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[Fraction]:
+def taylor(rf: RationalFunction, order: int) -> list[Fraction]:
     """Taylor coefficients of ``rf`` at u = 0, orders 0..order inclusive.
 
     Computed by long division of power series; coefficient n is exactly the
@@ -268,10 +247,8 @@ def taylor(rf: RationalFunction, order: int, *, order_cap: int = DEFAULT_ORDER_C
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order > order_cap:
-        raise ValueError(
-            f"order {order} exceeds cap {order_cap}; pass order_cap explicitly to override"
-        )
+    if order > ORDER_CAP:
+        raise ValueError(f"order {order} exceeds cap {ORDER_CAP}")
     d0 = rf.den[0]
     if d0 == 0:
         raise ExpansionPoleError("denominator vanishes at the expansion point u = 0")
@@ -291,47 +268,3 @@ def f_factor(power: int) -> RationalFunction:
     if power < 1:
         raise ValueError("power must be >= 1")
     return RationalFunction((1, 1), (1, -1)) ** power
-
-
-def perturbative_weight(p: int, n: int) -> Fraction:
-    """n-th Taylor coefficient of (1+u)^p / (1-u)^(p+1).
-
-    Physical weight, in the n-quantum sector, of a diagram containing p
-    statistical boson lines (the normalisation contributes the extra
-    1/(1-u) factor).  p = 0 gives 1 for every n: the normalisation alone.
-    """
-    if p < 0 or n < 0:
-        raise ValueError("p and n must be >= 0")
-    rf = RationalFunction([math.comb(p, j) for j in range(p + 1)]) / RationalFunction((1, -1)) ** (p + 1)
-    return taylor(rf, n, order_cap=max(DEFAULT_ORDER_CAP, n))[n]
-
-
-def apply_L_mixture(
-    rf: RationalFunction,
-    weights: Mapping[int, RationalLike],
-    order: int | None = None,
-) -> Fraction:
-    """Number-diagonal mixture operator: sum_n w_n * taylor(rf)[n].
-
-    ``weights`` maps occupation numbers to probabilities (non-negative,
-    summing to one up to 1e-12).  ``order`` caps the computed series; the
-    largest weighted index must not exceed it.
-    """
-    if not weights:
-        raise ValueError("empty weight map")
-    idx = sorted(weights)
-    if idx[0] < 0:
-        raise ValueError("occupation numbers must be >= 0")
-    top = idx[-1]
-    if order is None:
-        order = top
-    if top > order:
-        raise ValueError(f"weight index {top} exceeds computed order {order}")
-    wmap = {i: Fraction(weights[i]) for i in idx}  # Fraction(float) is exact
-    if any(w < 0 for w in wmap.values()):
-        raise ValueError("weights must be non-negative")
-    total = sum(wmap.values())
-    if abs(float(total) - 1.0) > 1e-12:
-        raise ValueError(f"weights sum to {float(total)}, expected 1 within 1e-12")
-    coeffs = taylor(rf, order, order_cap=max(DEFAULT_ORDER_CAP, order))
-    return sum((wmap[i] * coeffs[i] for i in idx), Fraction(0))

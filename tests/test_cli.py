@@ -1,9 +1,15 @@
+import contextlib
 import csv
 import io
 import json
+import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavitypairing import cli
 from cavitypairing.cli import ConfigError, RunConfig, parse_state, state_label
@@ -194,8 +200,10 @@ def test_main_rejects_out_of_range_config(tmp_path, capsys, line, command):
                                        "lifetime rate 1/tau = 1e-300 (delta_c * tau = 1e+300)"),
     ("verify.t_over_delta = 1e-320", "verify", "tan(rate / 2T): rate / 2T overflows at "
                                                "delta_c * tau = 1000, T / delta_c = 9.99989e-321"),
+    ("verify.dctau = 1e-10", "verify", "bcs_quadrature at verify.dctau = 1e-10, "
+                                       "verify.t_over_delta = 0.4: error estimate"),
 ], ids=["lifetime", "thermal-beta", "verify-dctau-small", "verify-dctau-large",
-        "verify-t-over-delta-small"])
+        "verify-t-over-delta-small", "verify-quadrature-tolerance"])
 def test_overflow_names_quantity_and_input(tmp_path, capsys, line, command, named):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(line + "\n")
@@ -315,6 +323,50 @@ def test_unflagged_non_finite_value_is_a_numerical_failure(tmp_path, capsys, com
     assert rc == cli.EXIT_NUMERIC
     assert f"numerical failure: {row} for state fock:200" in capsys.readouterr().err
     assert not (tmp_path / f"{command}.csv").exists()
+
+
+_STATE_TOKENS = ("vacuum", "fock:0", "fock:2", "fock:5", "fock:60", "thermal",
+                 "thermal:beta=2.0", "thermal:beta=30", "mix:{0:0.5,2:0.5}")
+
+
+@st.composite
+def _run_configs(draw):
+    """A config text over the model, state and fit keys, and a table subcommand."""
+    rate = draw(st.floats(1e-4, 10.0))
+    lines = [
+        f"model.g0 = {draw(st.floats(1e-3, 20.0))!r}",
+        f"model.delta_c = {draw(st.floats(0.1, 10.0))!r}",
+        f"model.e_f = {draw(st.floats(1.0, 1e4))!r}",
+        "model.lifetime = " + draw(st.sampled_from(["fermi-liquid", f"constant:{rate!r}"])),
+        "model.convention = " + draw(st.sampled_from(sorted(cli.CONVENTIONS))),
+        "states.list = " + ", ".join(
+            draw(st.lists(st.sampled_from(_STATE_TOKENS), min_size=1, max_size=3, unique=True))),
+        "fit.fock_form = " + draw(st.sampled_from(["reduced", "power"])),
+        f"fit.anisotropy = {draw(st.floats(0.1, 5.0))!r}",
+        f"fit.xi_reduced_t = {draw(st.sampled_from([1e-4, 1e-3, -1e-4]))!r}",  # < 0: exit 2
+    ]
+    command = draw(st.sampled_from(["tc", "exponents", "xi", "vertex", "scan"]))
+    return "\n".join(lines) + "\n", command
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_run_configs())
+def test_error_contract_on_generated_configs(run):
+    # any config ends in success, a config error or a numerical failure, never
+    # in a traceback, and a successful table holds no unflagged non-finite value
+    text, command = run
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "c.cfg").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["--config", str(Path(tmp) / "c.cfg"), "--out", tmp, command])
+        assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if rc == cli.EXIT_OK:
+            rows = list(csv.DictReader(io.StringIO((Path(tmp) / f"{command}.csv").read_text())))
+            assert rows
+            for r in rows:
+                assert math.isfinite(float(r["value"])) or r["note"].startswith("REJECTED"), r
 
 
 @pytest.mark.parametrize(

@@ -69,7 +69,7 @@ def test_kernel_conventions():
 
 def test_hierarchy_reference_values():
     h = solve_fock_hierarchy(2, K_REF)
-    assert h.values == (F(-5), F(-55), F(-655))
+    assert h == (F(-5), F(-55), F(-655))
 
 
 def test_hierarchy_criticality_guard():
@@ -122,13 +122,16 @@ def test_oracle_on_float_kernel_is_exact_after_lift():
 
 
 def test_unit_weight_display_coefficients():
-    k = KernelScalars(gamma0=F(-1), a_bcs=F(1, 5), c2=F(1, 10))
-    h = solve_fock_hierarchy(2, k, weight_mode="unit-weight")
+    # at c2 = 1/8 the coupling weight w = 8*c2 is 1, which reproduces the
+    # display coefficients (1; 1,1; 1,3,1) of the iterated solution
+    k = KernelScalars(gamma0=F(-1), a_bcs=F(1, 5), c2=F(1, 8))
+    assert k.w == 1
+    h = solve_fock_hierarchy(2, k)
     d = 1 - k.m_vac
     g0 = k.gamma0
-    assert h.values[0] == g0 / d
-    assert h.values[1] == g0 * (1 / d + 1 / d**2)
-    assert h.values[2] == g0 * (1 / d + 3 / d**2 + 1 / d**3)
+    assert h[0] == g0 / d
+    assert h[1] == g0 * (1 / d + 1 / d**2)
+    assert h[2] == g0 * (1 / d + 3 / d**2 + 1 / d**3)
 
 
 def test_solve_thermal_substitution():
@@ -139,7 +142,7 @@ def test_solve_thermal_substitution():
 def test_solve_thermal_vacuum_limit():
     # coth -> 1 sends the thermal closure onto the vacuum sector
     k = KernelScalars(gamma0=F(-1), a_bcs=F(1, 10), c2=F(1, 100))
-    assert solve_thermal(k, F(1)) == solve_fock_hierarchy(0, k).values[0]
+    assert solve_thermal(k, F(1)) == solve_fock_hierarchy(0, k)[0]
 
 
 def test_solve_thermal_finite_on_grid(fl_params, fl_lifetime):
@@ -188,7 +191,7 @@ def test_divergence_order():
         vals = []
         for eps in (F(1, 100), F(1, 10**4), F(1, 10**6)):
             k = KernelScalars(gamma0=F(-1), a_bcs=1 - 2 * c2 - eps, c2=c2)
-            g = solve_fock_hierarchy(n, k).values[n]
+            g = solve_fock_hierarchy(n, k)[n]
             vals.append(g * eps ** (n + 1))
         target = w**n * F(-1)
         assert abs(float(vals[-1] - target)) < 1e-4 * abs(float(target))
@@ -198,14 +201,14 @@ def test_divergence_order():
 
 def test_vertex_for_state_dispatch():
     h = solve_fock_hierarchy(4, K_REF)
-    assert vertex_for_state(Vacuum(), K_REF) == h.values[0]
-    assert vertex_for_state(Fock(3), K_REF) == h.values[3]
+    assert vertex_for_state(Vacuum(), K_REF) == h[0]
+    assert vertex_for_state(Fock(3), K_REF) == h[3]
     # point-mass weights keep exact kernels exact
     assert isinstance(vertex_for_state(Vacuum(), K_REF), F)
     assert isinstance(vertex_for_state(Fock(3), K_REF), F)
     mix = DiagonalMixture({0: 0.5, 2: 0.5})
     assert float(vertex_for_state(mix, K_REF)) == pytest.approx(
-        0.5 * float(h.values[0]) + 0.5 * float(h.values[2])
+        0.5 * float(h[0]) + 0.5 * float(h[2])
     )
 
 
@@ -242,6 +245,6 @@ def test_oracle_equivalence_property(kernel, n):
 @settings(max_examples=40, deadline=None)
 @given(subcritical_kernels())
 def test_hierarchy_magnitudes_increase(kernel):
-    vals = solve_fock_hierarchy(6, kernel).values
+    vals = solve_fock_hierarchy(6, kernel)
     mags = [abs(v) for v in vals]
     assert all(b > a for a, b in zip(mags, mags[1:]))

@@ -4,7 +4,8 @@
 module and configs; this keeps a change to either from breaking it unseen.
 ``exponents-sweep`` also takes vacuum, number, equilibrium and fixed-beta
 thermal states and mixtures through the root search against the references
-in ``perfbench/refs.py``.
+in ``perfbench/refs.py``; ``oracle-exact`` drives the series oracle, the
+3-sector solve, the thermal resummation and ``verify``.
 """
 
 import json
@@ -17,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["tc-sweep", "exponents-sweep"])
+@pytest.mark.parametrize("workload", ["tc-sweep", "exponents-sweep", "oracle-exact"])
 def test_workload_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,

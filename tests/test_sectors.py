@@ -43,7 +43,7 @@ def test_solve_equals_closed_form_exactly():
 def test_solution_series_matches_hierarchy():
     sol = sec.solve_sector_system(sec.build_sector_system(K_EXACT))
     series = taylor(sol / RF((1, -1)), 12)
-    assert tuple(series) == solve_fock_hierarchy(12, K_EXACT).values
+    assert tuple(series) == solve_fock_hierarchy(12, K_EXACT)
 
 
 def test_solution_denominator_degree():
@@ -62,7 +62,7 @@ def test_zero_keldysh_removes_state_dependence():
 def test_physical_build_matches_closed_form_at_origin():
     lt = ConstantLifetime(1e-3)
     kernel = KernelScalars.from_model(P, lt, T_CHECK)
-    sol = sec.solve_sector_system(sec.build_sector_system(P, lt, T_CHECK))
+    sol = sec.solve_sector_system(sec.build_sector_system(kernel))
     closed = float(kernel.gamma0) / (1.0 - float(kernel.m_vac))
     assert abs(float(sol(0)) / closed - 1.0) < 1e-12
 
@@ -125,9 +125,3 @@ def test_offshell_cancellation_monotone_decay():
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     # asymptotically 1/(dc*tau)
     assert ratios[2] == pytest.approx(1e-3, rel=0.05)
-
-
-def test_truncation_diagnostic_scale():
-    lt = ConstantLifetime(1e-3)
-    est = sec.truncation_diagnostic(P, lt, T_CHECK)
-    assert est == pytest.approx(1.0 / (2.0 * 1000.0) ** 2, rel=1e-3)

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from cavitypairing.useries import (
     ExpansionPoleError,
     RationalFunction as RF,
-    apply_L_mixture,
     f_factor,
-    perturbative_weight,
     taylor,
 )
 
@@ -55,9 +53,9 @@ def test_expansion_pole_rejected():
 
 
 def test_order_cap():
+    assert len(taylor(GEOM, 64)) == 65
     with pytest.raises(ValueError):
         taylor(GEOM, 65)
-    assert len(taylor(GEOM, 65, order_cap=65)) == 66
 
 
 def test_f_factor_construction():
@@ -69,10 +67,16 @@ def test_f_factor_construction():
         f_factor(0)
 
 
+def _perturbative_weights(p, order):
+    """Taylor coefficients of (1+u)^p / (1-u)^(p+1): the n-quantum weights of a
+    diagram with p statistical boson lines (the normalisation adds 1/(1-u))."""
+    rf = RF([math.comb(p, j) for j in range(p + 1)]) / RF((1, -1)) ** (p + 1)
+    return taylor(rf, order)
+
+
 def test_perturbative_weight_examples():
-    assert all(perturbative_weight(0, n) == 1 for n in range(6))
-    assert perturbative_weight(1, 1) == 3
-    assert perturbative_weight(1, 2) == 5
+    assert _perturbative_weights(0, 5) == [1] * 6
+    assert _perturbative_weights(1, 2) == [1, 3, 5]
 
 
 @pytest.mark.parametrize("p", range(0, 5))
@@ -82,34 +86,19 @@ def test_perturbative_weight_combinatorial_oracle(p, n):
     expect = sum(
         math.comb(p, j) * math.comb(n - j + p, p) for j in range(min(p, n) + 1)
     )
-    assert perturbative_weight(p, n) == expect
-
-
-def test_apply_L_mixture_point_mass():
-    assert apply_L_mixture(GEOM, {0: 1}) == 1
-
-
-def test_apply_L_mixture_uniform():
-    assert apply_L_mixture(f_factor(2), {0: F(1, 2), 1: F(1, 2)}) == F(5, 2)
+    assert _perturbative_weights(p, n)[n] == expect
 
 
 def test_apply_L_mixture_boltzmann_vs_closed_form():
+    # the number-diagonal operator L on a mixture is sum_n w_n taylor(rf)[n]:
     # truncated geometric weights on f(u)^2/(1-u) resum to f(x)^2
     x = F(1, 3)
     n_max = 40
     z = sum(x**n for n in range(n_max + 1))
-    weights = {n: x**n / z for n in range(n_max + 1)}
-    rf = f_factor(2) * GEOM
-    got = apply_L_mixture(rf, weights, order=n_max)
+    coeffs = taylor(f_factor(2) * GEOM, n_max)
+    got = sum(x**n / z * coeffs[n] for n in range(n_max + 1))
     closed = ((1 + x) / (1 - x)) ** 2
     assert abs(float(got - closed)) < 1e-10
-
-
-def test_apply_L_mixture_validation():
-    with pytest.raises(ValueError):
-        apply_L_mixture(GEOM, {0: F(1, 2), 5: F(1, 2)}, order=3)
-    with pytest.raises(ValueError):
-        apply_L_mixture(GEOM, {0: F(3, 4)})
 
 
 def test_thermal_closure_identity_exact():
