@@ -15,7 +15,6 @@ from .ladder import (
     intermediate_vertex_closed_form,
     oracle_check,
     solve_fock_hierarchy,
-    solve_thermal,
     thermal_resummation_check,
     vertex_for_state,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "intermediate_vertex_closed_form",
     "oracle_check",
     "solve_fock_hierarchy",
-    "solve_thermal",
     "taylor",
     "thermal_resummation_check",
     "vertex_for_state",

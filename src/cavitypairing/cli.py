@@ -396,10 +396,12 @@ def cmd_tc(cfg: RunConfig) -> ResultTable:
     unit = _scale(cfg)
     for state in cfg.state_objects():
         point = critical.criticality(state, p, lt, cfg.convention).point
+        # a thermal root is that of its dressed kernel; every other state's is the vacuum one
+        mode = "thermal" if isinstance(state, Thermal) else "vacuum"
         note = ""
-        if point.mode == "vacuum":
+        if mode == "vacuum":
             note = "vacuum-kernel root (occupation-independent)"
-        if point.flagged:
+        if point.n_brackets > 1:
             note = (note + "; " if note else "") + (
                 f"{point.n_brackets} crossings, refined largest downward"
             )
@@ -408,7 +410,7 @@ def cmd_tc(cfg: RunConfig) -> ResultTable:
             quantity="t_c",
             value=point.t_c / unit,
             uncertainty=point.residual,
-            provenance=f"critical.find_tc[{point.mode}]",
+            provenance=f"critical.find_tc[{mode}]",
             note=note,
         )
     return table
@@ -418,33 +420,28 @@ def _exponent_rows(args):
     cfg, tok = args
     p, lt = cfg.params(), cfg.lifetime_model()
     crit = critical.criticality(parse_state(tok), p, lt, cfg.convention)
-    rows = []
-    try:
-        g = critical.fit_gamma(crit, cfg.gamma_window, cfg.gamma_points)
-        rows.append(Row(
-            state=tok, quantity="gamma", value=g.exponent,
-            uncertainty=g.residual_max, window_lo=g.window[0], window_hi=g.window[1],
-            r_squared=g.r_squared, provenance="critical.fit_gamma",
-        ))
-    except critical.FitRejected as exc:
-        rows.append(Row(
-            state=tok, quantity="gamma", value=float("nan"),
-            provenance="critical.fit_gamma", note=f"REJECTED: {exc}",
-        ))
-    try:
-        nu = critical.fit_nu(
+    fits = (
+        ("gamma", lambda: critical.fit_gamma(crit, cfg.gamma_window, cfg.gamma_points)),
+        ("nu", lambda: critical.fit_nu(
             crit, cfg.nu_window, cfg.nu_points,
             anisotropy=cfg.anisotropy, fock_form=cfg.fock_form,
-        )
+        )),
+    )
+    rows = []
+    for quantity, fit in fits:
+        provenance = f"critical.fit_{quantity}"
+        try:
+            f = fit()
+        except critical.FitRejected as exc:
+            rows.append(Row(
+                state=tok, quantity=quantity, value=float("nan"),
+                provenance=provenance, note=f"REJECTED: {exc}",
+            ))
+            continue
         rows.append(Row(
-            state=tok, quantity="nu", value=nu.exponent,
-            uncertainty=nu.residual_max, window_lo=nu.window[0], window_hi=nu.window[1],
-            r_squared=nu.r_squared, provenance="critical.fit_nu",
-        ))
-    except critical.FitRejected as exc:
-        rows.append(Row(
-            state=tok, quantity="nu", value=float("nan"),
-            provenance="critical.fit_nu", note=f"REJECTED: {exc}",
+            state=tok, quantity=quantity, value=f.exponent,
+            uncertainty=f.residual_max, window_lo=f.window[0], window_hi=f.window[1],
+            r_squared=f.r_squared, provenance=provenance,
         ))
     return rows
 
@@ -504,10 +501,10 @@ def cmd_vertex(cfg: RunConfig) -> ResultTable:
     for state in cfg.state_objects():
         crit = critical.criticality(state, p, lt, cfg.convention)
         T = crit.point.t_c * (1.0 + t_red)
-        k = KernelScalars.from_model(p, lt, T, cfg.convention)
+        k = KernelScalars.from_model(p, lt, T, cfg.convention, state)
         table.add(
             state=state_label(state), quantity="gamma_on_shell",
-            value=float(ladder.vertex_for_state(state, k)) * unit,
+            value=float(ladder.vertex_for_state(k)) * unit,
             provenance="ladder.vertex_for_state", note=f"reduced_t={_fmt(t_red)}",
         )
         for P in (0.0, 0.05, 0.1):
@@ -531,11 +528,12 @@ def cmd_scan(cfg: RunConfig) -> ResultTable:
     unit = _scale(cfg)
     ts = np.geomspace(1e-4 * p.e_f, 0.5 * p.e_f, _SCAN_POINTS)
     for T in ts:
-        k = KernelScalars.from_model(p, lt, float(T), cfg.convention)
+        vac = KernelScalars.from_model(p, lt, float(T), cfg.convention)
+        th = KernelScalars.from_model(p, lt, float(T), cfg.convention, Thermal())
         note = f"T={_fmt(T / unit)}"
-        table.add(state="-", quantity="m_vac", value=float(k.m_vac),
+        table.add(state="-", quantity="m_vac", value=float(vac.pole_mass),
                   provenance="ladder.KernelScalars", note=note)
-        table.add(state="-", quantity="m_th", value=float(k.pole_mass(Thermal())),
+        table.add(state="-", quantity="m_th", value=float(th.pole_mass),
                   provenance="ladder.KernelScalars", note=note)
     return table
 
@@ -703,30 +701,32 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.command == "verify":
-            passed, report = run_verify(cfg, inject_fault=args.inject_fault)
-            out = args.out
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "verify.json").write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-            for c in report["checks"]:
-                print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} - {c['detail']}")
-            print(f"report: {out / 'verify.json'}")
-            return EXIT_OK if passed else EXIT_VERIFY
+        # an overflowing vertex ends as a non-finite row, which is checked below
+        with np.errstate(over="ignore", divide="ignore"):
+            if args.command == "verify":
+                passed, report = run_verify(cfg, inject_fault=args.inject_fault)
+                out = args.out
+                out.mkdir(parents=True, exist_ok=True)
+                (out / "verify.json").write_text(
+                    json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+                )
+                for c in report["checks"]:
+                    print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} - {c['detail']}")
+                print(f"report: {out / 'verify.json'}")
+                return EXIT_OK if passed else EXIT_VERIFY
 
-        if args.command == "tc":
-            table = cmd_tc(cfg)
-        elif args.command == "exponents":
-            table = cmd_exponents(cfg, jobs=max(1, args.jobs))
-        elif args.command == "xi":
-            table = cmd_xi(cfg)
-        elif args.command == "vertex":
-            table = cmd_vertex(cfg)
-        elif args.command == "scan":
-            table = cmd_scan(cfg)
-        else:  # pragma: no cover
-            raise AssertionError(args.command)
+            if args.command == "tc":
+                table = cmd_tc(cfg)
+            elif args.command == "exponents":
+                table = cmd_exponents(cfg, jobs=max(1, args.jobs))
+            elif args.command == "xi":
+                table = cmd_xi(cfg)
+            elif args.command == "vertex":
+                table = cmd_vertex(cfg)
+            elif args.command == "scan":
+                table = cmd_scan(cfg)
+            else:  # pragma: no cover
+                raise AssertionError(args.command)
     except (critical.BracketError, critical.SlopeError, sectors.QuadratureError,
             ladder.CriticalityError, DomainError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,18 +1,20 @@
 """Critical properties of the pairing transition.
 
-The on-shell vertex diverges where the photon state's pole mass M(T)
-(``KernelScalars.pole_mass``) crosses 1: M_vac for vacuum, number states and
-mixtures (the root is occupation-independent), a_bcs + 2 c2 s**2 at the
-statistical factor s for a thermal state (strictly larger, so its root sits
-above the vacuum one).  Near the root, 1 - M(T) ~ m (T - T_c) defines the
-mass slope m, and the center-of-mass-momentum-resolved vertex takes the
-quadratic form
+The on-shell vertex diverges where the pole mass M(T) of the kernel built
+for the photon state (``KernelScalars.pole_mass``) crosses 1: M_vac for
+vacuum, number states and mixtures (the root is occupation-independent),
+a_bcs + 2 c2 s**2 for a thermal state, whose kernel is dressed at its
+statistical factor s (strictly larger, so its root sits above the vacuum
+one).  Near the root, 1 - M(T) ~ m (T - T_c) defines the mass slope m, and
+the center-of-mass-momentum-resolved vertex takes the quadratic form
 
     thermal:   gamma0 / [P^2 (cos^2 theta + a) + m (T - T_c)]
     n quanta:  gamma0 / [P^2 (cos^2 theta + a) + m (T - T_c)]^(n+1)
 
-with a fixed anisotropy constant a > 0.  Spatial pair correlations follow by
-Fourier transform over P; for the number-state case the correlation length is
+with a fixed anisotropy constant a > 0; the thermal line is the n = 0 term of
+the sector average, as a Gaussian state reads the vacuum sector of its
+dressed kernel.  Spatial pair correlations follow by Fourier transform over
+P; for the number-state case the correlation length is
 extracted from the leading-pole form with the mass reduced by n+1, which is
 precisely what the binomial collapse of the power form gives at small P (the
 exact power form shares the value and curvature at P = 0 but its tail slope
@@ -29,8 +31,9 @@ evaluated with ``scipy.special.kv`` over the whole r grid at once.
 in P_x, adaptive quadrature in P_y) as the reference that ``verify`` checks
 the closed form against.
 
-``kernel_mass``, ``find_tc`` and ``mass_slope`` take the photon state and
-read its mass through ``pole_mass``.  ``criticality`` returns a frozen
+``kernel_mass``, ``find_tc`` and ``mass_slope`` take the photon state, build
+the kernel for it and read its ``pole_mass``; nothing here branches on the
+kind of state.  ``criticality`` returns a frozen
 ``Criticality`` holding the state, the model, the root and the mass slope,
 computed once; the fits, the correlation functions and the momentum-resolved
 vertex all take it instead of re-deriving T_c and m.
@@ -51,7 +54,6 @@ from .model import (
     InitialPhotonState,
     LifetimeModel,
     ModelParams,
-    Thermal,
     Vacuum,
 )
 from .sectors import QuadratureError, quad
@@ -100,11 +102,9 @@ class FitRejected(RuntimeError):
 @dataclass(frozen=True)
 class CriticalPoint:
     t_c: float
-    mode: str
     bracket: tuple[float, float]
     residual: float
-    flagged: bool = False
-    n_brackets: int = 1
+    n_brackets: int
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,6 @@ class ExponentFit:
     window: tuple[float, float]
     r_squared: float
     residual_max: float
-    points: int
 
 
 @dataclass(frozen=True)
@@ -121,19 +120,13 @@ class CorrelationProfile:
     r_grid: tuple
     values: tuple
     xi: float
-    mass_slope: float
-    anisotropy: float
     fit_window: tuple[float, float]
     r_squared: float
 
 
 @dataclass(frozen=True)
 class Criticality:
-    """The root a photon state orders at and the mass slope there.
-
-    Built by ``criticality``; ``point.mode`` says which kernel mass the root
-    belongs to.
-    """
+    """The root a photon state orders at and the mass slope there, built by ``criticality``."""
 
     state: InitialPhotonState
     params: ModelParams
@@ -175,8 +168,8 @@ def kernel_mass(
     state: InitialPhotonState,
     convention: str = "canonical",
 ) -> float:
-    """The photon state's pole mass M(T): M_vac, or mass(s) for a thermal state."""
-    return float(KernelScalars.from_model(p, lt, temperature, convention).pole_mass(state))
+    """Pole mass M(T) of the kernel built for the photon state."""
+    return float(KernelScalars.from_model(p, lt, temperature, convention, state).pole_mass)
 
 
 def find_tc(
@@ -192,10 +185,9 @@ def find_tc(
     (log -> 0) at the band edge, which would manufacture a spurious
     high-temperature crossing.  The instability root is a downward crossing
     (M > 1 below T_c: the vertex diverges on cooling); if the scan finds
-    several crossings, the largest downward one is refined and the result is
-    flagged.  ``CriticalPoint.mode`` names the mass: "thermal" or "vacuum".
+    several crossings, the largest downward one is refined, and
+    ``CriticalPoint.n_brackets`` counts them.
     """
-    mode = "thermal" if isinstance(state, Thermal) else "vacuum"
     lo_f, hi_f = SCAN_RANGE
     ts = np.geomspace(lo_f * p.e_f, hi_f * p.e_f, N_SCAN)
     f = lambda T: kernel_mass(p, lt, T, state, convention) - 1.0
@@ -207,14 +199,13 @@ def find_tc(
     ]
     if not brackets:
         raise BracketError(
-            f"M(T) - 1 has no sign change on [{ts[0]:.3e}, {ts[-1]:.3e}] ({mode})",
+            f"M(T) - 1 has no sign change on [{ts[0]:.3e}, {ts[-1]:.3e}] ({state})",
             scan_table=list(zip(ts.tolist(), (vals + 1.0).tolist())),
         )
-    flagged = len(brackets) > 1
     downward = [b for b in brackets if b[2]]
     lo, hi, _ = downward[-1] if downward else brackets[-1]
     tc = _bisect(f, lo, hi)
-    return CriticalPoint(tc, mode, (lo, hi), abs(f(tc)), flagged, len(brackets))
+    return CriticalPoint(tc, (lo, hi), abs(f(tc)), len(brackets))
 
 
 def mass_slope(
@@ -298,6 +289,19 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), r2, float(np.max(np.abs(y - pred)))
 
 
+def _fit_exponent(name, crit: Criticality, window, points: int, value_at) -> ExponentFit:
+    """Exponent -d log value / d log t of ``value_at(T_c (1 + t))`` on a geometric window of t."""
+    red = np.geomspace(window[0], window[1], points)
+    values = np.array([value_at(crit.point.t_c * (1.0 + t)) for t in red])
+    slope, r2, resid = _line_fit(np.log(red), np.log(values))
+    if not r2 > R2_MIN:
+        raise FitRejected(
+            f"{name} fit rejected: r^2 = {r2:.6f} <= {R2_MIN}",
+            {"window": window, "r_squared": r2, "slope": slope, "state": crit.state},
+        )
+    return ExponentFit(-slope, window, r2, resid)
+
+
 def fit_gamma(
     crit: Criticality,
     window: tuple[float, float] = (1e-6, 1e-3),
@@ -311,20 +315,12 @@ def fit_gamma(
     """
     if points < MIN_GAMMA_POINTS:
         raise ValueError(f"need at least {MIN_GAMMA_POINTS} window points")
-    red = np.geomspace(window[0], window[1], points)
-    gams = np.empty(points)
-    for i, t in enumerate(red):
-        k = KernelScalars.from_model(
-            crit.params, crit.lifetime, crit.point.t_c * (1.0 + t), crit.convention
-        )
-        gams[i] = abs(float(vertex_for_state(crit.state, k)))
-    slope, r2, resid = _line_fit(np.log(red), np.log(gams))
-    if not r2 > R2_MIN:
-        raise FitRejected(
-            f"gamma fit rejected: r^2 = {r2:.6f} <= {R2_MIN}",
-            {"window": window, "r_squared": r2, "slope": slope, "state": crit.state},
-        )
-    return ExponentFit(-slope, window, r2, resid, points)
+
+    def gamma_at(T):
+        k = KernelScalars.from_model(crit.params, crit.lifetime, T, crit.convention, crit.state)
+        return abs(float(vertex_for_state(k)))
+
+    return _fit_exponent("gamma", crit, window, points, gamma_at)
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +347,14 @@ def _vertex_terms(
     gamma0: float,
     anisotropy: float,
     fock_form: str,
-    isotropic: bool,
 ) -> list[_LorentzianTerm]:
-    """Lorentzian terms of the momentum-resolved vertex at T > T_c."""
+    """Lorentzian terms of the momentum-resolved vertex at T > T_c, one per sector weight."""
     if anisotropy <= 0:
         raise ValueError("anisotropy must be > 0")
     mass_gap = crit.slope * (T - crit.point.t_c)
     if not mass_gap > 0:
         raise DomainError("the momentum-resolved vertex needs T > T_c")
-    c_par = anisotropy if isotropic else 1.0 + anisotropy
+    c_par = 1.0 + anisotropy
     c_perp = anisotropy
 
     def fock_term(n: int, weight: float) -> _LorentzianTerm:
@@ -370,8 +365,6 @@ def _vertex_terms(
             return _LorentzianTerm(amp, c_par, c_perp, mass_gap / (n + 1), 1)
         raise ValueError(f"unknown fock_form {fock_form!r}")
 
-    if isinstance(crit.state, Thermal):
-        return [_LorentzianTerm(gamma0, c_par, c_perp, mass_gap, 1)]
     return [fock_term(n, w) for n, w in crit.state.weights.items() if w > 0]
 
 
@@ -390,7 +383,7 @@ def vertex_P(
     by n+1.  The two agree in value and curvature at P = 0.
     """
     terms = _vertex_terms(
-        crit, T, ladder.bare_vertex(crit.params), anisotropy, fock_form, isotropic=False
+        crit, T, ladder.bare_vertex(crit.params), anisotropy, fock_form
     )
     px = P * math.cos(theta)
     py = P * math.sin(theta)
@@ -450,7 +443,6 @@ def correlation_quadrature(
     r_grid: Sequence[float],
     anisotropy: float = 1.0,
     fock_form: str = "reduced",
-    isotropic: bool = False,
 ) -> np.ndarray:
     """Reference C(r) by numerical transform, independent of the closed form.
 
@@ -459,7 +451,7 @@ def correlation_quadrature(
     summed error estimate exceeds ``_QUAD_REL_TOL`` of the value.
     """
     terms = _vertex_terms(
-        crit, T, abs(ladder.bare_vertex(crit.params)), anisotropy, fock_form, isotropic
+        crit, T, abs(ladder.bare_vertex(crit.params)), anisotropy, fock_form
     )
     out = np.empty(len(r_grid))
     for i, r in enumerate(r_grid):
@@ -480,7 +472,6 @@ def correlation_function(
     r_grid: Sequence[float] | None = None,
     anisotropy: float = 1.0,
     fock_form: str = "reduced",
-    isotropic: bool = False,
 ) -> CorrelationProfile:
     """Spatial pair correlation C(r) and the fitted correlation length.
 
@@ -495,7 +486,7 @@ def correlation_function(
     instead.
     """
     terms = _vertex_terms(
-        crit, T, abs(ladder.bare_vertex(crit.params)), anisotropy, fock_form, isotropic
+        crit, T, abs(ladder.bare_vertex(crit.params)), anisotropy, fock_form
     )
     # slowest decay across terms sets the expected length
     xi_est = max(math.sqrt(t.c_par / t.mass) for t in terms)
@@ -523,8 +514,6 @@ def correlation_function(
         tuple(grid.tolist()),
         tuple(values.tolist()),
         float(xi),
-        crit.slope,
-        anisotropy,
         (float(grid[0]), float(grid[-1])),
         r2,
     )
@@ -546,15 +535,6 @@ def fit_nu(
         raise ValueError(f"need at least {MIN_NU_POINTS} temperatures")
     if window[1] / window[0] < MIN_NU_WINDOW_RATIO:
         raise ValueError("window must span at least two decades")
-    red = np.geomspace(window[0], window[1], n_temps)
-    xis = np.empty(n_temps)
-    for i, t in enumerate(red):
-        prof = correlation_function(crit, crit.point.t_c * (1.0 + t), **corr_kwargs)
-        xis[i] = prof.xi
-    slope, r2, resid = _line_fit(np.log(red), np.log(xis))
-    if not r2 > R2_MIN:
-        raise FitRejected(
-            f"nu fit rejected: r^2 = {r2:.6f} <= {R2_MIN}",
-            {"window": window, "r_squared": r2, "slope": slope, "state": crit.state},
-        )
-    return ExponentFit(-slope, window, r2, resid, n_temps)
+    return _fit_exponent(
+        "nu", crit, window, n_temps, lambda T: correlation_function(crit, T, **corr_kwargs).xi
+    )

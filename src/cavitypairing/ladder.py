@@ -12,14 +12,17 @@ vertex is an exact rational function of u,
 and the physical vertex for n photons is the n-th Taylor coefficient of
 Gamma(u)/(1-u).  Equivalently, the sector values obey the recursion
 
-    Gamma^m = [gamma0 + w * sum_{j<m} (m-j) Gamma^j] / (1 - m_vac),
+    Gamma^m = [gamma0 + w * sum_{j<m} (m-j) Gamma^j] / (1 - M),
 
-with hierarchy coupling weight w = 8*c2 and m_vac = a_bcs + 2*c2.  Both routes
+with hierarchy coupling weight w = 8*c2 and pole mass M = a_bcs + 2*c2.  Both routes
 are implemented independently; ``oracle_check`` demands bit-exact agreement in
-rational arithmetic.  A thermal (Gaussian) photon state collapses the whole
-structure to a single equation with the mass a_bcs + 2*c2*s**2 at its
-statistical factor s = coth(beta*delta_c/2).  The kernels are state-free; the
-state enters only through ``KernelScalars.pole_mass``.
+rational arithmetic.  A thermal (Gaussian) photon state only renormalises the
+kernel: ``KernelScalars.from_model`` dresses c2 by s**2 at its statistical
+factor s = coth(beta*delta_c/2), and the vertex is then the vacuum sector of
+the dressed kernel, gamma0 / (1 - a_bcs - 2*c2*s**2).  Every other state
+averages the bare hierarchy over its Fock-sector weights.  ``from_model`` is
+the one place a photon state shapes a kernel; the kernel keeps the state so
+that ``pole_mass`` and ``vertex_for_state`` need no argument.
 
 Published variants of the kernel normalisation differ by factors of two; they
 are exposed as a convention switch and rescale ``a_bcs``/``c2`` only.  No
@@ -37,6 +40,7 @@ from .model import (
     LifetimeModel,
     ModelParams,
     Thermal,
+    Vacuum,
     statistical_factor,
     tau_inv,
 )
@@ -53,7 +57,6 @@ __all__ = [
     "oracle_check",
     "physical_vertex_series",
     "solve_fock_hierarchy",
-    "solve_thermal",
     "thermal_resummation_check",
     "vertex_for_state",
 ]
@@ -90,15 +93,14 @@ def bare_vertex(p: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class KernelScalars:
-    """Scalar kernels of the on-shell ladder at one temperature.
+    """Scalar kernels of the on-shell ladder at one temperature, for one photon state.
 
-    The kernels carry no photon state: ``mass(s)`` is the kernel mass at a
-    photon statistical factor s, and ``pole_mass(state)`` picks the mass a
-    state's pole sits on.  ``gtilde`` and ``dct`` (= delta_c * tau) are kept
+    ``state`` is the photon state the kernel was built for: a thermal state's
+    c2 is already dressed by s**2, and ``vertex_for_state`` averages over the
+    state's sector weights.  ``gtilde`` and ``dct`` (= delta_c * tau) are kept
     when known so the frequency-sector system can be assembled from the same
-    primitives; ``delta_c`` and ``temperature`` give a thermal state its s.
-    Fields may be floats or Fractions; ``exact()`` lifts every float to its
-    exact binary rational.
+    primitives.  Fields may be floats or Fractions; ``exact()`` lifts every
+    float to its exact binary rational.
     """
 
     gamma0: Number
@@ -106,8 +108,7 @@ class KernelScalars:
     c2: Number
     gtilde: Number | None = None
     dct: Number | None = None
-    delta_c: Number | None = None
-    temperature: Number | None = None
+    state: InitialPhotonState = Vacuum()
 
     def __post_init__(self):
         if self.c2 < 0:
@@ -118,29 +119,10 @@ class KernelScalars:
         """Hierarchy coupling weight, 8*c2."""
         return 8 * self.c2
 
-    def mass(self, s: Number) -> Number:
-        """Kernel mass a_bcs + 2*c2*s**2 at photon statistical factor s."""
-        try:
-            return self.a_bcs + 2 * self.c2 * s**2
-        except OverflowError as exc:
-            raise OverflowError(
-                f"thermal kernel mass a_bcs + 2 c2 s**2 overflows: photon statistical "
-                f"factor s = coth(beta * delta_c / 2) = {s:.6g} at T = {self.temperature}"
-            ) from exc
-
     @property
-    def m_vac(self) -> Number:
-        return self.mass(1)
-
-    def pole_mass(self, state: InitialPhotonState) -> Number:
-        """Kernel mass whose crossing of 1 is the pole of the state's vertex.
-
-        A thermal state closes onto mass(s) at its statistical factor; all
-        poles of every other state's hierarchy sit at 1 - m_vac.
-        """
-        if isinstance(state, Thermal):
-            return self.mass(statistical_factor(state, self.delta_c, self.temperature))
-        return self.m_vac
+    def pole_mass(self) -> Number:
+        """Kernel mass a_bcs + 2*c2 whose crossing of 1 is the pole of the state's vertex."""
+        return self.a_bcs + 2 * self.c2
 
     @classmethod
     def from_model(
@@ -149,7 +131,9 @@ class KernelScalars:
         lt: LifetimeModel,
         temperature: float,
         convention: str = "canonical",
+        state: InitialPhotonState = Vacuum(),
     ) -> "KernelScalars":
+        """Kernels at one temperature for the photon state: a thermal one dresses c2 by s**2."""
         if temperature <= 0:
             raise ValueError("temperature must be > 0")
         if convention not in CONVENTIONS:
@@ -164,14 +148,22 @@ class KernelScalars:
                 f"resonant kernel c2 = (gtilde * delta_c * tau)**2 overflows: "
                 f"delta_c * tau = {dct:.6g} for lifetime {lt} at T = {temperature:.6g}"
             ) from exc
+        if isinstance(state, Thermal):
+            s = statistical_factor(state, p.delta_c, temperature)
+            try:
+                c2 = c2 * s**2
+            except OverflowError as exc:
+                raise OverflowError(
+                    f"thermal kernel mass a_bcs + 2 c2 s**2 overflows: photon statistical "
+                    f"factor s = coth(beta * delta_c / 2) = {s:.6g} at T = {temperature}"
+                ) from exc
         return cls(
             gamma0=bare_vertex(p),
             a_bcs=fa * g * p.delta_c / temperature,
             c2=c2,
             gtilde=g,
             dct=dct,
-            delta_c=p.delta_c,
-            temperature=temperature,
+            state=state,
         )
 
     def exact(self) -> "KernelScalars":
@@ -186,26 +178,22 @@ class KernelScalars:
         )
 
 
-def _check_off_criticality(denom, name: str) -> None:
-    """Reject a pole denominator ``name`` that is zero (exact) or below 1e-14 (float)."""
-    if isinstance(denom, Fraction):
-        if denom == 0:
-            raise CriticalityError(f"{name} = 0: kernel sits exactly on the instability")
-    elif abs(denom) < 1e-14:
-        raise CriticalityError(f"|{name}| = {abs(denom):.3e} < 1e-14")
-
-
 def solve_fock_hierarchy(n: int, kernel: KernelScalars, mutate_f: bool = False) -> tuple:
     """Solve the sector recursion bottom-up from the vacuum component.
 
     Returns the on-shell vertex values Gamma^0..Gamma^n.  ``mutate_f``
     deliberately corrupts the inter-sector coupling coefficients (negative
-    control for the oracle check).
+    control for the oracle check).  A pole denominator that is zero (exact)
+    or below 1e-14 (float) is rejected.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    gamma0, denom = kernel.gamma0, 1 - kernel.m_vac
-    _check_off_criticality(denom, "1 - m_vac")
+    gamma0, denom = kernel.gamma0, 1 - kernel.pole_mass
+    if isinstance(denom, Fraction):
+        if denom == 0:
+            raise CriticalityError("1 - pole_mass = 0: kernel sits exactly on the instability")
+    elif abs(denom) < 1e-14:
+        raise CriticalityError(f"|1 - pole_mass| = {abs(denom):.3e} < 1e-14")
     w = kernel.w
     values = []
     for m in range(n + 1):
@@ -264,13 +252,6 @@ def oracle_check(n: int, kernel: KernelScalars, mutate_f: bool = False) -> Oracl
     return OracleReport(worst == 0, worst, rec, ser)
 
 
-def solve_thermal(kernel: KernelScalars, s: Number):
-    """Closed thermal vertex gamma0 / (1 - mass(s)) at statistical factor s."""
-    denom = 1 - kernel.mass(s)
-    _check_off_criticality(denom, "1 - mass(s)")
-    return kernel.gamma0 / denom
-
-
 @dataclass(frozen=True)
 class ResummationReport:
     residual: float
@@ -282,12 +263,13 @@ class ResummationReport:
 def thermal_resummation_check(
     kernel: KernelScalars, x: Number, n_max: int | None = None
 ) -> ResummationReport:
-    """Check that the Boltzmann-weighted sector sum closes onto mass(s).
+    """Check that the Boltzmann-weighted sector sum closes onto the dressed kernel.
 
     ``x`` is the Boltzmann ratio exp(-beta * delta_c) of the photon mode.
     The truncated weighted sum (1-x) * sum_{m<=N} x^m Gamma^m is compared
-    against gamma0 / (1 - a_bcs - 2*c2*((1+x)/(1-x))**2); both sides are
-    built from the same recursion coefficients, so the residual isolates the
+    against gamma0 / (1 - a_bcs - 2*c2*s**2) with s = (1+x)/(1-x), written
+    out here rather than taken from a thermal kernel; both sides are built
+    from the same recursion coefficients, so the residual isolates the
     rearrangement algebra plus the truncation tail.  A tail with x**N >=
     1e-12 triggers a warning flag, not a failure.
     """
@@ -304,25 +286,21 @@ def thermal_resummation_check(
     partial = (1 - xe) * sum(
         (xe**m * hier[m] for m in range(n_max + 1)), Fraction(0)
     )
-    closed = solve_thermal(k, (1 + xe) / (1 - xe))
+    s = (1 + xe) / (1 - xe)
+    closed = k.gamma0 / (1 - k.a_bcs - 2 * k.c2 * s**2)
     residual = abs(float(partial - closed))
     tail = float(xe**n_max)
     warned = xe > 0 and tail >= 1e-12
     return ResummationReport(residual, n_max, tail, warned)
 
 
-def vertex_for_state(state: InitialPhotonState, kernel: KernelScalars):
-    """Physical on-shell vertex for one initial photon state.
+def vertex_for_state(kernel: KernelScalars):
+    """Physical on-shell vertex for the photon state the kernel was built for.
 
-    The thermal state uses the closed form at its statistical factor; every
-    other state averages the hierarchy over its occupation weights (a single
-    sector for the vacuum and number states).
+    Averages the hierarchy over the state's sector weights: a single sector
+    for the vacuum and number states, and the vacuum sector of the dressed
+    kernel for a thermal state.
     """
-    if isinstance(state, Thermal):
-        if kernel.delta_c is None:
-            raise ValueError("thermal vertex needs delta_c on the kernel")
-        return solve_thermal(
-            kernel, statistical_factor(state, kernel.delta_c, kernel.temperature)
-        )
-    hier = solve_fock_hierarchy(max(state.weights), kernel)
-    return sum(w * hier[m] for m, w in state.weights.items())
+    weights = kernel.state.weights
+    hier = solve_fock_hierarchy(max(weights), kernel)
+    return sum(w * hier[m] for m, w in weights.items())

@@ -3,12 +3,17 @@
 Fermions live near a 2D Fermi surface with a lifetime broadening; the cavity
 supplies a single gapped boson mode of frequency ``delta_c`` (the detuning of
 the resonance from the drive) and momentum ``q0 << k_F``.  The photon's
-initial state enters only through ``statistical_factor``, one scalar per mode:
+initial state enters through ``statistical_factor``, one scalar per mode:
 
     vacuum        1
     n quanta      1 + 2n
     thermal(beta) coth(beta * delta_c / 2)
     mixture       sum_n w_n (1 + 2n)
+
+and through the Fock-sector ``weights`` of the vertex average.  A Gaussian
+(thermal) state has no sector structure of its own: its statistical factor
+dresses the resonant kernel, and its weights are the vacuum sector {0: 1} of
+that dressed kernel.
 
 All operations are pure functions of immutable inputs and may be evaluated
 concurrently without coordination.
@@ -179,6 +184,11 @@ class Thermal:
     def __post_init__(self):
         if self.beta is not None and self.beta <= 0:
             raise DomainError("thermal beta must be > 0")
+
+    @property
+    def weights(self) -> Mapping[int, int]:
+        """The vacuum sector of the kernel its statistical factor dresses."""
+        return {0: 1}
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,6 @@ class SectorSystem:
 
     matrix: tuple
     rhs: tuple
-    kernel: KernelScalars
 
 
 def build_sector_system(kernel: KernelScalars, zero_dk: bool = False) -> SectorSystem:
@@ -78,6 +77,8 @@ def build_sector_system(kernel: KernelScalars, zero_dk: bool = False) -> SectorS
     dyadic values), so the downstream solve is exact.  ``zero_dk`` removes
     the statistical (Keldysh photon) couplings: the on-shell equation then
     closes on the static channel alone and every state dependence disappears.
+    The photon statistics enter through f(u), so the kernel's c2 must be the
+    bare one, not one dressed for a thermal state.
     """
     if kernel.gtilde is None or kernel.dct is None:
         raise ValueError("sector assembly needs gtilde and dct on the kernel")
@@ -100,7 +101,7 @@ def build_sector_system(kernel: KernelScalars, zero_dk: bool = False) -> SectorS
         (res_off, zero, one),
     )
     rhs = (RationalFunction((k.gamma0,)), zero, zero)
-    return SectorSystem(matrix, rhs, k)
+    return SectorSystem(matrix, rhs)
 
 
 def solve_sector_system(system: SectorSystem) -> RationalFunction:

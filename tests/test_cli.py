@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -323,6 +324,23 @@ def test_unflagged_non_finite_value_is_a_numerical_failure(tmp_path, capsys, com
     assert rc == cli.EXIT_NUMERIC
     assert f"numerical failure: {row} for state fock:200" in capsys.readouterr().err
     assert not (tmp_path / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("command, state, code", [
+    ("exponents", "fock:60", cli.EXIT_OK),
+    ("vertex", "fock:200", cli.EXIT_NUMERIC),
+    ("xi", "fock:200", cli.EXIT_NUMERIC),
+])
+def test_overflow_warnings_stay_off_stderr(tmp_path, capsys, command, state, code):
+    # an overflowing hierarchy ends in REJECTED rows or exit 3, without numpy warnings
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text(f"states.list = {state}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["--config", str(cfgf), "--out", str(tmp_path), command])
+    assert rc == code
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in capsys.readouterr().err
 
 
 _STATE_TOKENS = ("vacuum", "fock:0", "fock:2", "fock:5", "fock:60", "thermal",

@@ -237,14 +237,14 @@ def test_vertex_p_requires_supercritical_temperature(const_params, const_lifetim
 
 # -- correlation function ---------------------------------------------------------
 
-@pytest.mark.parametrize("isotropic", [True, False], ids=["isotropic", "anisotropic"])
+@pytest.mark.parametrize("anisotropy", [1.3], ids=["anisotropic"])
 @pytest.mark.parametrize("n", range(5))
 def test_correlation_closed_form_matches_quadrature(const_params, const_lifetime, n,
-                                                   isotropic):
+                                                   anisotropy):
     # power form of Fock(n) is a single pole of order q = n + 1
     crit = cr.criticality(Fock(n), const_params, const_lifetime)
     T = crit.point.t_c * (1 + 1e-4)
-    kw = dict(anisotropy=1.3, fock_form="power", isotropic=isotropic)
+    kw = dict(anisotropy=anisotropy, fock_form="power")
     xi = cr.correlation_function(crit, T, **kw).xi
     rs = np.geomspace(xi, 10.0 * xi, 9)
     prof = cr.correlation_function(crit, T, r_grid=rs, **kw)

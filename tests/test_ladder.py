@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,6 @@ from cavitypairing.ladder import (
     oracle_check,
     physical_vertex_series,
     solve_fock_hierarchy,
-    solve_thermal,
     thermal_resummation_check,
     vertex_for_state,
 )
@@ -40,17 +40,24 @@ def test_bare_vertex():
         assert bare_vertex(ModelParams(g0=g0, delta_c=2.0, q0=0.0, e_f=10.0, k_f=1.0)) < 0
 
 
-def test_kernel_derived_scalars():
+def test_kernel_derived_scalars(const_params, const_lifetime):
     assert K_REF.w == 2
-    assert K_REF.m_vac == F(4, 5)
-    k = KernelScalars(gamma0=-1.0, a_bcs=0.1, c2=0.05, delta_c=1.0, temperature=0.5)
-    assert k.mass(2.0) == pytest.approx(0.1 + 2 * 0.05 * 4.0)
-    assert float(k.m_vac) < float(k.mass(2.0))
-    # the state enters only through the pole mass
-    assert k.pole_mass(Thermal()) == k.mass(1.0 / math.tanh(1.0))
-    assert k.pole_mass(Thermal(2.0)) == k.mass(1.0 / math.tanh(1.0))
+    assert K_REF.pole_mass == F(4, 5)
+    T = 0.5
+    bare = KernelScalars.from_model(const_params, const_lifetime, T)
+    assert bare.state == Vacuum()
+    # a thermal state dresses c2 by coth(delta_c / 2T)**2 (beta = 2 gives the same s);
+    # the pole mass is bit for bit a + (2 c2) s**2
+    s = 1.0 / math.tanh(1.0)
+    for state in (Thermal(), Thermal(2.0)):
+        k = KernelScalars.from_model(const_params, const_lifetime, T, state=state)
+        assert k.state == state
+        assert k.pole_mass == bare.a_bcs + 2 * bare.c2 * s**2
+        assert k.pole_mass > bare.pole_mass
+    # every other state keeps the bare kernel
     for state in (Vacuum(), Fock(3), DiagonalMixture({0: 0.5, 2: 0.5})):
-        assert k.pole_mass(state) == k.m_vac
+        k = KernelScalars.from_model(const_params, const_lifetime, T, state=state)
+        assert (k.a_bcs, k.c2, k.pole_mass) == (bare.a_bcs, bare.c2, bare.pole_mass)
 
 
 def test_kernel_conventions():
@@ -73,14 +80,14 @@ def test_hierarchy_reference_values():
 
 
 def test_hierarchy_criticality_guard():
-    k = KernelScalars(gamma0=F(-1), a_bcs=F(1, 2), c2=F(1, 4))  # m_vac = 1
+    k = KernelScalars(gamma0=F(-1), a_bcs=F(1, 2), c2=F(1, 4))  # pole mass 1
     with pytest.raises(CriticalityError):
         solve_fock_hierarchy(3, k)
 
 
 def test_closed_form_at_origin():
     rf = intermediate_vertex_closed_form(K_REF)
-    assert rf(0) == K_REF.gamma0 / (1 - K_REF.m_vac)
+    assert rf(0) == K_REF.gamma0 / (1 - K_REF.pole_mass)
 
 
 def test_closed_form_gaussian_limit_is_constant():
@@ -127,22 +134,31 @@ def test_unit_weight_display_coefficients():
     k = KernelScalars(gamma0=F(-1), a_bcs=F(1, 5), c2=F(1, 8))
     assert k.w == 1
     h = solve_fock_hierarchy(2, k)
-    d = 1 - k.m_vac
+    d = 1 - k.pole_mass
     g0 = k.gamma0
     assert h[0] == g0 / d
     assert h[1] == g0 * (1 / d + 1 / d**2)
     assert h[2] == g0 * (1 / d + 3 / d**2 + 1 / d**3)
 
 
-def test_solve_thermal_substitution():
-    k = KernelScalars(gamma0=F(-1), a_bcs=F(1, 2), c2=F(0))
-    assert solve_thermal(k, F(3)) == -2
+def test_solve_thermal_substitution(const_params, const_lifetime):
+    # the thermal vertex is the vacuum vertex of the kernel with c2 -> c2 * s**2
+    state = Thermal(math.log(3.0))
+    s = statistical_factor(state, const_params.delta_c)
+    bare = KernelScalars.from_model(const_params, const_lifetime, 0.2)
+    k = KernelScalars.from_model(const_params, const_lifetime, 0.2, state=state)
+    assert k.c2 == bare.c2 * s**2
+    assert vertex_for_state(k) == vertex_for_state(replace(bare, c2=bare.c2 * s**2))
 
 
-def test_solve_thermal_vacuum_limit():
-    # coth -> 1 sends the thermal closure onto the vacuum sector
-    k = KernelScalars(gamma0=F(-1), a_bcs=F(1, 10), c2=F(1, 100))
-    assert solve_thermal(k, F(1)) == solve_fock_hierarchy(0, k)[0]
+def test_solve_thermal_vacuum_limit(const_params, const_lifetime):
+    # coth(30) is 1.0 in floats, so the kernel built for Thermal(60) is the
+    # bare kernel in every number and its vertex is the vacuum sector's
+    assert statistical_factor(Thermal(60.0), const_params.delta_c) == 1.0
+    bare = KernelScalars.from_model(const_params, const_lifetime, 0.2)
+    k = KernelScalars.from_model(const_params, const_lifetime, 0.2, state=Thermal(60.0))
+    assert replace(k, state=Vacuum()) == bare
+    assert vertex_for_state(k) == vertex_for_state(bare) == solve_fock_hierarchy(0, bare)[0]
 
 
 def test_solve_thermal_finite_on_grid(fl_params, fl_lifetime):
@@ -153,8 +169,8 @@ def test_solve_thermal_finite_on_grid(fl_params, fl_lifetime):
     tc = find_tc(fl_params, fl_lifetime, Thermal()).t_c
     vals = []
     for fac in (2.0, 3.0, 5.0, 8.0):
-        k = KernelScalars.from_model(fl_params, fl_lifetime, tc * fac)
-        vals.append(abs(solve_thermal(k, statistical_factor(Thermal(), k.delta_c, tc * fac))))
+        k = KernelScalars.from_model(fl_params, fl_lifetime, tc * fac, state=Thermal())
+        vals.append(abs(vertex_for_state(k)))
         assert math.isfinite(vals[-1])
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -184,7 +200,7 @@ def test_resummation_tail_warning():
 
 
 def test_divergence_order():
-    # Gamma^n (1 - m_vac)^(n+1) approaches w^n gamma0 as m_vac -> 1
+    # Gamma^n (1 - pole_mass)^(n+1) approaches w^n gamma0 as pole_mass -> 1
     c2 = F(1, 8)
     w = 8 * c2
     for n in (1, 2, 4):
@@ -199,28 +215,32 @@ def test_divergence_order():
         assert abs(float(vals[2] - target)) < abs(float(vals[0] - target))
 
 
-def test_vertex_for_state_dispatch():
+def test_vertex_for_state_dispatch(const_params, const_lifetime):
     h = solve_fock_hierarchy(4, K_REF)
-    assert vertex_for_state(Vacuum(), K_REF) == h[0]
-    assert vertex_for_state(Fock(3), K_REF) == h[3]
+    fock3 = replace(K_REF, state=Fock(3))
+    assert vertex_for_state(K_REF) == h[0]
+    assert vertex_for_state(fock3) == h[3]
     # point-mass weights keep exact kernels exact
-    assert isinstance(vertex_for_state(Vacuum(), K_REF), F)
-    assert isinstance(vertex_for_state(Fock(3), K_REF), F)
-    mix = DiagonalMixture({0: 0.5, 2: 0.5})
-    assert float(vertex_for_state(mix, K_REF)) == pytest.approx(
-        0.5 * float(h[0]) + 0.5 * float(h[2])
-    )
+    assert isinstance(vertex_for_state(K_REF), F)
+    assert isinstance(vertex_for_state(fock3), F)
+    mix = replace(K_REF, state=DiagonalMixture({0: 0.5, 2: 0.5}))
+    assert float(vertex_for_state(mix)) == pytest.approx(0.5 * float(h[0]) + 0.5 * float(h[2]))
+    # a thermal kernel reads the vacuum sector of its dressed kernel, exactly when lifted
+    th = KernelScalars.from_model(const_params, const_lifetime, 0.2, state=Thermal()).exact()
+    assert vertex_for_state(th) == solve_fock_hierarchy(0, th)[0]
+    assert isinstance(vertex_for_state(th), F)
 
 
 def test_vertex_for_state_thermal_fixed_beta():
-    k = KernelScalars(gamma0=-1.0, a_bcs=0.1, c2=0.01, delta_c=1.0)
-    beta = math.log(3.0)
-    got = vertex_for_state(Thermal(beta), k)
-    stat = 1.0 / math.tanh(beta / 2.0)
-    assert got == pytest.approx(-1.0 / (1 - 0.1 - 0.02 * stat**2))
-    # a kernel without delta_c has no statistical factor for any thermal state
-    with pytest.raises(ValueError):
-        vertex_for_state(Thermal(), KernelScalars(gamma0=-1.0, a_bcs=0.1, c2=0.01))
+    p = ModelParams(g0=1.0, delta_c=1.0, q0=0.0, e_f=100.0, k_f=1.0)
+    lt = ConstantLifetime(0.5)
+    state = Thermal(math.log(3.0))  # s = coth(beta * delta_c / 2) = 2
+    bare = KernelScalars.from_model(p, lt, 0.5)
+    k = KernelScalars.from_model(p, lt, 0.5, state=state)
+    assert state.weights == k.state.weights == {0: 1}
+    assert k.c2 == pytest.approx(bare.c2 * 2.0**2, rel=1e-15)
+    closed = bare.gamma0 / (1 - bare.a_bcs - 2 * bare.c2 * 2.0**2)
+    assert vertex_for_state(k) == pytest.approx(closed, rel=1e-14)
 
 
 # -- property tests ----------------------------------------------------------

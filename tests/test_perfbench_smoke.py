@@ -5,7 +5,9 @@ module and configs; this keeps a change to either from breaking it unseen.
 ``exponents-sweep`` also takes vacuum, number, equilibrium and fixed-beta
 thermal states and mixtures through the root search against the references
 in ``perfbench/refs.py``; ``oracle-exact`` drives the series oracle, the
-3-sector solve, the thermal resummation and ``verify``.
+3-sector solve, the thermal resummation and ``verify``; ``cli-cold`` runs
+every subcommand, ``verify --inject-fault`` included, in fresh CLI processes
+and checks ``scan``'s ``m_th`` rows against the reference thermal mass.
 """
 
 import json
@@ -18,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["tc-sweep", "exponents-sweep", "oracle-exact"])
+@pytest.mark.parametrize("workload", ["tc-sweep", "exponents-sweep", "oracle-exact", "cli-cold"])
 def test_workload_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,

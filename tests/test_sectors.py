@@ -63,7 +63,7 @@ def test_physical_build_matches_closed_form_at_origin():
     lt = ConstantLifetime(1e-3)
     kernel = KernelScalars.from_model(P, lt, T_CHECK)
     sol = sec.solve_sector_system(sec.build_sector_system(kernel))
-    closed = float(kernel.gamma0) / (1.0 - float(kernel.m_vac))
+    closed = float(kernel.gamma0) / (1.0 - float(kernel.pole_mass))
     assert abs(float(sol(0)) / closed - 1.0) < 1e-12
 
 
