@@ -49,8 +49,10 @@ class ConfigError(ValueError):
     pass
 
 
-# the model the quadrature checks of ``verify`` run on, whatever the config says
+# the model and point the quadrature checks of ``verify`` run at, whatever the config says
 _VERIFY_PARAMS = ModelParams(g0=1.0, delta_c=1.0, q0=0.0, e_f=100.0, k_f=1.0)
+_VERIFY_DCTAU = 1e3
+_VERIFY_T_OVER_DELTA = 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +79,6 @@ class RunConfig:
     anisotropy: float = 1.0
     fock_form: str = "reduced"
     xi_reduced_t: float = 1e-4
-    verify_dctau: float = 1e3
-    verify_t_over_delta: float = 0.4
     out_format: str = "csv"
     physical_units: bool = False
 
@@ -98,8 +98,6 @@ class RunConfig:
         "fit.anisotropy": "anisotropy",
         "fit.fock_form": "fock_form",
         "fit.xi_reduced_t": "xi_reduced_t",
-        "verify.dctau": "verify_dctau",
-        "verify.t_over_delta": "verify_t_over_delta",
         "out.format": "out_format",
         "out.physical_units": "physical_units",
     }
@@ -210,11 +208,6 @@ def _convert(attr: str, val):
     # xi and vertex rows sit at T = T_c (1 + xi_reduced_t), which must be above T_c
     if attr in ("anisotropy", "xi_reduced_t") and not num > 0:
         raise ConfigError(f"{attr}: need > 0, got {val!r}")
-    # verify integrates at lifetime rate 1/dctau and temperature t_over_delta * delta_c
-    if attr == "verify_dctau" and not (num > 0 and 1.0 / num < math.inf):
-        raise ConfigError(f"{attr}: need dctau > 0 with 1/dctau finite, got {val!r}")
-    if attr == "verify_t_over_delta" and not 0 < num * _VERIFY_PARAMS.delta_c < math.inf:
-        raise ConfigError(f"{attr}: need t_over_delta * delta_c finite and > 0, got {val!r}")
     return num
 
 
@@ -390,26 +383,36 @@ def _length_scale(cfg: RunConfig) -> float:
     return 1.0 if cfg.physical_units else math.sqrt(cfg.delta_c)
 
 
-def cmd_tc(cfg: RunConfig) -> ResultTable:
+def _root_state(state):
+    """A thermal state orders at the root of its dressed kernel, every other at the vacuum one."""
+    return state if isinstance(state, Thermal) else Vacuum()
+
+
+def _criticalities(cfg: RunConfig, states) -> list[critical.Criticality]:
+    """One ``Criticality`` per state, with one root search per distinct pole mass."""
     p, lt = cfg.params(), cfg.lifetime_model()
+    roots = {root: critical.criticality(root, p, lt, cfg.convention)
+             for root in dict.fromkeys(map(_root_state, states))}
+    return [replace(roots[_root_state(state)], state=state) for state in states]
+
+
+def cmd_tc(cfg: RunConfig) -> ResultTable:
     table = ResultTable()
     unit = _scale(cfg)
-    for state in cfg.state_objects():
-        point = critical.criticality(state, p, lt, cfg.convention).point
-        # a thermal root is that of its dressed kernel; every other state's is the vacuum one
-        mode = "thermal" if isinstance(state, Thermal) else "vacuum"
+    for crit in _criticalities(cfg, cfg.state_objects()):
+        mode = "vacuum" if _root_state(crit.state) == Vacuum() else "thermal"
         note = ""
         if mode == "vacuum":
             note = "vacuum-kernel root (occupation-independent)"
-        if point.n_brackets > 1:
+        if crit.point.n_brackets > 1:
             note = (note + "; " if note else "") + (
-                f"{point.n_brackets} crossings, refined largest downward"
+                f"{crit.point.n_brackets} crossings, refined largest downward"
             )
         table.add(
-            state=state_label(state),
+            state=state_label(crit.state),
             quantity="t_c",
-            value=point.t_c / unit,
-            uncertainty=point.residual,
+            value=crit.point.t_c / unit,
+            uncertainty=crit.point.residual,
             provenance=f"critical.find_tc[{mode}]",
             note=note,
         )
@@ -434,12 +437,12 @@ def _exponent_rows(args):
             f = fit()
         except critical.FitRejected as exc:
             rows.append(Row(
-                state=tok, quantity=quantity, value=float("nan"),
+                state=state_label(crit.state), quantity=quantity, value=float("nan"),
                 provenance=provenance, note=f"REJECTED: {exc}",
             ))
             continue
         rows.append(Row(
-            state=tok, quantity=quantity, value=f.exponent,
+            state=state_label(crit.state), quantity=quantity, value=f.exponent,
             uncertainty=f.residual_max, window_lo=f.window[0], window_hi=f.window[1],
             r_squared=f.r_squared, provenance=provenance,
         ))
@@ -462,21 +465,19 @@ def cmd_exponents(cfg: RunConfig, jobs: int = 1) -> ResultTable:
 
 
 def cmd_xi(cfg: RunConfig) -> ResultTable:
-    p, lt = cfg.params(), cfg.lifetime_model()
     table = ResultTable()
     unit = _length_scale(cfg)
     t_red = cfg.xi_reduced_t
 
-    def xi_of(state):
-        crit = critical.criticality(state, p, lt, cfg.convention)
+    def xi_of(crit):
         return critical.correlation_function(
             crit, crit.point.t_c * (1.0 + t_red),
             anisotropy=cfg.anisotropy, fock_form=cfg.fock_form,
         )
 
-    base = xi_of(Vacuum())
-    for state in cfg.state_objects():
-        prof = xi_of(state)
+    states = cfg.state_objects()
+    base, *profs = map(xi_of, _criticalities(cfg, [Vacuum(), *states]))
+    for state, prof in zip(states, profs):
         table.add(
             state=state_label(state), quantity="xi", value=prof.xi * unit,
             window_lo=prof.fit_window[0] * unit, window_hi=prof.fit_window[1] * unit,
@@ -498,9 +499,8 @@ def cmd_vertex(cfg: RunConfig) -> ResultTable:
     table = ResultTable()
     unit = _scale(cfg)
     t_red = cfg.xi_reduced_t
-    for state in cfg.state_objects():
-        crit = critical.criticality(state, p, lt, cfg.convention)
-        T = crit.point.t_c * (1.0 + t_red)
+    for crit in _criticalities(cfg, cfg.state_objects()):
+        state, T = crit.state, crit.point.t_c * (1.0 + t_red)
         k = KernelScalars.from_model(p, lt, T, cfg.convention, state)
         table.add(
             state=state_label(state), quantity="gamma_on_shell",
@@ -614,19 +614,13 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
            "linear solve == closed form; series == hierarchy (exact)")
 
     p = _VERIFY_PARAMS
-    lt = ConstantLifetime(1.0 / cfg.verify_dctau)
-    T = cfg.verify_t_over_delta * p.delta_c
-    try:
-        qr = sectors.bcs_kernel_quadrature(p, lt, T)
-    except sectors.QuadratureError as exc:
-        raise sectors.QuadratureError(
-            f"bcs_quadrature at verify.dctau = {cfg.verify_dctau:g}, "
-            f"verify.t_over_delta = {cfg.verify_t_over_delta:g}: {exc}"
-        ) from exc
+    lt = ConstantLifetime(1.0 / _VERIFY_DCTAU)
+    T = _VERIFY_T_OVER_DELTA * p.delta_c
+    qr = sectors.bcs_kernel_quadrature(p, lt, T)
     record(
         "bcs_quadrature",
         abs(qr.value.real - 1.0) < 1e-3,
-        f"ratio-1 = {qr.value.real - 1.0:.3e} at dc*tau={cfg.verify_dctau:g}, "
+        f"ratio-1 = {qr.value.real - 1.0:.3e} at dc*tau={_VERIFY_DCTAU:g}, "
         f"{qr.evaluations} evaluations",
     )
 
@@ -634,7 +628,7 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     record(
         "offshell_cancellation",
         off.ratio < 1e-2,
-        f"|sum|/|leading| = {off.ratio:.3e} at dc*tau={cfg.verify_dctau:g}",
+        f"|sum|/|leading| = {off.ratio:.3e} at dc*tau={_VERIFY_DCTAU:g}",
     )
 
     # closed-form correlations vs the independent contour quadrature on the

@@ -183,6 +183,12 @@ def bcs_kernel_quadrature(
     the retarded and advanced assignments).  Returns the ratio of the
     quadrature to the analytic kernel value -D(0)/(2T); the ratio tends to 1
     as delta_c * tau grows, with corrections of first order in its inverse.
+
+    Measured at delta_c = 1: the ratio is within 1e-3 of 1, and that of
+    ``offshell_bcs_cancellation`` below 1e-2, for 1e2 <= delta_c * tau <= 2e8
+    with delta_c * tau * T / delta_c >= 600 and T / delta_c below about 0.96
+    delta_c * tau, above which the tail estimate exceeds tolerance and
+    ``QuadratureError`` is raised; at delta_c * tau >= 3e8 it is off by -1.02e-2.
     """
     dc = p.delta_c
     rate = tau_inv(lt, p, temperature)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavitypairing import cli
+from cavitypairing import cli, critical
 from cavitypairing.cli import ConfigError, RunConfig, parse_state, state_label
 from cavitypairing.model import DiagonalMixture, Fock, Thermal, Vacuum
 
@@ -158,12 +158,19 @@ def test_main_rejects_non_positive_anisotropy(tmp_path, capsys):
 
 
 def test_main_rejects_removed_quad_rel_tol_key(tmp_path, capsys):
+    # removed keys, including the former verify quadrature point, are unknown keys
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("quad.rel_tol = 1e-15\n")
-    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "xi"]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "unknown config key 'quad.rel_tol'" in err
-    assert "Traceback" not in err
+    for key, val, command in (
+        ("quad.rel_tol", "1e-15", "xi"),
+        ("verify.dctau", "3e8", "verify"),
+        ("verify.t_over_delta", "963", "verify"),
+    ):
+        cfg.write_text(f"{key} = {val}\n")
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path), command])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown config key {key!r}")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("line, command", [
@@ -176,6 +183,7 @@ def test_main_rejects_removed_quad_rel_tol_key(tmp_path, capsys):
     ("model.e_f = nan", "tc"),
     ("model.delta_c = inf", "tc"),
     ("model.lifetime = constant:nan", "tc"),
+    # keys that no longer exist: rejected as unknown, still exit 2
     ("verify.dctau = -1", "verify"),
     ("verify.dctau = 1e-320", "verify"),
     ("verify.t_over_delta = 0", "verify"),
@@ -195,16 +203,7 @@ def test_main_rejects_out_of_range_config(tmp_path, capsys, line, command):
                                                "delta_c * tau = 1e+300"),
     ("states.list = thermal:beta=1e-300", "tc", "statistical factor s = coth(beta * delta_c / 2) "
                                                 "= 2e+300"),
-    ("verify.dctau = 1e-300", "verify", "(w - eps)**2 + rate**2 leaves the float range: "
-                                        "lifetime rate 1/tau = 1e+300 (delta_c * tau = 1e-300)"),
-    ("verify.dctau = 1e300", "verify", "(w - eps)**2 + rate**2 leaves the float range: "
-                                       "lifetime rate 1/tau = 1e-300 (delta_c * tau = 1e+300)"),
-    ("verify.t_over_delta = 1e-320", "verify", "tan(rate / 2T): rate / 2T overflows at "
-                                               "delta_c * tau = 1000, T / delta_c = 9.99989e-321"),
-    ("verify.dctau = 1e-10", "verify", "bcs_quadrature at verify.dctau = 1e-10, "
-                                       "verify.t_over_delta = 0.4: error estimate"),
-], ids=["lifetime", "thermal-beta", "verify-dctau-small", "verify-dctau-large",
-        "verify-t-over-delta-small", "verify-quadrature-tolerance"])
+], ids=["lifetime", "thermal-beta"])
 def test_overflow_names_quantity_and_input(tmp_path, capsys, line, command, named):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(line + "\n")
@@ -265,6 +264,45 @@ def test_main_xi_ratios(tmp_path):
     }
     assert ratios["vacuum"] == pytest.approx(1.0, abs=1e-12)
     assert ratios["fock:3"] == pytest.approx(2.0, rel=0.02)
+
+
+# vacuum, number states and mixtures share the vacuum root; each thermal state has its own
+ROOT_STATES = ("vacuum", "fock:1", "fock:3", "mix:{0:0.5,3:0.5}", "thermal", "thermal:beta=2.0")
+
+
+def _reference_cfg(states) -> RunConfig:
+    text = (Path(__file__).resolve().parents[1] / "configs" / "reference.cfg").read_text()
+    return replace(RunConfig.parse(text), states=states)
+
+
+def test_each_command_solves_each_pole_mass_once(monkeypatch):
+    calls = []
+    find_tc = critical.find_tc
+    monkeypatch.setattr(critical, "find_tc", lambda *a, **kw: calls.append(a) or find_tc(*a, **kw))
+    cfg = _reference_cfg(ROOT_STATES)
+    cli.cmd_tc(cfg)
+    assert len(calls) == 3
+    cli.cmd_tc(cfg)  # no cache outlives a command call
+    assert len(calls) == 6
+    calls.clear()
+    cli.cmd_vertex(cfg)
+    assert len(calls) == 3
+    calls.clear()
+    cli.cmd_xi(replace(cfg, states=("vacuum", "fock:3")))  # the vacuum base shares the root
+    assert len(calls) == 1
+
+
+def test_commands_label_states_alike(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(_reference_cfg(ROOT_STATES).emit())
+    labels = {}
+    for command in ("tc", "exponents", "xi", "vertex"):
+        out = tmp_path / command
+        assert cli.main(["--config", str(cfg), "--out", str(out), command]) == cli.EXIT_OK
+        rows = csv.DictReader(io.StringIO((out / f"{command}.csv").read_text()))
+        labels[command] = {r["state"] for r in rows}
+    assert "thermal:beta=2" in labels["tc"]
+    assert labels["tc"] == labels["exponents"] == labels["xi"] == labels["vertex"]
 
 
 def test_main_exponents(tmp_path):

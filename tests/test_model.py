@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,17 @@ def test_gk_imaginary_and_odd():
         z = fermion_gk(P.k_f, w, P, LT, 0.7)
         assert z.real == 0.0
         assert fermion_gk(P.k_f, -w, P, LT, 0.7) == pytest.approx(-z)
+
+
+@pytest.mark.parametrize("rate, named", [
+    (1e300, "lifetime rate 1/tau = 1e+300 (delta_c * tau = 1e-300)"),
+    (1e-300, "lifetime rate 1/tau = 1e-300 (delta_c * tau = 1e+300)"),
+], ids=["rate-large", "rate-small"])
+def test_gk_out_of_float_range_names_rate_and_dctau(rate, named):
+    # on the fermion pole w = eps the denominator is rate**2, which over- or underflows
+    k = P.k_f
+    with pytest.raises(ArithmeticError, match=re.escape(named)):
+        fermion_gk(k, P.eps(k), P, ConstantLifetime(rate), 0.4)
 
 
 def test_fermi_liquid_domain_error():

@@ -15,7 +15,7 @@ from cavitypairing import cli
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_binds_and_counts_one_root_search_per_criticality(monkeypatch):
+def test_tracer_binds_and_counts_one_root_search_per_pole_mass(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracer
 
@@ -29,7 +29,7 @@ def test_tracer_binds_and_counts_one_root_search_per_criticality(monkeypatch):
     finally:
         tr.uninstall()
     spans = tr.stats()["spans"]
-    # one Criticality for exponents, one each for xi's vacuum base and the state
-    assert 1 <= spans["critical.find_tc"]["calls"] <= 3
-    assert 1 <= spans["critical.mass_slope"]["calls"] <= 3
+    # one root search for exponents, one that xi's vacuum base shares with fock:3
+    assert spans["critical.find_tc"]["calls"] == 2
+    assert spans["critical.mass_slope"]["calls"] == 2
     assert spans["cli.cmd_exponents"]["calls"] == spans["cli.cmd_xi"]["calls"] == 1

@@ -107,6 +107,17 @@ def test_bcs_quadrature_kernel_vanishes_at_high_temperature():
     assert abs(vals[1] / vals[0] - 0.1) < 0.02
 
 
+def test_bcs_quadrature_misses_tolerance_at_short_lifetime():
+    with pytest.raises(sec.QuadratureError, match=r"error estimate \S+ above tolerance"):
+        sec.bcs_kernel_quadrature(P, ConstantLifetime(1e10), T_CHECK)  # dc * tau = 1e-10
+
+
+def test_offshell_cancellation_names_inputs_when_rate_over_2t_overflows():
+    with pytest.raises(ArithmeticError, match=r"rate / 2T overflows at delta_c \* tau = 1000, "
+                                              r"T / delta_c = 9\.99989e-321"):
+        sec.offshell_bcs_cancellation(P, ConstantLifetime(1e-3), 1e-320)
+
+
 def test_offshell_cancellation_small_and_structured():
     lt = ConstantLifetime(1e-3)
     rep = sec.offshell_bcs_cancellation(P, lt, T_CHECK)
