@@ -19,6 +19,7 @@ import random
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +195,7 @@ def _convert(attr: str, val):
     if attr in ("lifetime", "convention", "fock_form", "out_format"):
         if attr == "convention" and val not in CONVENTIONS:
             raise ConfigError(f"unknown convention {val!r}")
-        if attr == "out_format" and val not in ("csv", "json", "plot-script"):
+        if attr == "out_format" and val not in ("csv", "json"):
             raise ConfigError(f"unknown output format {val!r}")
         if attr == "fock_form" and val not in ("reduced", "power"):
             raise ConfigError(f"unknown fock_form {val!r}")
@@ -340,7 +341,7 @@ def _csv_quote(cell: str) -> str:
 
 
 def emit(table: ResultTable, fmt: str, out_dir: Path, stem: str) -> list[Path]:
-    """Write the table; plot-script emits the CSV plus a command file."""
+    """Write the table as ``<stem>.csv`` or ``<stem>.json``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if fmt == "csv":
@@ -351,19 +352,6 @@ def emit(table: ResultTable, fmt: str, out_dir: Path, stem: str) -> list[Path]:
         path = out_dir / f"{stem}.json"
         path.write_text(table.to_json(), encoding="utf-8")
         written.append(path)
-    elif fmt == "plot-script":
-        csv_path = out_dir / f"{stem}.csv"
-        csv_path.write_text(table.to_csv(), encoding="utf-8")
-        written.append(csv_path)
-        quantities = sorted({r.quantity for r in table.rows})
-        lines = [f"# plot commands for {csv_path.name}", "set datafile separator ','"]
-        for q in quantities:
-            lines.append(
-                f"plot '{csv_path.name}' using 1:3 with points title '{q}'"
-            )
-        script = out_dir / f"{stem}.plot"
-        script.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(script)
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     return written
@@ -419,10 +407,7 @@ def cmd_tc(cfg: RunConfig) -> ResultTable:
     return table
 
 
-def _exponent_rows(args):
-    cfg, tok = args
-    p, lt = cfg.params(), cfg.lifetime_model()
-    crit = critical.criticality(parse_state(tok), p, lt, cfg.convention)
+def _exponent_rows(cfg: RunConfig, crit: critical.Criticality) -> list[Row]:
     fits = (
         ("gamma", lambda: critical.fit_gamma(crit, cfg.gamma_window, cfg.gamma_points)),
         ("nu", lambda: critical.fit_nu(
@@ -451,16 +436,17 @@ def _exponent_rows(args):
 
 def cmd_exponents(cfg: RunConfig, jobs: int = 1) -> ResultTable:
     table = ResultTable()
-    tasks = [(cfg, tok) for tok in cfg.states]
+    crits = _criticalities(cfg, cfg.state_objects())
+    rows_of = partial(_exponent_rows, cfg)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off the cold start
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rows in pool.map(_exponent_rows, tasks):
+            for rows in pool.map(rows_of, crits):
                 table.rows.extend(rows)
     else:
-        for t in tasks:
-            table.rows.extend(_exponent_rows(t))
+        for crit in crits:
+            table.rows.extend(rows_of(crit))
     return table
 
 
@@ -667,7 +653,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", type=Path, help="config file (key=value text or JSON)")
     ap.add_argument("--convention", choices=sorted(CONVENTIONS), help="kernel convention override")
     ap.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    ap.add_argument("--format", choices=("csv", "json", "plot-script"), help="output format override")
+    ap.add_argument("--format", choices=("csv", "json"), help="output format override")
     ap.add_argument("--strict", action="store_true", help="fail on rejected fits")
     ap.add_argument("--jobs", type=int, default=1, help="worker processes for exponents")
     sub = ap.add_subparsers(dest="command", required=True)

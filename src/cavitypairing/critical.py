@@ -144,6 +144,8 @@ class Criticality:
 SCAN_RANGE = (1e-8, 0.99)
 N_SCAN = 512
 RTOL = 1e-12
+# Central-difference step of ``mass_slope``, relative to T_c.
+SLOPE_STEP = 1e-6
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -215,14 +217,13 @@ def mass_slope(
     convention: str = "canonical",
     *,
     tc: float,
-    h_rel: float = 1e-6,
 ) -> float:
     """m = -dM/dT at T_c, Richardson-extrapolated central difference.
 
     The linear Taylor term then reads 1 - M(T) ~ m (T - T_c) with m > 0.
     """
     f = lambda T: kernel_mass(p, lt, T, state, convention)
-    h = h_rel * tc
+    h = SLOPE_STEP * tc
     d1 = (f(tc + h) - f(tc - h)) / (2 * h)
     d2 = (f(tc + h / 2) - f(tc - h / 2)) / h
     m = -(4 * d2 - d1) / 3
@@ -469,7 +470,6 @@ def correlation_quadrature(
 def correlation_function(
     crit: Criticality,
     T: float,
-    r_grid: Sequence[float] | None = None,
     anisotropy: float = 1.0,
     fock_form: str = "reduced",
 ) -> CorrelationProfile:
@@ -479,11 +479,11 @@ def correlation_function(
     the distinguished axis, normalised with |gamma0| so the profile is
     positive, summed over the closed-form transforms of its Lorentzian terms.
     xi comes from a log-linear fit of the tail over r in [3 xi_est, 10 xi_est]
-    with one re-estimation pass; a given ``r_grid`` is fitted as it is.  For
-    number states the default ``fock_form="reduced"`` fits the leading-pole
-    form whose mass is reduced by n+1, the form whose decay sets the physical
-    correlation length; ``"power"`` transforms the full (n+1)-order pole
-    instead.
+    with one re-estimation pass, and the profile holds that 20-point grid.
+    For number states the default ``fock_form="reduced"`` fits the
+    leading-pole form whose mass is reduced by n+1, the form whose decay sets
+    the physical correlation length; ``"power"`` transforms the full
+    (n+1)-order pole instead.
     """
     terms = _vertex_terms(
         crit, T, abs(ladder.bare_vertex(crit.params)), anisotropy, fock_form
@@ -499,13 +499,9 @@ def correlation_function(
         slope, r2, _ = _line_fit(grid, np.log(values))
         return values, -1.0 / slope, r2
 
-    external_grid = r_grid is not None
-    if external_grid:
-        grid = np.asarray(r_grid, dtype=float)
-    else:
-        grid = np.geomspace(3.0 * xi_est, 10.0 * xi_est, 20)
+    grid = np.geomspace(3.0 * xi_est, 10.0 * xi_est, 20)
     values, xi, r2 = fit(grid)
-    if not external_grid and xi > 0:
+    if xi > 0:
         grid = np.geomspace(3.0 * xi, 10.0 * xi, 20)
         values, xi, r2 = fit(grid)
     if xi <= 0:

@@ -257,12 +257,9 @@ class ResummationReport:
     residual: float
     n_used: int
     tail: float
-    warned: bool
 
 
-def thermal_resummation_check(
-    kernel: KernelScalars, x: Number, n_max: int | None = None
-) -> ResummationReport:
+def thermal_resummation_check(kernel: KernelScalars, x: Number) -> ResummationReport:
     """Check that the Boltzmann-weighted sector sum closes onto the dressed kernel.
 
     ``x`` is the Boltzmann ratio exp(-beta * delta_c) of the photon mode.
@@ -270,18 +267,16 @@ def thermal_resummation_check(
     against gamma0 / (1 - a_bcs - 2*c2*s**2) with s = (1+x)/(1-x), written
     out here rather than taken from a thermal kernel; both sides are built
     from the same recursion coefficients, so the residual isolates the
-    rearrangement algebra plus the truncation tail.  A tail with x**N >=
-    1e-12 triggers a warning flag, not a failure.
+    rearrangement algebra plus the truncation tail.  N is the least order
+    with x**N < 1e-12 (0 for x = 0), capped at 512; ``tail`` reports x**N.
     """
     if not 0 <= x < 1:
         raise ValueError("need 0 <= x < 1")
     k = kernel.exact()
     xe = _exact(x)
-    if n_max is None:
-        n_max = 0
-        if xe > 0:
-            while xe**n_max >= Fraction(1, 10**12) and n_max < 512:
-                n_max += 1
+    n_max = 0
+    while xe > 0 and xe**n_max >= Fraction(1, 10**12) and n_max < 512:
+        n_max += 1
     hier = solve_fock_hierarchy(n_max, k)
     partial = (1 - xe) * sum(
         (xe**m * hier[m] for m in range(n_max + 1)), Fraction(0)
@@ -289,9 +284,7 @@ def thermal_resummation_check(
     s = (1 + xe) / (1 - xe)
     closed = k.gamma0 / (1 - k.a_bcs - 2 * k.c2 * s**2)
     residual = abs(float(partial - closed))
-    tail = float(xe**n_max)
-    warned = xe > 0 and tail >= 1e-12
-    return ResummationReport(residual, n_max, tail, warned)
+    return ResummationReport(residual, n_max, float(xe**n_max))
 
 
 def vertex_for_state(kernel: KernelScalars):

@@ -222,10 +222,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return _pis_zero(self.num)
 
-    @property
-    def den_degree(self) -> int:
-        return len(self.den) - 1
-
     def __call__(self, x: RationalLike) -> Fraction:
         xf = _coeff(x)
         d = _peval(self.den, xf)

@@ -109,15 +109,6 @@ def test_json_has_schema_version(tmp_path):
     assert len(payload["rows"]) == 2
 
 
-def test_plot_script_references_same_run_files(tmp_path):
-    table = _small_table()
-    written = cli.emit(table, "plot-script", tmp_path, "tc")
-    names = {p.name for p in written}
-    script = (tmp_path / "tc.plot").read_text()
-    referenced = {tok.strip("'") for tok in script.split() if tok.endswith(".csv'")}
-    assert referenced <= names
-
-
 def test_emit_determinism(tmp_path):
     cfg = RunConfig()
     a = cli.cmd_tc(cfg).to_csv()
@@ -183,6 +174,7 @@ def test_main_rejects_removed_quad_rel_tol_key(tmp_path, capsys):
     ("model.e_f = nan", "tc"),
     ("model.delta_c = inf", "tc"),
     ("model.lifetime = constant:nan", "tc"),
+    ("out.format = plot-script", "tc"),
     # keys that no longer exist: rejected as unknown, still exit 2
     ("verify.dctau = -1", "verify"),
     ("verify.dctau = 1e-320", "verify"),
@@ -290,6 +282,12 @@ def test_each_command_solves_each_pole_mass_once(monkeypatch):
     calls.clear()
     cli.cmd_xi(replace(cfg, states=("vacuum", "fock:3")))  # the vacuum base shares the root
     assert len(calls) == 1
+    calls.clear()
+    exp_cfg = replace(cfg, states=("vacuum", "fock:3", "thermal"))
+    cli.cmd_exponents(exp_cfg)
+    assert len(calls) == 2
+    cli.cmd_exponents(exp_cfg)
+    assert len(calls) == 4
 
 
 def test_commands_label_states_alike(tmp_path):

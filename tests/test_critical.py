@@ -114,12 +114,12 @@ def test_mass_slope_vs_analytic_derivative(const_params, const_lifetime):
     assert m == pytest.approx(0.02 / crit.t_c**2, rel=1e-8)
 
 
-def test_mass_slope_richardson_stable(fl_params, fl_lifetime):
+def test_mass_slope_richardson_stable(fl_params, fl_lifetime, monkeypatch):
     crit = cr.find_tc(fl_params, fl_lifetime, Vacuum())
-    slopes = [
-        cr.mass_slope(fl_params, fl_lifetime, Vacuum(), tc=crit.t_c, h_rel=h)
-        for h in (1e-5, 1e-6, 1e-7)
-    ]
+    slopes = []
+    for h in (1e-5, 1e-6, 1e-7):
+        monkeypatch.setattr(cr, "SLOPE_STEP", h)
+        slopes.append(cr.mass_slope(fl_params, fl_lifetime, Vacuum(), tc=crit.t_c))
     ref = slopes[1]
     assert all(abs(s / ref - 1) < 1e-6 for s in slopes)
 
@@ -245,10 +245,8 @@ def test_correlation_closed_form_matches_quadrature(const_params, const_lifetime
     crit = cr.criticality(Fock(n), const_params, const_lifetime)
     T = crit.point.t_c * (1 + 1e-4)
     kw = dict(anisotropy=anisotropy, fock_form="power")
-    xi = cr.correlation_function(crit, T, **kw).xi
-    rs = np.geomspace(xi, 10.0 * xi, 9)
-    prof = cr.correlation_function(crit, T, r_grid=rs, **kw)
-    ref = cr.correlation_quadrature(crit, T, rs, **kw)
+    prof = cr.correlation_function(crit, T, **kw)  # its own 20-point grid on [3 xi, 10 xi]
+    ref = cr.correlation_quadrature(crit, T, prof.r_grid, **kw)
     assert np.max(np.abs(np.asarray(prof.values) / ref - 1.0)) < 1e-8
 
 

@@ -190,13 +190,6 @@ def test_resummation_converged():
     rep = thermal_resummation_check(k, F(1, 3))
     assert rep.residual < 1e-8
     assert rep.tail < 1e-12
-    assert not rep.warned
-
-
-def test_resummation_tail_warning():
-    k = KernelScalars(gamma0=F(-1), a_bcs=F(1, 10), c2=F(1, 100))
-    rep = thermal_resummation_check(k, F(1, 3), n_max=5)
-    assert rep.warned
 
 
 def test_divergence_order():

@@ -48,7 +48,7 @@ def test_solution_series_matches_hierarchy():
 
 def test_solution_denominator_degree():
     sol = sec.solve_sector_system(sec.build_sector_system(K_EXACT))
-    assert sol.den_degree <= 2
+    assert len(sol.den) - 1 <= 2
 
 
 def test_zero_keldysh_removes_state_dependence():
