@@ -512,14 +512,13 @@ def cmd_scan(cfg: RunConfig) -> ResultTable:
     p, lt = cfg.params(), cfg.lifetime_model()
     table = ResultTable()
     unit = _scale(cfg)
-    ts = np.geomspace(1e-4 * p.e_f, 0.5 * p.e_f, _SCAN_POINTS)
-    for T in ts:
-        vac = KernelScalars.from_model(p, lt, float(T), cfg.convention)
-        th = KernelScalars.from_model(p, lt, float(T), cfg.convention, Thermal())
+    m_vac = ladder.mass_curve(p, lt, cfg.convention)
+    m_th = ladder.mass_curve(p, lt, cfg.convention, Thermal())
+    for T in np.geomspace(1e-4 * p.e_f, 0.5 * p.e_f, _SCAN_POINTS).tolist():
         note = f"T={_fmt(T / unit)}"
-        table.add(state="-", quantity="m_vac", value=float(vac.pole_mass),
+        table.add(state="-", quantity="m_vac", value=m_vac(T),
                   provenance="ladder.KernelScalars", note=note)
-        table.add(state="-", quantity="m_th", value=float(th.pole_mass),
+        table.add(state="-", quantity="m_th", value=m_th(T),
                   provenance="ladder.KernelScalars", note=note)
     return table
 

@@ -31,12 +31,15 @@ evaluated with ``scipy.special.kv`` over the whole r grid at once.
 in P_x, adaptive quadrature in P_y) as the reference that ``verify`` checks
 the closed form against.
 
-``kernel_mass``, ``find_tc`` and ``mass_slope`` take the photon state, build
-the kernel for it and read its ``pole_mass``; nothing here branches on the
-kind of state.  ``criticality`` returns a frozen
-``Criticality`` holding the state, the model, the root and the mass slope,
-computed once; the fits, the correlation functions and the momentum-resolved
-vertex all take it instead of re-deriving T_c and m.
+``find_tc`` and ``mass_slope`` take the photon state and read its pole-mass
+curve ``ladder.mass_curve``, which shares ``KernelScalars.from_model``'s one
+dressing but builds no kernel per temperature; nothing here branches on the
+kind of state.  The scan and the bisection run on Python floats, so T_c is
+one, and the vertex terms guard the powers that leave the float range
+(``_over_power``) instead of leaning on numpy scalars.  ``criticality``
+returns a frozen ``Criticality`` holding the state, the model, the root and
+the mass slope, computed once; the fits, the correlation functions and the
+momentum-resolved vertex all take it instead of re-deriving T_c and m.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ __all__ = [
     "fit_gamma",
     "fit_nu",
     "fitted_pole_location",
-    "kernel_mass",
     "mass_slope",
     "vertex_P",
 ]
@@ -163,17 +165,6 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def kernel_mass(
-    p: ModelParams,
-    lt: LifetimeModel,
-    temperature: float,
-    state: InitialPhotonState,
-    convention: str = "canonical",
-) -> float:
-    """Pole mass M(T) of the kernel built for the photon state."""
-    return float(KernelScalars.from_model(p, lt, temperature, convention, state).pole_mass)
-
-
 def find_tc(
     p: ModelParams,
     lt: LifetimeModel,
@@ -191,9 +182,10 @@ def find_tc(
     ``CriticalPoint.n_brackets`` counts them.
     """
     lo_f, hi_f = SCAN_RANGE
-    ts = np.geomspace(lo_f * p.e_f, hi_f * p.e_f, N_SCAN)
-    f = lambda T: kernel_mass(p, lt, T, state, convention) - 1.0
-    vals = np.array([f(t) for t in ts])
+    ts = np.geomspace(lo_f * p.e_f, hi_f * p.e_f, N_SCAN).tolist()
+    mass = ladder.mass_curve(p, lt, convention, state)
+    f = lambda T: mass(T) - 1.0
+    vals = [f(t) for t in ts]
     brackets = [
         (ts[i], ts[i + 1], vals[i] > vals[i + 1])
         for i in range(N_SCAN - 1)
@@ -202,7 +194,7 @@ def find_tc(
     if not brackets:
         raise BracketError(
             f"M(T) - 1 has no sign change on [{ts[0]:.3e}, {ts[-1]:.3e}] ({state})",
-            scan_table=list(zip(ts.tolist(), (vals + 1.0).tolist())),
+            scan_table=[(t, v + 1.0) for t, v in zip(ts, vals)],
         )
     downward = [b for b in brackets if b[2]]
     lo, hi, _ = downward[-1] if downward else brackets[-1]
@@ -222,7 +214,7 @@ def mass_slope(
 
     The linear Taylor term then reads 1 - M(T) ~ m (T - T_c) with m > 0.
     """
-    f = lambda T: kernel_mass(p, lt, T, state, convention)
+    f = ladder.mass_curve(p, lt, convention, state)
     h = SLOPE_STEP * tc
     d1 = (f(tc + h) - f(tc - h)) / (2 * h)
     d2 = (f(tc + h / 2) - f(tc - h / 2)) / h
@@ -328,6 +320,20 @@ def fit_gamma(
 # momentum-resolved vertex and spatial correlations
 # ---------------------------------------------------------------------------
 
+def _over_power(num: float, base: float, order: int, factor: int = 1) -> float:
+    """num / (base**order * factor) with float64 limits on plain floats.
+
+    A power that underflows to 0 gives copysign(inf, num) and one past the
+    float range gives a signed zero, as numpy's float64 does, where Python
+    floats would raise ZeroDivisionError or OverflowError instead.
+    """
+    try:
+        den = base**order * factor
+    except OverflowError:
+        den = math.inf
+    return num / den if den else math.copysign(math.inf, num)
+
+
 @dataclass(frozen=True)
 class _LorentzianTerm:
     """One term amp / [c_par P_x^2 + c_perp P_y^2 + mass]^order."""
@@ -339,7 +345,9 @@ class _LorentzianTerm:
     order: int
 
     def value(self, px: float, py: float) -> float:
-        return self.amp / (self.c_par * px * px + self.c_perp * py * py + self.mass) ** self.order
+        return _over_power(
+            self.amp, self.c_par * px * px + self.c_perp * py * py + self.mass, self.order
+        )
 
 
 def _vertex_terms(
@@ -362,7 +370,7 @@ def _vertex_terms(
         if fock_form == "power":
             return _LorentzianTerm(weight * gamma0, c_par, c_perp, mass_gap, n + 1)
         if fock_form == "reduced":
-            amp = weight * gamma0 / (mass_gap**n * (n + 1))
+            amp = _over_power(weight * gamma0, mass_gap, n, n + 1)
             return _LorentzianTerm(amp, c_par, c_perp, mass_gap / (n + 1), 1)
         raise ValueError(f"unknown fock_form {fock_form!r}")
 
@@ -398,9 +406,15 @@ def _bessel_transform(term: _LorentzianTerm, r: np.ndarray) -> np.ndarray:
     nu = term.order - 1
     rs = r / math.sqrt(term.c_par)
     sm = math.sqrt(term.mass)
-    pref = term.amp / (
-        2.0 * math.pi * math.sqrt(term.c_par * term.c_perp) * math.factorial(nu)
-    )
+    try:
+        pref = term.amp / (
+            2.0 * math.pi * math.sqrt(term.c_par * term.c_perp) * math.factorial(nu)
+        )
+    except OverflowError:
+        raise QuadratureError(
+            f"closed-form transform of a pole of order {term.order} leaves the float "
+            f"range: ({nu})! exceeds the largest float"
+        ) from None
     return pref * (rs / (2.0 * sm)) ** nu * kv(nu, sm * rs)
 
 

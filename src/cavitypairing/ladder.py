@@ -17,12 +17,15 @@ Gamma(u)/(1-u).  Equivalently, the sector values obey the recursion
 with hierarchy coupling weight w = 8*c2 and pole mass M = a_bcs + 2*c2.  Both routes
 are implemented independently; ``oracle_check`` demands bit-exact agreement in
 rational arithmetic.  A thermal (Gaussian) photon state only renormalises the
-kernel: ``KernelScalars.from_model`` dresses c2 by s**2 at its statistical
-factor s = coth(beta*delta_c/2), and the vertex is then the vacuum sector of
-the dressed kernel, gamma0 / (1 - a_bcs - 2*c2*s**2).  Every other state
-averages the bare hierarchy over its Fock-sector weights.  ``from_model`` is
-the one place a photon state shapes a kernel; the kernel keeps the state so
-that ``pole_mass`` and ``vertex_for_state`` need no argument.
+kernel: ``kernel_terms`` dresses c2 by s**2 at its statistical factor
+s = coth(beta*delta_c/2), and the vertex is then the vacuum sector of the
+dressed kernel, gamma0 / (1 - a_bcs - 2*c2*s**2).  Every other state averages
+the bare hierarchy over its Fock-sector weights.  ``kernel_terms`` is the one
+place a photon state shapes a kernel: it returns the terms as a function of T
+on plain floats.  ``KernelScalars.from_model`` freezes them at one T, keeping
+the state so that ``pole_mass`` and ``vertex_for_state`` need no argument, and
+``mass_curve`` reads the pole mass off them without building a kernel, for the
+root searches that evaluate it hundreds of times.
 
 Published variants of the kernel normalisation differ by factors of two; they
 are exposed as a convention switch and rescale ``a_bcs``/``c2`` only.  No
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .model import (
     InitialPhotonState,
@@ -54,6 +57,8 @@ __all__ = [
     "ResummationReport",
     "bare_vertex",
     "intermediate_vertex_closed_form",
+    "kernel_terms",
+    "mass_curve",
     "oracle_check",
     "physical_vertex_series",
     "solve_fock_hierarchy",
@@ -91,6 +96,65 @@ def bare_vertex(p: ModelParams) -> float:
     return -p.g0**2 / (2.0 * p.delta_c)
 
 
+def _pole_mass(a_bcs: Number, c2: Number) -> Number:
+    return a_bcs + 2 * c2
+
+
+def kernel_terms(
+    p: ModelParams,
+    lt: LifetimeModel,
+    convention: str = "canonical",
+    state: InitialPhotonState = Vacuum(),
+) -> Callable[[float], tuple]:
+    """The photon state's kernel terms as a function T -> (a_bcs, c2, gtilde, dct).
+
+    The convention, gtilde, delta_c and whether the state is thermal are read
+    once; each call then costs a lifetime rate and a few float operations.  A
+    thermal state dresses c2 by s**2 at its statistical factor s; this is the
+    one place a photon state shapes a kernel.
+    """
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    fa, fc = CONVENTIONS[convention]
+    g, dc = p.gtilde, p.delta_c
+    thermal = isinstance(state, Thermal)
+
+    def terms(temperature: float) -> tuple:
+        if temperature <= 0:
+            raise ValueError("temperature must be > 0")
+        dct = dc / tau_inv(lt, p, temperature)
+        try:
+            c2 = fc * (g * dct) ** 2
+        except OverflowError as exc:
+            raise OverflowError(
+                f"resonant kernel c2 = (gtilde * delta_c * tau)**2 overflows: "
+                f"delta_c * tau = {dct:.6g} for lifetime {lt} at T = {temperature:.6g}"
+            ) from exc
+        if thermal:
+            s = statistical_factor(state, dc, temperature)
+            try:
+                c2 = c2 * s**2
+            except OverflowError as exc:
+                raise OverflowError(
+                    f"thermal kernel mass a_bcs + 2 c2 s**2 overflows: photon statistical "
+                    f"factor s = coth(beta * delta_c / 2) = {s:.6g} at T = {temperature}"
+                ) from exc
+        return fa * g * dc / temperature, c2, g, dct
+
+    return terms
+
+
+def mass_curve(
+    p: ModelParams,
+    lt: LifetimeModel,
+    convention: str = "canonical",
+    state: InitialPhotonState = Vacuum(),
+) -> Callable[[float], float]:
+    """T -> pole mass of the photon state's kernel, equal to ``from_model(...).pole_mass``."""
+    terms = kernel_terms(p, lt, convention, state)
+    return lambda temperature: _pole_mass(*terms(temperature)[:2])
+
+
 @dataclass(frozen=True)
 class KernelScalars:
     """Scalar kernels of the on-shell ladder at one temperature, for one photon state.
@@ -122,7 +186,7 @@ class KernelScalars:
     @property
     def pole_mass(self) -> Number:
         """Kernel mass a_bcs + 2*c2 whose crossing of 1 is the pole of the state's vertex."""
-        return self.a_bcs + 2 * self.c2
+        return _pole_mass(self.a_bcs, self.c2)
 
     @classmethod
     def from_model(
@@ -134,37 +198,7 @@ class KernelScalars:
         state: InitialPhotonState = Vacuum(),
     ) -> "KernelScalars":
         """Kernels at one temperature for the photon state: a thermal one dresses c2 by s**2."""
-        if temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        if convention not in CONVENTIONS:
-            raise ValueError(f"unknown convention {convention!r}")
-        fa, fc = CONVENTIONS[convention]
-        g = p.gtilde
-        dct = p.delta_c / tau_inv(lt, p, temperature)
-        try:
-            c2 = fc * (g * dct) ** 2
-        except OverflowError as exc:
-            raise OverflowError(
-                f"resonant kernel c2 = (gtilde * delta_c * tau)**2 overflows: "
-                f"delta_c * tau = {dct:.6g} for lifetime {lt} at T = {temperature:.6g}"
-            ) from exc
-        if isinstance(state, Thermal):
-            s = statistical_factor(state, p.delta_c, temperature)
-            try:
-                c2 = c2 * s**2
-            except OverflowError as exc:
-                raise OverflowError(
-                    f"thermal kernel mass a_bcs + 2 c2 s**2 overflows: photon statistical "
-                    f"factor s = coth(beta * delta_c / 2) = {s:.6g} at T = {temperature}"
-                ) from exc
-        return cls(
-            gamma0=bare_vertex(p),
-            a_bcs=fa * g * p.delta_c / temperature,
-            c2=c2,
-            gtilde=g,
-            dct=dct,
-            state=state,
-        )
+        return cls(bare_vertex(p), *kernel_terms(p, lt, convention, state)(temperature), state)
 
     def exact(self) -> "KernelScalars":
         """Lift every numeric field to exact rationals (floats are dyadic)."""

@@ -349,17 +349,31 @@ def test_overflowing_fits_are_rejected(tmp_path):
     assert cli.main(args + ["--strict", "exponents"]) == cli.EXIT_NUMERIC
 
 
-@pytest.mark.parametrize("command, row", [
-    ("vertex", "gamma_on_shell = -inf"),
-    ("xi", "xi = nan"),
+@pytest.mark.parametrize("command, row, fock_form", [
+    pytest.param("vertex", "gamma_on_shell = -inf", "reduced", id="vertex-gamma_on_shell = -inf"),
+    pytest.param("xi", "xi = nan", "reduced", id="xi-xi = nan"),
+    pytest.param("vertex", "gamma_on_shell = -inf", "power",
+                 id="vertex-gamma_on_shell = -inf-power"),
 ])
-def test_unflagged_non_finite_value_is_a_numerical_failure(tmp_path, capsys, command, row):
+def test_unflagged_non_finite_value_is_a_numerical_failure(tmp_path, capsys, command, row,
+                                                           fock_form):
     cfgf = tmp_path / "c.cfg"
-    cfgf.write_text("states.list = fock:200\n")
+    cfgf.write_text(f"states.list = fock:200\nfit.fock_form = {fock_form}\n")
     rc = cli.main(["--config", str(cfgf), "--out", str(tmp_path), command])
     assert rc == cli.EXIT_NUMERIC
     assert f"numerical failure: {row} for state fock:200" in capsys.readouterr().err
     assert not (tmp_path / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["xi", "exponents"])
+def test_power_form_past_float_factorials_names_the_pole_order(tmp_path, capsys, command):
+    # (n)! leaves the float range from n = 171, so the closed-form transform cannot run
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("states.list = fock:171\nfit.fock_form = power\n")
+    assert cli.main(["--config", str(cfgf), "--out", str(tmp_path), command]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "pole of order 172" in err
+    assert "int too large" not in err
 
 
 @pytest.mark.parametrize("command, state, code", [

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,6 +99,20 @@ def test_fitted_pole_matches_kernel_root(const_params, const_lifetime):
 
 
 # -- mass slope ----------------------------------------------------------------
+
+def test_criticality_builds_no_kernel_scalars(const_params, const_lifetime, fl_params,
+                                              fl_lifetime, monkeypatch):
+    calls = []
+    from_model = KernelScalars.from_model.__func__
+    monkeypatch.setattr(KernelScalars, "from_model", classmethod(
+        lambda cls, *a, **kw: calls.append(a) or from_model(cls, *a, **kw)))
+    crits = [cr.criticality(state, p, lt)
+             for p, lt in ((const_params, const_lifetime), (fl_params, fl_lifetime))
+             for state in (Vacuum(), Thermal(), Thermal(2.0))]
+    assert calls == []
+    # the scan runs on Python floats, so T_c is one too
+    assert all(type(c.point.t_c) is float for c in crits)
+
 
 def test_mass_slope_analytic():
     # pure static channel M = A/T: T_c = A and m = A/T_c^2 = 1/A
@@ -227,6 +242,19 @@ def test_vertex_p_forms_agree_at_small_momentum(const_params, const_lifetime):
         assert red == pytest.approx(full, rel=1e-5)
         assert cr.vertex_P(c, 0.0, 0.0, T, fock_form="reduced") == pytest.approx(
             cr.vertex_P(c, 0.0, 0.0, T, fock_form="power"), rel=1e-14)
+
+
+@pytest.mark.parametrize("fock_form", ["reduced", "power"])
+def test_vertex_p_high_order_saturates_without_raising(const_params, const_lifetime,
+                                                       fock_form):
+    # on plain floats mass_gap**200 underflows to 0.0 near T_c and overflows far above
+    # it; the vertex then saturates to -inf and to 0.0 instead of raising
+    base = cr.criticality(Vacuum(), const_params, const_lifetime)
+    crit = replace(base, state=Fock(200), slope=float(base.slope),
+                   point=replace(base.point, t_c=float(base.point.t_c)))
+    t_c = crit.point.t_c
+    assert cr.vertex_P(crit, 0.0, 0.0, t_c * (1 + 1e-4), fock_form=fock_form) == -math.inf
+    assert cr.vertex_P(crit, 0.0, 0.0, t_c * 101.0, fock_form=fock_form) == 0.0
 
 
 def test_vertex_p_requires_supercritical_temperature(const_params, const_lifetime):

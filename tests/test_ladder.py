@@ -11,6 +11,8 @@ from cavitypairing.ladder import (
     KernelScalars,
     bare_vertex,
     intermediate_vertex_closed_form,
+    kernel_terms,
+    mass_curve,
     oracle_check,
     physical_vertex_series,
     solve_fock_hierarchy,
@@ -20,6 +22,7 @@ from cavitypairing.ladder import (
 from cavitypairing.model import (
     ConstantLifetime,
     DiagonalMixture,
+    FermiLiquidLifetime,
     Fock,
     ModelParams,
     Thermal,
@@ -58,6 +61,22 @@ def test_kernel_derived_scalars(const_params, const_lifetime):
     for state in (Vacuum(), Fock(3), DiagonalMixture({0: 0.5, 2: 0.5})):
         k = KernelScalars.from_model(const_params, const_lifetime, T, state=state)
         assert (k.a_bcs, k.c2, k.pole_mass) == (bare.a_bcs, bare.c2, bare.pole_mass)
+
+
+@pytest.mark.parametrize("convention", ["canonical", "eq-bs-u-freq", "subsec-tc"])
+@pytest.mark.parametrize("lifetime", [ConstantLifetime(0.04), FermiLiquidLifetime()],
+                         ids=["constant", "fermi-liquid"])
+def test_kernel_terms_match_from_model(const_params, lifetime, convention):
+    # the root searches read the pole mass off the curve, never off a KernelScalars
+    states = (Vacuum(), Fock(3), DiagonalMixture({0: 0.5, 2: 0.5}), Thermal(), Thermal(2.0))
+    temps = [const_params.e_f * 10.0 ** (k / 4) for k in range(-32, 0)]
+    for state in states:
+        terms = kernel_terms(const_params, lifetime, convention, state)
+        mass = mass_curve(const_params, lifetime, convention, state)
+        for T in temps:
+            k = KernelScalars.from_model(const_params, lifetime, T, convention, state)
+            assert terms(T) == (k.a_bcs, k.c2, k.gtilde, k.dct)
+            assert mass(T) == float(k.pole_mass)
 
 
 def test_kernel_conventions():
