@@ -1,10 +1,10 @@
 """Command-line front end: parameter ingestion, sweeps, verification, output.
 
 Subcommands: tc | exponents | xi | vertex | verify | scan.  Configuration is
-flat ``section.key = value`` text (JSON with the same sections is also
-accepted); unknown keys are rejected.  Output is deterministic: identical
-configs produce byte-identical CSV/JSON.  All energies are reported in units
-of the photon gap delta_c unless ``out.physical_units = true``.
+flat ``section.key = value`` text; unknown keys are rejected.  Output is
+deterministic: identical configs produce byte-identical CSV/JSON.  All
+energies are reported in units of the photon gap delta_c unless
+``out.physical_units = true``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 numerical failure.
@@ -19,7 +19,6 @@ import random
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +61,7 @@ _VERIFY_T_OVER_DELTA = 0.4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat run configuration; round-trips losslessly through text and JSON."""
+    """Flat run configuration; round-trips losslessly through its ``key = value`` text."""
 
     # defaults give gtilde*delta_c = 0.02, c2 = 0.25, vacuum T_c = 0.04*delta_c
     g0: float = 1.7771531752633465
@@ -136,9 +135,6 @@ class RunConfig:
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            return cls._from_mapping(_flatten_json(json.loads(text)))
         pairs = {}
         for ln, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -150,10 +146,6 @@ class RunConfig:
             if key in pairs:
                 raise ConfigError(f"line {ln}: duplicate key {key!r}")
             pairs[key] = val
-        return cls._from_mapping(pairs)
-
-    @classmethod
-    def _from_mapping(cls, pairs: dict) -> "RunConfig":
         kwargs = {}
         for key, val in pairs.items():
             if key not in cls._KEYMAP:
@@ -167,10 +159,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _convert(attr: str, val):
-    if isinstance(val, (list, tuple)):
-        val = ",".join(str(v) for v in val)
-    val = str(val).strip()
+def _convert(attr: str, val: str):
     if attr == "states":
         return tuple(_split_states(val))
     if attr in ("gamma_window", "nu_window"):
@@ -212,16 +201,6 @@ def _convert(attr: str, val):
     return num
 
 
-def _flatten_json(obj: dict) -> dict:
-    flat = {}
-    for section, body in obj.items():
-        if not isinstance(body, dict):
-            raise ConfigError(f"JSON config section {section!r} must be an object")
-        for key, val in body.items():
-            flat[f"{section}.{key}"] = val
-    return flat
-
-
 def _split_states(text: str) -> list[str]:
     """Split a comma list of state tokens; commas inside {...} stay put."""
     out, buf, depth = [], [], 0
@@ -260,12 +239,15 @@ def parse_state(token: str):
         if tok.startswith("mix:{") and tok.endswith("}"):
             body = tok[len("mix:{"):-1]
             weights = {}
-            for part in body.replace(";", ",").split(","):
+            for part in body.split(","):
                 part = part.strip()
                 if not part:
                     continue
                 n, w = part.split(":")
-                weights[int(n)] = float(w)
+                n = int(n)
+                if n in weights:
+                    raise ValueError(f"occupation {n} repeated")
+                weights[n] = float(w)
             return DiagonalMixture(weights)
     except (ValueError, DomainError) as exc:
         raise ConfigError(f"cannot parse state token {token!r}: {exc}") from exc
@@ -340,21 +322,12 @@ def _csv_quote(cell: str) -> str:
     return cell
 
 
-def emit(table: ResultTable, fmt: str, out_dir: Path, stem: str) -> list[Path]:
-    """Write the table as ``<stem>.csv`` or ``<stem>.json``."""
+def emit(table: ResultTable, fmt: str, out_dir: Path, stem: str) -> Path:
+    """Write the table as ``<stem>.csv`` or ``<stem>.json``; ``fmt`` is checked by the config."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if fmt == "csv":
-        path = out_dir / f"{stem}.csv"
-        path.write_text(table.to_csv(), encoding="utf-8")
-        written.append(path)
-    elif fmt == "json":
-        path = out_dir / f"{stem}.json"
-        path.write_text(table.to_json(), encoding="utf-8")
-        written.append(path)
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
-    return written
+    path = out_dir / f"{stem}.{fmt}"
+    path.write_text(table.to_csv() if fmt == "csv" else table.to_json(), encoding="utf-8")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +408,10 @@ def _exponent_rows(cfg: RunConfig, crit: critical.Criticality) -> list[Row]:
 
 
 def cmd_exponents(cfg: RunConfig, jobs: int = 1) -> ResultTable:
+    # ``jobs`` is unused; perfbench/workloads.py still passes it
     table = ResultTable()
-    crits = _criticalities(cfg, cfg.state_objects())
-    rows_of = partial(_exponent_rows, cfg)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # kept off the cold start
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rows in pool.map(rows_of, crits):
-                table.rows.extend(rows)
-    else:
-        for crit in crits:
-            table.rows.extend(rows_of(crit))
+    for crit in _criticalities(cfg, cfg.state_objects()):
+        table.rows.extend(_exponent_rows(cfg, crit))
     return table
 
 
@@ -649,12 +614,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cavitypairing",
         description="Pairing criticality of cavity-coupled electrons, by photon state.",
     )
-    ap.add_argument("--config", type=Path, help="config file (key=value text or JSON)")
+    ap.add_argument("--config", type=Path, help="config file (section.key = value text)")
     ap.add_argument("--convention", choices=sorted(CONVENTIONS), help="kernel convention override")
     ap.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     ap.add_argument("--format", choices=("csv", "json"), help="output format override")
     ap.add_argument("--strict", action="store_true", help="fail on rejected fits")
-    ap.add_argument("--jobs", type=int, default=1, help="worker processes for exponents")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("tc", "exponents", "xi", "vertex", "scan"):
         sub.add_parser(name)
@@ -680,32 +644,30 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        # an overflowing vertex ends as a non-finite row, which is checked below
-        with np.errstate(over="ignore", divide="ignore"):
-            if args.command == "verify":
-                passed, report = run_verify(cfg, inject_fault=args.inject_fault)
-                out = args.out
-                out.mkdir(parents=True, exist_ok=True)
-                (out / "verify.json").write_text(
-                    json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-                )
-                for c in report["checks"]:
-                    print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} - {c['detail']}")
-                print(f"report: {out / 'verify.json'}")
-                return EXIT_OK if passed else EXIT_VERIFY
+        if args.command == "verify":
+            passed, report = run_verify(cfg, inject_fault=args.inject_fault)
+            out = args.out
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "verify.json").write_text(
+                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
+            for c in report["checks"]:
+                print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} - {c['detail']}")
+            print(f"report: {out / 'verify.json'}")
+            return EXIT_OK if passed else EXIT_VERIFY
 
-            if args.command == "tc":
-                table = cmd_tc(cfg)
-            elif args.command == "exponents":
-                table = cmd_exponents(cfg, jobs=max(1, args.jobs))
-            elif args.command == "xi":
-                table = cmd_xi(cfg)
-            elif args.command == "vertex":
-                table = cmd_vertex(cfg)
-            elif args.command == "scan":
-                table = cmd_scan(cfg)
-            else:  # pragma: no cover
-                raise AssertionError(args.command)
+        if args.command == "tc":
+            table = cmd_tc(cfg)
+        elif args.command == "exponents":
+            table = cmd_exponents(cfg)
+        elif args.command == "xi":
+            table = cmd_xi(cfg)
+        elif args.command == "vertex":
+            table = cmd_vertex(cfg)
+        elif args.command == "scan":
+            table = cmd_scan(cfg)
+        else:  # pragma: no cover
+            raise AssertionError(args.command)
     except (critical.BracketError, critical.SlopeError, sectors.QuadratureError,
             ladder.CriticalityError, DomainError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -719,8 +681,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_NUMERIC
 
     rejected = [r for r in table.rows if r.note.startswith("REJECTED")]
-    for path in emit(table, cfg.out_format, args.out, args.command):
-        print(f"wrote {path}")
+    print(f"wrote {emit(table, cfg.out_format, args.out, args.command)}")
     for r in table.rows:
         print(f"{r.state:>18s}  {r.quantity:<14s} {_fmt(r.value)}  {r.note}")
     if rejected:

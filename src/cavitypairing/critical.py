@@ -285,7 +285,7 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 def _fit_exponent(name, crit: Criticality, window, points: int, value_at) -> ExponentFit:
     """Exponent -d log value / d log t of ``value_at(T_c (1 + t))`` on a geometric window of t."""
     red = np.geomspace(window[0], window[1], points)
-    values = np.array([value_at(crit.point.t_c * (1.0 + t)) for t in red])
+    values = np.array([value_at(crit.point.t_c * (1.0 + t)) for t in red.tolist()])
     slope, r2, resid = _line_fit(np.log(red), np.log(values))
     if not r2 > R2_MIN:
         raise FitRejected(
@@ -415,7 +415,9 @@ def _bessel_transform(term: _LorentzianTerm, r: np.ndarray) -> np.ndarray:
             f"closed-form transform of a pole of order {term.order} leaves the float "
             f"range: ({nu})! exceeds the largest float"
         ) from None
-    return pref * (rs / (2.0 * sm)) ** nu * kv(nu, sm * rs)
+    # high pole orders overflow here; the fit gate or the non-finite row check catches them
+    with np.errstate(over="ignore"):
+        return pref * (rs / (2.0 * sm)) ** nu * kv(nu, sm * rs)
 
 
 # quad's error estimate must stay below this fraction of the reference value

@@ -1,19 +1,12 @@
 """Physical parameters and single-particle Keldysh Green's functions.
 
-Fermions live near a 2D Fermi surface with a lifetime broadening; the cavity
+Fermions live on a 2D Fermi surface with a lifetime broadening; the cavity
 supplies a single gapped boson mode of frequency ``delta_c`` (the detuning of
 the resonance from the drive) and momentum ``q0 << k_F``.  The photon's
-initial state enters through ``statistical_factor``, one scalar per mode:
-
-    vacuum        1
-    n quanta      1 + 2n
-    thermal(beta) coth(beta * delta_c / 2)
-    mixture       sum_n w_n (1 + 2n)
-
-and through the Fock-sector ``weights`` of the vertex average.  A Gaussian
-(thermal) state has no sector structure of its own: its statistical factor
-dresses the resonant kernel, and its weights are the vacuum sector {0: 1} of
-that dressed kernel.
+initial state enters through the Fock-sector ``weights`` of the vertex
+average, and a thermal state also through ``statistical_factor``, the
+s = coth(beta * delta_c / 2) that dresses the resonant kernel; its weights
+are the vacuum sector {0: 1} of that dressed kernel.
 
 All operations are pure functions of immutable inputs and may be evaluated
 concurrently without coordination.
@@ -66,8 +59,8 @@ class ModelParams:
     ``delta_c`` the photon gap, ``q0`` the cavity momentum, ``e_f``/``k_f``
     the Fermi energy and momentum.  The derived dimensionless coupling
     ``gtilde = g0**2 / (4*pi*delta_c)**2`` is recomputed on access and never
-    stored.  The band is quadratic, ``e_f * ((k/k_f)**2 - 1)`` measured from
-    the Fermi surface.
+    stored.  ``q0`` and ``k_f`` are validated but enter no formula: every
+    propagator is evaluated on the Fermi surface.
     """
 
     g0: float
@@ -102,10 +95,6 @@ class ModelParams:
             g0=math.sqrt(gtilde) * 4.0 * math.pi * delta_c,
             delta_c=delta_c, q0=q0, e_f=e_f, k_f=k_f,
         )
-
-    def eps(self, k: float) -> float:
-        """Band dispersion measured from the Fermi surface."""
-        return self.e_f * ((k / self.k_f) ** 2 - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +171,7 @@ class Thermal:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.beta is not None and self.beta <= 0:
+        if self.beta is not None and not self.beta > 0:
             raise DomainError("thermal beta must be > 0")
 
     @property
@@ -201,7 +190,7 @@ class DiagonalMixture:
             raise DomainError("mixture needs at least one weight")
         if any(n < 0 for n in w):
             raise DomainError("occupation numbers must be >= 0")
-        if any(x < 0 for x in w.values()):
+        if not all(x >= 0 for x in w.values()):
             raise DomainError("mixture weights must be non-negative")
         total = sum(w.values())
         if abs(total - 1.0) > 1e-12:
@@ -216,52 +205,44 @@ InitialPhotonState = Union[Vacuum, Fock, Thermal, DiagonalMixture]
 
 
 def statistical_factor(
-    state: InitialPhotonState, delta_c: float, temperature: float | None = None
+    state: Thermal, delta_c: float, temperature: float | None = None
 ) -> float:
-    """Scalar s multiplying the vacuum Keldysh photon function (beta = 1/T at equilibrium)."""
-    if isinstance(state, Thermal):
-        if state.beta is not None:
-            x = state.beta * delta_c / 2.0
-        elif temperature is None or temperature <= 0:
-            raise DomainError("equilibrium thermal state needs a positive ambient temperature")
-        else:
-            x = delta_c / (2.0 * temperature)
-        return 1.0 / math.tanh(x)
-    return sum(w * (1.0 + 2.0 * n) for n, w in state.weights.items())
+    """Thermal s = coth(beta delta_c / 2) multiplying the vacuum Keldysh photon function.
+
+    The equilibrium state (``beta = None``) takes beta = 1/T at the ambient temperature.
+    """
+    if state.beta is not None:
+        x = state.beta * delta_c / 2.0
+    elif temperature is None or temperature <= 0:
+        raise DomainError("equilibrium thermal state needs a positive ambient temperature")
+    else:
+        x = delta_c / (2.0 * temperature)
+    return 1.0 / math.tanh(x)
 
 
 # ---------------------------------------------------------------------------
-# fermion Green's functions (frequency domain, near the Fermi surface)
+# fermion Green's functions (frequency domain, on the Fermi surface)
 # ---------------------------------------------------------------------------
 
-def fermion_gr(
-    k: float,
-    omega: float,
-    p: ModelParams,
-    lt: LifetimeModel,
-    temperature: float,
-) -> complex:
-    """Retarded fermion propagator 1/(w - eps_k + i/tau)."""
+def fermion_gr(omega: float, p: ModelParams, lt: LifetimeModel, temperature: float) -> complex:
+    """Retarded fermion propagator 1/(w + i/tau) on the Fermi surface."""
     rate = tau_inv(lt, p, temperature)
-    return _finite(1.0 / complex(omega - p.eps(k), rate))
+    return _finite(1.0 / complex(omega, rate))
 
 
-def fermion_gk(
-    k: float, omega: float, p: ModelParams, lt: LifetimeModel, temperature: float
-) -> complex:
-    """Keldysh fermion propagator broadened by the finite lifetime.
+def fermion_gk(omega: float, p: ModelParams, lt: LifetimeModel, temperature: float) -> complex:
+    """Keldysh fermion propagator on the Fermi surface, broadened by the finite lifetime.
 
-    G_K = [1/(w - eps - i/tau)] * [-2i tanh(w/2T) / tau] / (w - eps + i/tau);
-    purely imaginary for real arguments and odd in w on the Fermi surface.
+    G_K = [1/(w - i/tau)] * [-2i tanh(w/2T) / tau] / (w + i/tau);
+    purely imaginary for real arguments and odd in w.
     """
     rate = tau_inv(lt, p, temperature)
-    e = p.eps(k)
     num = -2.0j * rate * math.tanh(omega / (2.0 * temperature))
     try:
-        return _finite(num / ((omega - e) ** 2 + rate**2))
+        return _finite(num / (omega**2 + rate**2))
     except (OverflowError, ZeroDivisionError) as exc:
         raise ArithmeticError(
-            f"Keldysh fermion denominator (w - eps)**2 + rate**2 leaves the float range: lifetime "
+            f"Keldysh fermion denominator w**2 + rate**2 leaves the float range: lifetime "
             f"rate 1/tau = {rate:.6g} (delta_c * tau = {p.delta_c / rate:.6g})"
         ) from exc
 

@@ -157,10 +157,10 @@ def quad(func, *args, **kwargs):
 
 def _static_loop_weight(omega, p, lt, temperature):
     """i/(2pi) * [G_K(w) G_R(-w) + G_R(w) G_K(-w)] at the Fermi surface; real."""
-    gk = model.fermion_gk(p.k_f, omega, p, lt, temperature)
-    gr_m = model.fermion_gr(p.k_f, -omega, p, lt, temperature)
-    gr_p = model.fermion_gr(p.k_f, omega, p, lt, temperature)
-    gk_m = model.fermion_gk(p.k_f, -omega, p, lt, temperature)
+    gk = model.fermion_gk(omega, p, lt, temperature)
+    gr_m = model.fermion_gr(-omega, p, lt, temperature)
+    gr_p = model.fermion_gr(omega, p, lt, temperature)
+    gk_m = model.fermion_gk(-omega, p, lt, temperature)
     val = 1j / (2.0 * math.pi) * (gk * gr_m + gr_p * gk_m)
     return val.real
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from dataclasses import replace
@@ -37,14 +38,12 @@ def test_config_round_trip_with_overrides():
 
 
 def test_config_json_input():
-    payload = {
-        "model": {"g0": 1.5, "delta_c": 2.0, "q0": 0.0, "e_f": 50.0, "k_f": 1.0,
-                  "lifetime": "constant:0.1", "convention": "canonical"},
-        "states": {"list": "vacuum, fock:2"},
-    }
-    cfg = RunConfig.parse(json.dumps(payload))
-    assert cfg.delta_c == 2.0
-    assert cfg.states == ("vacuum", "fock:2")
+    # the config has one syntax; JSON is not it
+    payload = {"model": {"delta_c": 2.0}, "states": {"list": "vacuum, fock:2"}}
+    with pytest.raises(ConfigError, match="line 1: expected key = value"):
+        RunConfig.parse(json.dumps(payload))
+    with pytest.raises(ConfigError, match="line 1: expected key = value"):
+        RunConfig.parse(json.dumps(payload, indent=2))
 
 
 def test_config_unknown_key_named():
@@ -61,6 +60,14 @@ def test_config_rejects_bad_values():
         RunConfig.parse("model.g0 = not-a-number\n")
 
 
+def test_readme_synopsis_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = re.search(r"```sh\n(cavitypairing \[.*?)```", readme, re.S).group(1)
+    options = {s for a in cli._build_parser()._actions for s in a.option_strings
+               if s.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == options - {"--help"}
+
+
 # -- state tokens ----------------------------------------------------------------
 
 def test_state_tokens():
@@ -69,8 +76,10 @@ def test_state_tokens():
     assert parse_state("thermal") == Thermal()
     assert parse_state("thermal:beta=2.0") == Thermal(2.0)
     assert parse_state("mix:{0:0.5,2:0.5}") == DiagonalMixture({0: 0.5, 2: 0.5})
-    with pytest.raises(ConfigError):
-        parse_state("squeezed")
+    for bad in ("squeezed", "thermal:beta=nan", "mix:{0:nan}", "mix:{0:0.5,1:nan}",
+                "mix:{0:0.5,1:0.5,1:0.5}", "mix:{0:0.5;2:0.5}"):
+        with pytest.raises(ConfigError, match="cannot parse state token"):
+            parse_state(bad)
 
 
 def test_state_list_split_respects_braces():
@@ -183,7 +192,7 @@ def test_main_rejects_removed_quad_rel_tol_key(tmp_path, capsys):
 def test_main_rejects_out_of_range_config(tmp_path, capsys, line, command):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(line + "\n")
-    rc = cli.main(["--config", str(cfg), "--out", str(tmp_path), "--jobs", "1", command])
+    rc = cli.main(["--config", str(cfg), "--out", str(tmp_path), command])
     err = capsys.readouterr().err
     assert rc == cli.EXIT_CONFIG
     assert err.startswith("config error:")
@@ -211,6 +220,14 @@ def test_main_missing_config_file(tmp_path):
     assert cli.main(
         ["--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path), "tc"]
     ) == cli.EXIT_CONFIG
+
+
+def test_main_nan_state_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("states.list = mix:{0:nan}\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "tc"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: cannot parse state token")
+    assert not (tmp_path / "tc.csv").exists()
 
 
 def test_main_numerical_failure_exit_code(tmp_path):
@@ -306,7 +323,7 @@ def test_commands_label_states_alike(tmp_path):
 def test_main_exponents(tmp_path):
     cfgf = tmp_path / "c.cfg"
     cfgf.write_text("states.list = fock:2, thermal\nfit.nu_points = 8\n")
-    rc = cli.main(["--config", str(cfgf), "--out", str(tmp_path), "--jobs", "1", "exponents"])
+    rc = cli.main(["--config", str(cfgf), "--out", str(tmp_path), "exponents"])
     assert rc == cli.EXIT_OK
     rows = list(csv.DictReader(io.StringIO((tmp_path / "exponents.csv").read_text())))
     vals = {(r["state"], r["quantity"]): float(r["value"]) for r in rows}
@@ -325,22 +342,11 @@ def test_main_vertex_and_scan(tmp_path):
     assert (tmp_path / "scan.csv").exists()
 
 
-def test_exponents_parallel_matches_serial(tmp_path):
-    cfgf = tmp_path / "c.cfg"
-    cfgf.write_text("states.list = vacuum, fock:1\nfit.nu_points = 8\n")
-    assert cli.main(["--config", str(cfgf), "--out", str(tmp_path / "a"),
-                     "--jobs", "1", "exponents"]) == cli.EXIT_OK
-    assert cli.main(["--config", str(cfgf), "--out", str(tmp_path / "b"),
-                     "--jobs", "2", "exponents"]) == cli.EXIT_OK
-    assert (tmp_path / "a" / "exponents.csv").read_text() == (
-        tmp_path / "b" / "exponents.csv").read_text()
-
-
 def test_overflowing_fits_are_rejected(tmp_path):
     # the fock:60 hierarchy overflows, so both fits see non-finite data
     cfgf = tmp_path / "c.cfg"
     cfgf.write_text("states.list = fock:60\n")
-    args = ["--config", str(cfgf), "--out", str(tmp_path), "--jobs", "1"]
+    args = ["--config", str(cfgf), "--out", str(tmp_path)]
     assert cli.main(args + ["exponents"]) == cli.EXIT_OK
     rows = list(csv.DictReader(io.StringIO((tmp_path / "exponents.csv").read_text())))
     assert [r["quantity"] for r in rows] == ["gamma", "nu"]
@@ -458,10 +464,9 @@ def test_fit_rejection_marks_row_and_strict_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(crit_mod, "fit_gamma", always_reject)
     cfgf = tmp_path / "c.cfg"
     cfgf.write_text("states.list = vacuum\nfit.nu_points = 8\n")
-    assert cli.main(["--config", str(cfgf), "--out", str(tmp_path),
-                     "--jobs", "1", "exponents"]) == cli.EXIT_OK
+    assert cli.main(["--config", str(cfgf), "--out", str(tmp_path), "exponents"]) == cli.EXIT_OK
     rows = list(csv.DictReader(io.StringIO((tmp_path / "exponents.csv").read_text())))
     gamma_rows = [r for r in rows if r["quantity"] == "gamma"]
     assert gamma_rows[0]["note"].startswith("REJECTED")
     assert cli.main(["--config", str(cfgf), "--out", str(tmp_path),
-                     "--jobs", "1", "--strict", "exponents"]) == cli.EXIT_NUMERIC
+                     "--strict", "exponents"]) == cli.EXIT_NUMERIC

@@ -343,3 +343,16 @@ def test_nu_window_validation(const_params, const_lifetime):
         cr.fit_nu(crit, window=(1e-4, 1e-3))
     with pytest.raises(ValueError):
         cr.fit_nu(crit, n_temps=4)
+
+
+@pytest.mark.parametrize("fit", [
+    pytest.param(cr.fit_gamma, id="gamma"),
+    pytest.param(lambda crit: cr.fit_nu(crit, fock_form="reduced"), id="nu-reduced"),
+    pytest.param(lambda crit: cr.fit_nu(crit, fock_form="power"), id="nu-power"),
+])
+def test_high_pole_order_fits_are_rejected(const_params, const_lifetime, fit):
+    # the fock:60 vertex and its power-form transform leave the float range on
+    # the fit window; the fit gate rejects them, with no numpy warning on the way
+    crit = cr.criticality(Fock(60), const_params, const_lifetime)
+    with pytest.raises(cr.FitRejected, match=r"r\^2 = nan"):
+        fit(crit)

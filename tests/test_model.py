@@ -9,10 +9,8 @@ from cavitypairing.model import (
     DiagonalMixture,
     DomainError,
     FermiLiquidLifetime,
-    Fock,
     ModelParams,
     Thermal,
-    Vacuum,
     fermion_gk,
     fermion_gr,
     statistical_factor,
@@ -46,33 +44,26 @@ def test_gtilde_recomputed():
 # -- fermion Green's functions ----------------------------------------------
 
 def test_gr_on_shell():
-    assert fermion_gr(P.k_f, 0.0, P, LT, 1.0) == pytest.approx(-1j)
+    assert fermion_gr(0.0, P, LT, 1.0) == pytest.approx(-1j)
 
 
 def test_gr_generic_point():
-    assert fermion_gr(P.k_f, 1.0, P, LT, 1.0) == pytest.approx(0.5 - 0.5j)
-
-
-def test_gk_on_pole():
-    # at w = eps_k the Lorentzian collapses to -2i tau tanh(eps/2T)
-    k = P.k_f * math.sqrt(1.0 + 0.5 / P.e_f)  # eps_k = 0.5
-    got = fermion_gk(k, P.eps(k), P, LT, 2.0)
-    assert got == pytest.approx(-2j * math.tanh(0.5 / 4.0))
+    assert fermion_gr(1.0, P, LT, 1.0) == pytest.approx(0.5 - 0.5j)
 
 
 def test_gk_zero_at_origin():
-    assert fermion_gk(P.k_f, 0.0, P, LT, 1.0) == 0
+    assert fermion_gk(0.0, P, LT, 1.0) == 0
 
 
 def test_gk_value():
-    assert fermion_gk(P.k_f, 2.0, P, LT, 1.0) == pytest.approx(-2j * math.tanh(1.0) / 5)
+    assert fermion_gk(2.0, P, LT, 1.0) == pytest.approx(-2j * math.tanh(1.0) / 5)
 
 
 def test_gk_imaginary_and_odd():
     for w in (0.1, 0.9, 2.5, 17.0):
-        z = fermion_gk(P.k_f, w, P, LT, 0.7)
+        z = fermion_gk(w, P, LT, 0.7)
         assert z.real == 0.0
-        assert fermion_gk(P.k_f, -w, P, LT, 0.7) == pytest.approx(-z)
+        assert fermion_gk(-w, P, LT, 0.7) == pytest.approx(-z)
 
 
 @pytest.mark.parametrize("rate, named", [
@@ -80,16 +71,16 @@ def test_gk_imaginary_and_odd():
     (1e-300, "lifetime rate 1/tau = 1e-300 (delta_c * tau = 1e+300)"),
 ], ids=["rate-large", "rate-small"])
 def test_gk_out_of_float_range_names_rate_and_dctau(rate, named):
-    # on the fermion pole w = eps the denominator is rate**2, which over- or underflows
-    k = P.k_f
-    with pytest.raises(ArithmeticError, match=re.escape(named)):
-        fermion_gk(k, P.eps(k), P, ConstantLifetime(rate), 0.4)
+    # on the fermion pole w = 0 the denominator is rate**2, which over- or underflows
+    denominator = "Keldysh fermion denominator w**2 + rate**2 leaves the float range: "
+    with pytest.raises(ArithmeticError, match=re.escape(denominator + named)):
+        fermion_gk(0.0, P, ConstantLifetime(rate), 0.4)
 
 
 def test_fermi_liquid_domain_error():
     fl = FermiLiquidLifetime()
     with pytest.raises(DomainError):
-        fermion_gr(P.k_f, 0.0, P, fl, 150.0)
+        fermion_gr(0.0, P, fl, 150.0)
     with pytest.raises(DomainError):
         tau_inv(fl, P, 0.0)
 
@@ -112,22 +103,9 @@ def test_mixture_validation():
 # the equal-time Keldysh photon function is -i s / (2 delta_c); delta_c = 1 here
 
 
-def test_dk_vacuum():
-    assert statistical_factor(Vacuum(), P.delta_c) == 1.0
-
-
-def test_dk_fock_factor():
-    assert statistical_factor(Fock(3), P.delta_c) == 7.0  # 1 + 2n
-
-
 def test_dk_thermal_coth():
     beta = math.log(3.0)  # x = 1/3, coth = (1+x)/(1-x) = 2
     assert statistical_factor(Thermal(beta), P.delta_c) == pytest.approx(2.0)
-
-
-def test_statistical_factor_mixture():
-    s = statistical_factor(DiagonalMixture({0: 0.5, 2: 0.5}), P.delta_c)
-    assert s == pytest.approx(0.5 * 1 + 0.5 * 5)
 
 
 def test_dk_thermal_equals_boltzmann_average():
@@ -139,7 +117,7 @@ def test_dk_thermal_equals_boltzmann_average():
     x = math.exp(-beta * P.delta_c)
     n_max = 120  # x^120 ~ 1e-42, tail far below 1e-12
     z = sum(x**n for n in range(n_max + 1))
-    avg = sum((x**n / z) * statistical_factor(Fock(n), P.delta_c) for n in range(n_max + 1))
+    avg = sum((x**n / z) * (1.0 + 2.0 * n) for n in range(n_max + 1))
     assert avg == pytest.approx(statistical_factor(Thermal(beta), P.delta_c), abs=1e-10)
     assert avg == pytest.approx(1.0 / math.tanh(beta * P.delta_c / 2.0), abs=1e-10)
 
