@@ -161,7 +161,10 @@ def _fmt(x: float) -> str:
 
 def _convert(attr: str, val: str):
     if attr == "states":
-        return tuple(_split_states(val))
+        states = tuple(_split_states(val))
+        if not states:
+            raise ConfigError(f"{attr}: need at least one photon state, got {val!r}")
+        return states
     if attr in ("gamma_window", "nu_window"):
         lo, hi = (float(s) for s in val.split(","))
         if not 0 < lo < hi < math.inf:
@@ -646,14 +649,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             passed, report = run_verify(cfg, inject_fault=args.inject_fault)
-            out = args.out
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "verify.json").write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            path = args.out / "verify.json"
+            try:
+                args.out.mkdir(parents=True, exist_ok=True)
+                path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                                encoding="utf-8")
+            except OSError as exc:  # --out names a file, or is not writable
+                print(f"config error: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
             for c in report["checks"]:
                 print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} - {c['detail']}")
-            print(f"report: {out / 'verify.json'}")
+            print(f"report: {path}")
             return EXIT_OK if passed else EXIT_VERIFY
 
         if args.command == "tc":
@@ -680,8 +686,13 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return EXIT_NUMERIC
 
+    try:
+        path = emit(table, cfg.out_format, args.out, args.command)
+    except OSError as exc:  # --out names a file, or is not writable
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     rejected = [r for r in table.rows if r.note.startswith("REJECTED")]
-    print(f"wrote {emit(table, cfg.out_format, args.out, args.command)}")
+    print(f"wrote {path}")
     for r in table.rows:
         print(f"{r.state:>18s}  {r.quantity:<14s} {_fmt(r.value)}  {r.note}")
     if rejected:

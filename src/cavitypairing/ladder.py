@@ -16,7 +16,12 @@ Gamma(u)/(1-u).  Equivalently, the sector values obey the recursion
 
 with hierarchy coupling weight w = 8*c2 and pole mass M = a_bcs + 2*c2.  Both routes
 are implemented independently; ``oracle_check`` demands bit-exact agreement in
-rational arithmetic.  A thermal (Gaussian) photon state only renormalises the
+rational arithmetic.  Both are linear in n: the series is a long division by a
+denominator of degree at most 3, and ``solve_fock_hierarchy`` carries the
+weighted sum as two running sums, s0 = sum_{j<m} Gamma^j and
+s1 = sum_{j<m} (m-j) Gamma^j, with s1 += s0 before each step.  Its negative
+control ``mutate_f`` turns the weights (m-j) into (m-j+1), so the drive's sum
+becomes s1 + s0.  A thermal (Gaussian) photon state only renormalises the
 kernel: ``kernel_terms`` dresses c2 by s**2 at its statistical factor
 s = coth(beta*delta_c/2), and the vertex is then the vacuum sector of the
 dressed kernel, gamma0 / (1 - a_bcs - 2*c2*s**2).  Every other state averages
@@ -215,10 +220,14 @@ class KernelScalars:
 def solve_fock_hierarchy(n: int, kernel: KernelScalars, mutate_f: bool = False) -> tuple:
     """Solve the sector recursion bottom-up from the vacuum component.
 
-    Returns the on-shell vertex values Gamma^0..Gamma^n.  ``mutate_f``
-    deliberately corrupts the inter-sector coupling coefficients (negative
-    control for the oracle check).  A pole denominator that is zero (exact)
-    or below 1e-14 (float) is rejected.
+    Returns the on-shell vertex values Gamma^0..Gamma^n.  The drive
+    sum_{j<m} (m-j) Gamma^j is carried as a running sum: with
+    s0 = sum_{j<m} Gamma^j and s1 = sum_{j<m} (m-j) Gamma^j, each step adds
+    s0 to s1 before it and Gamma^m to s0 after it, so the solve costs O(n)
+    operations.  ``mutate_f`` deliberately corrupts the inter-sector coupling
+    coefficients from (m-j) to (m-j+1), i.e. the drive's sum to s1 + s0
+    (negative control for the oracle check).  A pole denominator that is
+    zero (exact) or below 1e-14 (float) is rejected.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -230,13 +239,12 @@ def solve_fock_hierarchy(n: int, kernel: KernelScalars, mutate_f: bool = False) 
         raise CriticalityError(f"|1 - pole_mass| = {abs(denom):.3e} < 1e-14")
     w = kernel.w
     values = []
-    for m in range(n + 1):
-        drive = gamma0
-        for j in range(m):
-            k = m - j
-            coeff = w * (k + 1 if mutate_f else k)
-            drive = drive + coeff * values[j]
-        values.append(drive / denom)
+    s0 = s1 = 0
+    for _ in range(n + 1):
+        s1 = s1 + s0
+        value = (gamma0 + w * (s1 + s0 if mutate_f else s1)) / denom
+        values.append(value)
+        s0 = s0 + value
     return tuple(values)
 
 

@@ -239,7 +239,8 @@ def taylor(rf: RationalFunction, order: int) -> list[Fraction]:
 
     Computed by long division of power series; coefficient n is exactly the
     n-quantum projection (1/n!) d^n/du^n at u = 0, i.e. the pure-Fock value of
-    the derivative operator applied to ``rf``.
+    the derivative operator applied to ``rf``.  Each coefficient costs one
+    product per power of the denominator, so the cost is O(order * degree).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -249,11 +250,12 @@ def taylor(rf: RationalFunction, order: int) -> list[Fraction]:
     if d0 == 0:
         raise ExpansionPoleError("denominator vanishes at the expansion point u = 0")
     a = list(rf.num) + [Fraction(0)] * max(0, order + 1 - len(rf.num))
-    d = list(rf.den) + [Fraction(0)] * max(0, order + 1 - len(rf.den))
+    d = rf.den
     out: list[Fraction] = []
     for n in range(order + 1):
         s = a[n]
-        for k in range(1, n + 1):
+        # d[k] is zero past the denominator's degree
+        for k in range(1, min(n, len(d) - 1) + 1):
             s -= d[k] * out[n - k]
         out.append(s / d0)
     return out

@@ -230,6 +230,28 @@ def test_main_nan_state_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "tc.csv").exists()
 
 
+@pytest.mark.parametrize("line", ["states.list =", "states.list = ,", "states.list = , ,"])
+@pytest.mark.parametrize("command", ["tc", "exponents", "xi", "vertex"])
+def test_main_empty_states_is_a_config_error(tmp_path, capsys, line, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), command]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: states: need at least one photon state")
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["tc", "verify"])
+def test_main_out_naming_a_file_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert cli.main(["--out", str(out), command]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+
+
 def test_main_numerical_failure_exit_code(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("model.g0 = 1e-9\n")  # no pairing instability in range
@@ -260,6 +282,8 @@ def test_verify_fault_injection_fails_loudly(tmp_path, capsys):
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["fault_injected"] is True
     assert report["all_passed"] is False
+    # the fault reaches the recursion the oracle checks and nothing else
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["oracle_equivalence"]
 
 
 def test_main_xi_ratios(tmp_path):

@@ -1,11 +1,14 @@
 import math
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavitypairing.cli import RunConfig
+from cavitypairing.critical import find_tc
 from cavitypairing.ladder import (
     CriticalityError,
     KernelScalars,
@@ -98,6 +101,47 @@ def test_hierarchy_reference_values():
     assert h == (F(-5), F(-55), F(-655))
 
 
+def _quadratic_hierarchy(n, kernel, mutate_f=False):
+    """The sector recursion summed term by term, O(n**2): the reference for the running sums."""
+    denom = 1 - kernel.pole_mass
+    values = []
+    for m in range(n + 1):
+        drive = kernel.gamma0
+        for j in range(m):
+            drive += kernel.w * (m - j + (1 if mutate_f else 0)) * values[j]
+        values.append(drive / denom)
+    return tuple(values)
+
+
+def _preset_kernels():
+    """Each preset's states, lifted exactly, at the temperature ``vertex`` reads them."""
+    kernels = []
+    for cfg_path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")):
+        cfg = RunConfig.parse(cfg_path.read_text(encoding="utf-8"))
+        p, lt = cfg.params(), cfg.lifetime_model()
+        for state in cfg.state_objects():
+            t = find_tc(p, lt, state, cfg.convention).t_c * (1 + cfg.xi_reduced_t)
+            kernels.append(KernelScalars.from_model(p, lt, t, cfg.convention, state).exact())
+    return kernels
+
+
+RATIONAL_KERNELS = (
+    K_REF,
+    KernelScalars(gamma0=F(-3), a_bcs=F(2, 5), c2=F(0)),
+    KernelScalars(gamma0=F(-7, 3), a_bcs=F(9, 10), c2=F(3, 100)),
+    KernelScalars(gamma0=F(-1), a_bcs=F(3, 2), c2=F(1, 8)),  # past the pole: 1 - M < 0
+)
+
+
+@pytest.mark.parametrize("mutate_f", [False, True], ids=["clean", "mutated"])
+def test_running_sums_match_quadratic_recursion(mutate_f):
+    for kernel in RATIONAL_KERNELS + tuple(_preset_kernels()):
+        assert isinstance(kernel.c2, F)
+        reference = _quadratic_hierarchy(64, kernel, mutate_f)
+        for n in (0, 1, 12, 32, 64):
+            assert solve_fock_hierarchy(n, kernel, mutate_f) == reference[: n + 1]
+
+
 def test_hierarchy_criticality_guard():
     k = KernelScalars(gamma0=F(-1), a_bcs=F(1, 2), c2=F(1, 4))  # pole mass 1
     with pytest.raises(CriticalityError):
@@ -183,8 +227,6 @@ def test_solve_thermal_vacuum_limit(const_params, const_lifetime):
 def test_solve_thermal_finite_on_grid(fl_params, fl_lifetime):
     # above the transition the closed thermal vertex is finite and |Gamma|
     # shrinks as the kernel mass falls away from 1
-    from cavitypairing.critical import find_tc
-
     tc = find_tc(fl_params, fl_lifetime, Thermal()).t_c
     vals = []
     for fac in (2.0, 3.0, 5.0, 8.0):

@@ -145,6 +145,37 @@ def test_taylor_of_product_is_cauchy_convolution(a, b, order):
     assert taylor(a * b, order) == conv
 
 
+def _padded_taylor(rf, order):
+    """Long division over the denominator padded with zeros to ``order``: the reference."""
+    a = list(rf.num) + [F(0)] * max(0, order + 1 - len(rf.num))
+    d = list(rf.den) + [F(0)] * max(0, order + 1 - len(rf.den))
+    out = []
+    for n in range(order + 1):
+        out.append((a[n] - sum((d[k] * out[n - k] for k in range(1, n + 1)), F(0))) / d[0])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_coeff, min_size=1, max_size=8),
+    st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(3)]),
+    st.lists(_coeff, min_size=0, max_size=6),
+    st.integers(min_value=0, max_value=24),
+)
+def test_taylor_matches_padded_division(num, d0, den_tail, order):
+    # denominators of degree 0..6, so the loop bound at the degree is crossed both ways
+    rf = RF(num, [d0] + den_tail)
+    assert taylor(rf, order) == _padded_taylor(rf, order)
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_taylor_matches_padded_division_by_degree(degree):
+    # one irreducible denominator of each degree 0..6: 1 - u - ... - u^degree over 1 + 2u
+    rf = RF((1, 2), [1] + [-1] * degree)
+    assert len(rf.den) == degree + 1
+    assert taylor(rf, 16) == _padded_taylor(rf, 16)
+
+
 @settings(max_examples=40, deadline=None)
 @given(rationals())
 def test_reduction_is_canonical(a):
