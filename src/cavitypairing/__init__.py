@@ -13,10 +13,10 @@ from .ladder import (
     KernelScalars,
     bare_vertex,
     intermediate_vertex_closed_form,
+    log_vertex,
     oracle_check,
     solve_fock_hierarchy,
     thermal_resummation_check,
-    vertex_for_state,
 )
 from .model import (
     ConstantLifetime,
@@ -45,10 +45,10 @@ __all__ = [
     "bare_vertex",
     "f_factor",
     "intermediate_vertex_closed_form",
+    "log_vertex",
     "oracle_check",
     "solve_fock_hierarchy",
     "taylor",
     "thermal_resummation_check",
-    "vertex_for_state",
     "__version__",
 ]

@@ -34,6 +34,7 @@ from .model import (
     ModelParams,
     Thermal,
     Vacuum,
+    statistical_factor,
 )
 from .useries import RationalFunction, taylor
 
@@ -174,9 +175,12 @@ def _convert(attr: str, val: str):
         return (lo, hi)
     if attr in ("gamma_points", "nu_points"):
         num = int(val)
-        least = critical.MIN_GAMMA_POINTS if attr == "gamma_points" else critical.MIN_NU_POINTS
-        if num < least:
-            raise ConfigError(f"{attr}: need >= {least}, got {val!r}")
+        least, most = (
+            (critical.MIN_GAMMA_POINTS, critical.MAX_GAMMA_POINTS) if attr == "gamma_points"
+            else (critical.MIN_NU_POINTS, critical.MAX_NU_POINTS)
+        )
+        if not least <= num <= most:
+            raise ConfigError(f"{attr}: need {least} to {most}, got {val!r}")
         return num
     if attr == "physical_units":
         if val.lower() in ("true", "1", "yes"):
@@ -458,8 +462,8 @@ def cmd_vertex(cfg: RunConfig) -> ResultTable:
         k = KernelScalars.from_model(p, lt, T, cfg.convention, state)
         table.add(
             state=state_label(state), quantity="gamma_on_shell",
-            value=float(ladder.vertex_for_state(k)) * unit,
-            provenance="ladder.vertex_for_state", note=f"reduced_t={_fmt(t_red)}",
+            value=ladder.signed_exp(ladder.log_vertex(k), k.gamma0) * unit,
+            provenance="ladder.log_vertex", note=f"reduced_t={_fmt(t_red)}",
         )
         for P in (0.0, 0.05, 0.1):
             for theta in (0.0, math.pi / 4, math.pi / 2):
@@ -504,6 +508,13 @@ def _random_rational_kernel(rng: random.Random) -> KernelScalars:
     return KernelScalars(gamma0=gamma0, a_bcs=a, c2=c2)
 
 
+def _log_abs(x: Fraction) -> float:
+    """log|x| of a nonzero rational, also far outside the float range, to about an ulp."""
+    num, den = abs(x.numerator), x.denominator
+    k = num.bit_length() - den.bit_length()
+    return math.log((num << max(0, -k)) / (den << max(0, k))) + k * math.log(2)
+
+
 def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     """Full invariant suite; returns (all_passed, machine-readable report)."""
     checks = []
@@ -512,14 +523,22 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     def record(name, passed, detail):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    # exact scalar closure identity behind the thermal rearrangement
-    worst = Fraction(0)
-    for _ in range(20):
-        x = Fraction(rng.randint(1, 99), 100)
-        lhs = 1 + 4 * x / (1 - x) ** 2
-        rhs = ((1 + x) / (1 - x)) ** 2
-        worst = max(worst, abs(lhs - rhs))
-    record("thermal_identity", worst == 0, f"max |lhs-rhs| = {worst}")
+    # the thermal dressing, read from the package's statistical factor and kernel
+    # terms: s = (1+x)/(1-x) and c2 -> c2 s**2 at x = exp(-beta delta_c)
+    p = _VERIFY_PARAMS
+    lt = ConstantLifetime(1.0 / _VERIFY_DCTAU)
+    T = _VERIFY_T_OVER_DELTA * p.delta_c
+    c2 = ladder.kernel_terms(p, lt, cfg.convention)(T)[1]
+    worst = 0.0
+    for state in (Thermal(2.0 / p.delta_c), Thermal()):
+        x = math.exp(-(state.beta or 1.0 / T) * p.delta_c)
+        s = (1 + x) / (1 - x)
+        dressed = ladder.kernel_terms(p, lt, cfg.convention, state)(T)[1]
+        worst = max(worst, abs(statistical_factor(state, p.delta_c, T) / s - 1),
+                    abs(dressed / (c2 * s * s) - 1))
+    record("thermal_dressing", worst < 1e-14,
+           f"max rel dev {worst:.3e} of s and c2 s**2 from (1+x)/(1-x), x = exp(-beta delta_c), "
+           "at beta delta_c = 2 and in equilibrium")
 
     # recursion vs series oracle on random rational kernels
     ok_all, worst_txt = True, "0"
@@ -566,9 +585,25 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     record("sector_chain", sol == closed and series_match,
            "linear solve == closed form; series == hierarchy (exact)")
 
-    p = _VERIFY_PARAMS
-    lt = ConstantLifetime(1.0 / _VERIFY_DCTAU)
-    T = _VERIFY_T_OVER_DELTA * p.delta_c
+    # float closed form of the vertex vs the exact recursion on the same kernel,
+    # lifted: a float kernel whose 1 - M = 2**-20 is exact, so u = 1.2e-6 and
+    # the sectors pass 1e308 from n = 48
+    c2 = 0.25 - 2.0**-21
+    exact = ladder.solve_fock_hierarchy(60, KernelScalars(-1.0, 0.5, c2).exact())
+    mix = DiagonalMixture({0: 0.25, 7: 0.5, 60: 0.25})
+    cases = [(Fock(n), exact[n]) for n in range(61)]
+    cases.append((mix, sum(Fraction(w) * exact[n] for n, w in mix.weights.items())))
+    worst = 0.0
+    for state, ref in cases:
+        log_ref = _log_abs(ref)
+        err = abs(ladder.log_vertex(KernelScalars(-1.0, 0.5, c2, state=state)) - log_ref)
+        worst = max(worst, err / (2.0**-52 * (max(state.weights) + 1 + abs(log_ref))))
+    # in eps (n + 1 + |log|Gamma||), the closed form's rounding (of log u, times
+    # n, and of the sum) measures at most 1.4
+    record("vertex_closed_form", worst <= 4.0,
+           f"max |dlog|Gamma|| = {worst:.2f} eps (n+1+|log|Gamma||) vs exact recursion, "
+           "n <= 60 and mix:{0,7,60}, 1 - M = 2**-20")
+
     qr = sectors.bcs_kernel_quadrature(p, lt, T)
     record(
         "bcs_quadrature",

@@ -35,8 +35,10 @@ the closed form against.
 curve ``ladder.mass_curve``, which shares ``KernelScalars.from_model``'s one
 dressing but builds no kernel per temperature; nothing here branches on the
 kind of state.  The scan and the bisection run on Python floats, so T_c is
-one, and the vertex terms guard the powers that leave the float range
-(``_over_power``) instead of leaning on numpy scalars.  ``criticality``
+one.  Everything that can leave the float range near T_c is carried as a log:
+``fit_gamma`` fits ``ladder.log_vertex``, the vertex terms keep their
+amplitudes as logs relative to the largest, and ``vertex_P`` exponentiates
+once, through ``ladder.signed_exp``.  ``criticality``
 returns a frozen ``Criticality`` holding the state, the model, the root and
 the mass slope, computed once; the fits, the correlation functions and the
 momentum-resolved vertex all take it instead of re-deriving T_c and m.
@@ -51,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ladder
-from .ladder import KernelScalars, vertex_for_state
+from .ladder import KernelScalars, log_sum_exp, log_vertex, signed_exp
 from .model import (
     DomainError,
     InitialPhotonState,
@@ -259,9 +261,11 @@ def fitted_pole_location(
 # susceptibility exponent
 # ---------------------------------------------------------------------------
 
-# Least fit settings the exponent fits accept; config parsing checks the same.
+# Fit settings the exponent fits accept; config parsing checks the same.
 MIN_GAMMA_POINTS = 20
+MAX_GAMMA_POINTS = 10_000
 MIN_NU_POINTS = 8
+MAX_NU_POINTS = 1_000
 MIN_NU_WINDOW_RATIO = 99.0  # two decades
 # Least r^2 an exponent fit must exceed to be accepted.
 R2_MIN = 0.999
@@ -270,7 +274,8 @@ R2_MIN = 0.999
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line: slope, r^2 and the largest |residual|.
 
-    Non-finite data give NaN for all three, and no fit gate accepts r^2 = NaN.
+    Non-finite data give NaN for all three, and constant data give r^2 = NaN
+    (a line explains none of their variance): no fit gate accepts r^2 = NaN.
     """
     if not np.all(np.isfinite(y)):
         return math.nan, math.nan, math.nan
@@ -278,15 +283,15 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else math.nan
     return float(slope), r2, float(np.max(np.abs(y - pred)))
 
 
-def _fit_exponent(name, crit: Criticality, window, points: int, value_at) -> ExponentFit:
-    """Exponent -d log value / d log t of ``value_at(T_c (1 + t))`` on a geometric window of t."""
+def _fit_exponent(name, crit: Criticality, window, points: int, log_value_at) -> ExponentFit:
+    """Exponent -d log value / d log t of ``log_value_at(T_c (1 + t))`` on a geometric window of t."""
     red = np.geomspace(window[0], window[1], points)
-    values = np.array([value_at(crit.point.t_c * (1.0 + t)) for t in red.tolist()])
-    slope, r2, resid = _line_fit(np.log(red), np.log(values))
+    logs = np.array([log_value_at(crit.point.t_c * (1.0 + t)) for t in red.tolist()])
+    slope, r2, resid = _line_fit(np.log(red), logs)
     if not r2 > R2_MIN:
         raise FitRejected(
             f"{name} fit rejected: r^2 = {r2:.6f} <= {R2_MIN}",
@@ -304,60 +309,58 @@ def fit_gamma(
 
     Number states give n+1 (the pole order of the hierarchy), Gaussian states
     give 1.  The window must sit strictly above T_c; with the defaults the
-    leading pole dominates subleading ones by >= 1e3 for n <= 5.
+    leading pole dominates subleading ones by >= 1e3 for n <= 5.  For large n
+    the fit drifts below n+1, because (n+1) t reaches O(1) at the top of the
+    window (61.0 - 0.009 for n = 60, 1001 - 0.15 for n = 1000).
     """
-    if points < MIN_GAMMA_POINTS:
-        raise ValueError(f"need at least {MIN_GAMMA_POINTS} window points")
+    if not MIN_GAMMA_POINTS <= points <= MAX_GAMMA_POINTS:
+        raise ValueError(f"need {MIN_GAMMA_POINTS} to {MAX_GAMMA_POINTS} window points")
 
-    def gamma_at(T):
-        k = KernelScalars.from_model(crit.params, crit.lifetime, T, crit.convention, crit.state)
-        return abs(float(vertex_for_state(k)))
+    def log_gamma_at(T):
+        return log_vertex(
+            KernelScalars.from_model(crit.params, crit.lifetime, T, crit.convention, crit.state)
+        )
 
-    return _fit_exponent("gamma", crit, window, points, gamma_at)
+    return _fit_exponent("gamma", crit, window, points, log_gamma_at)
 
 
 # ---------------------------------------------------------------------------
 # momentum-resolved vertex and spatial correlations
 # ---------------------------------------------------------------------------
 
-def _over_power(num: float, base: float, order: int, factor: int = 1) -> float:
-    """num / (base**order * factor) with float64 limits on plain floats.
-
-    A power that underflows to 0 gives copysign(inf, num) and one past the
-    float range gives a signed zero, as numpy's float64 does, where Python
-    floats would raise ZeroDivisionError or OverflowError instead.
-    """
-    try:
-        den = base**order * factor
-    except OverflowError:
-        den = math.inf
-    return num / den if den else math.copysign(math.inf, num)
-
-
 @dataclass(frozen=True)
 class _LorentzianTerm:
-    """One term amp / [c_par P_x^2 + c_perp P_y^2 + mass]^order."""
+    """One term amp / [c_par P_x^2 + c_perp P_y^2 + mass]^order, amp = exp(log_amp)."""
 
-    amp: float
+    log_amp: float
     c_par: float
     c_perp: float
     mass: float
     order: int
 
-    def value(self, px: float, py: float) -> float:
-        return _over_power(
-            self.amp, self.c_par * px * px + self.c_perp * py * py + self.mass, self.order
+    @property
+    def amp(self) -> float:
+        return math.exp(self.log_amp)
+
+    def log_value(self, px: float, py: float) -> float:
+        return self.log_amp - self.order * math.log(
+            self.c_par * px * px + self.c_perp * py * py + self.mass
         )
 
 
 def _vertex_terms(
     crit: Criticality,
     T: float,
-    gamma0: float,
     anisotropy: float,
     fock_form: str,
-) -> list[_LorentzianTerm]:
-    """Lorentzian terms of the momentum-resolved vertex at T > T_c, one per sector weight."""
+) -> tuple[float, list[_LorentzianTerm]]:
+    """Lorentzian terms of the momentum-resolved vertex at T > T_c, one per sector weight.
+
+    Returns the log of the largest amplitude and the terms, whose amplitudes
+    are relative to it, so the vertex is gamma0 * exp(log_top) * sum(terms).
+    The reduced amplitudes w / (mass_gap^n (n+1)) leave the float range near
+    T_c for high n; only their ratios enter the terms.
+    """
     if anisotropy <= 0:
         raise ValueError("anisotropy must be > 0")
     mass_gap = crit.slope * (T - crit.point.t_c)
@@ -365,16 +368,20 @@ def _vertex_terms(
         raise DomainError("the momentum-resolved vertex needs T > T_c")
     c_par = 1.0 + anisotropy
     c_perp = anisotropy
+    log_gap = math.log(mass_gap)
 
-    def fock_term(n: int, weight: float) -> _LorentzianTerm:
+    def fock_term(n: int, weight: float) -> tuple:
         if fock_form == "power":
-            return _LorentzianTerm(weight * gamma0, c_par, c_perp, mass_gap, n + 1)
+            return math.log(weight), mass_gap, n + 1
         if fock_form == "reduced":
-            amp = _over_power(weight * gamma0, mass_gap, n, n + 1)
-            return _LorentzianTerm(amp, c_par, c_perp, mass_gap / (n + 1), 1)
+            return math.log(weight) - n * log_gap - math.log(n + 1), mass_gap / (n + 1), 1
         raise ValueError(f"unknown fock_form {fock_form!r}")
 
-    return [fock_term(n, w) for n, w in crit.state.weights.items() if w > 0]
+    raw = [fock_term(n, w) for n, w in crit.state.weights.items() if w > 0]
+    top = max(log_amp for log_amp, _, _ in raw)
+    return top, [
+        _LorentzianTerm(log_amp - top, c_par, c_perp, mass, order) for log_amp, mass, order in raw
+    ]
 
 
 def vertex_P(
@@ -389,14 +396,16 @@ def vertex_P(
 
     ``fock_form="power"`` keeps the full pole order n+1; ``"reduced"`` is the
     small-P binomial collapse onto a single Lorentzian with the mass divided
-    by n+1.  The two agree in value and curvature at P = 0.
+    by n+1.  The two agree in value and curvature at P = 0.  The sum runs on
+    logs; a value past the float range is -inf (gamma0 < 0), one below it 0.
     """
-    terms = _vertex_terms(
-        crit, T, ladder.bare_vertex(crit.params), anisotropy, fock_form
-    )
+    log_top, terms = _vertex_terms(crit, T, anisotropy, fock_form)
     px = P * math.cos(theta)
     py = P * math.sin(theta)
-    return sum(t.value(px, py) for t in terms)
+    gamma0 = ladder.bare_vertex(crit.params)
+    return signed_exp(
+        math.log(abs(gamma0)) + log_top + log_sum_exp(t.log_value(px, py) for t in terms), gamma0
+    )
 
 
 def _bessel_transform(term: _LorentzianTerm, r: np.ndarray) -> np.ndarray:
@@ -467,9 +476,7 @@ def correlation_quadrature(
     P_x and adaptive quadrature in P_y.  Raises ``QuadratureError`` when the
     summed error estimate exceeds ``_QUAD_REL_TOL`` of the value.
     """
-    terms = _vertex_terms(
-        crit, T, abs(ladder.bare_vertex(crit.params)), anisotropy, fock_form
-    )
+    _, terms = _vertex_terms(crit, T, anisotropy, fock_form)
     out = np.empty(len(r_grid))
     for i, r in enumerate(r_grid):
         parts = [_contour_transform(term, float(r)) for term in terms]
@@ -492,8 +499,10 @@ def correlation_function(
     """Spatial pair correlation C(r) and the fitted correlation length.
 
     C(r) is the 2D Fourier transform of the momentum-resolved vertex along
-    the distinguished axis, normalised with |gamma0| so the profile is
-    positive, summed over the closed-form transforms of its Lorentzian terms.
+    the distinguished axis, summed over the closed-form transforms of its
+    Lorentzian terms and divided by gamma0 times the largest term's
+    amplitude, so the profile is positive and stays in the float range for
+    any pole order; xi does not depend on that scale.
     xi comes from a log-linear fit of the tail over r in [3 xi_est, 10 xi_est]
     with one re-estimation pass, and the profile holds that 20-point grid.
     For number states the default ``fock_form="reduced"`` fits the
@@ -501,9 +510,7 @@ def correlation_function(
     the physical correlation length; ``"power"`` transforms the full
     (n+1)-order pole instead.
     """
-    terms = _vertex_terms(
-        crit, T, abs(ladder.bare_vertex(crit.params)), anisotropy, fock_form
-    )
+    _, terms = _vertex_terms(crit, T, anisotropy, fock_form)
     # slowest decay across terms sets the expected length
     xi_est = max(math.sqrt(t.c_par / t.mass) for t in terms)
 
@@ -543,10 +550,11 @@ def fit_nu(
     for Gaussian and number states alike (only the amplitude of xi knows the
     photon number).
     """
-    if n_temps < MIN_NU_POINTS:
-        raise ValueError(f"need at least {MIN_NU_POINTS} temperatures")
+    if not MIN_NU_POINTS <= n_temps <= MAX_NU_POINTS:
+        raise ValueError(f"need {MIN_NU_POINTS} to {MAX_NU_POINTS} temperatures")
     if window[1] / window[0] < MIN_NU_WINDOW_RATIO:
         raise ValueError("window must span at least two decades")
     return _fit_exponent(
-        "nu", crit, window, n_temps, lambda T: correlation_function(crit, T, **corr_kwargs).xi
+        "nu", crit, window, n_temps,
+        lambda T: math.log(correlation_function(crit, T, **corr_kwargs).xi),
     )

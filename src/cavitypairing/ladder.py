@@ -28,9 +28,23 @@ dressed kernel, gamma0 / (1 - a_bcs - 2*c2*s**2).  Every other state averages
 the bare hierarchy over its Fock-sector weights.  ``kernel_terms`` is the one
 place a photon state shapes a kernel: it returns the terms as a function of T
 on plain floats.  ``KernelScalars.from_model`` freezes them at one T, keeping
-the state so that ``pole_mass`` and ``vertex_for_state`` need no argument, and
+the state so that ``pole_mass`` and ``log_vertex`` need no argument, and
 ``mass_curve`` reads the pole mass off them without building a kernel, for the
 root searches that evaluate it hundreds of times.
+
+Floats read the vertex from the two-pole closed form of Gamma(u)/(1-u) instead
+of the recursion, whose values leave the float range near the pole from
+n ~ 46.  Its denominator (1-a)(1-u)**2 - 2*c2*(1+u)**2 has the reciprocal roots
+u and 1/u with, for gap = 1 - M and rho = sqrt(2*c2/(1-a)),
+
+    u = gap / ((1-a) (1+rho)**2),
+    Gamma^n = (gamma0/gap) (1 + u**(2n+1)) / ((1+u) u**n),
+
+written with gap rather than as (1-rho)/(1+rho), which cancels near the pole.
+Above the root (gap > 0) every sector has gamma0's sign, so ``log_vertex``
+returns log|Gamma| and averages a state's sectors by log-sum-exp;
+``signed_exp`` turns a log magnitude back into a float, +-inf past the float
+range.  The exact recursion stays the reference it is checked against.
 
 Published variants of the kernel normalisation differ by factors of two; they
 are exposed as a convention switch and rescale ``a_bcs``/``c2`` only.  No
@@ -39,9 +53,10 @@ critical exponent depends on the choice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from .model import (
     InitialPhotonState,
@@ -63,12 +78,14 @@ __all__ = [
     "bare_vertex",
     "intermediate_vertex_closed_form",
     "kernel_terms",
+    "log_sum_exp",
+    "log_vertex",
     "mass_curve",
     "oracle_check",
     "physical_vertex_series",
+    "signed_exp",
     "solve_fock_hierarchy",
     "thermal_resummation_check",
-    "vertex_for_state",
 ]
 
 Number = Union[int, float, Fraction]
@@ -165,7 +182,7 @@ class KernelScalars:
     """Scalar kernels of the on-shell ladder at one temperature, for one photon state.
 
     ``state`` is the photon state the kernel was built for: a thermal state's
-    c2 is already dressed by s**2, and ``vertex_for_state`` averages over the
+    c2 is already dressed by s**2, and ``log_vertex`` averages over the
     state's sector weights.  ``gtilde`` and ``dct`` (= delta_c * tau) are kept
     when known so the frequency-sector system can be assembled from the same
     primitives.  Fields may be floats or Fractions; ``exact()`` lifts every
@@ -329,13 +346,43 @@ def thermal_resummation_check(kernel: KernelScalars, x: Number) -> ResummationRe
     return ResummationReport(residual, n_max, float(xe**n_max))
 
 
-def vertex_for_state(kernel: KernelScalars):
-    """Physical on-shell vertex for the photon state the kernel was built for.
+def log_sum_exp(logs: Iterable[float]) -> float:
+    """log(sum(exp(x))) of finite logs, scaled by the largest so nothing overflows."""
+    logs = list(logs)
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs))
 
-    Averages the hierarchy over the state's sector weights: a single sector
-    for the vacuum and number states, and the vacuum sector of the dressed
-    kernel for a thermal state.
+
+def signed_exp(log_magnitude: float, sign: Number) -> float:
+    """copysign(exp(log_magnitude), sign): +-inf past the float range, +-0 below it."""
+    try:
+        return math.copysign(math.exp(log_magnitude), sign)
+    except OverflowError:
+        return math.copysign(math.inf, sign)
+
+
+def log_vertex(kernel: KernelScalars) -> float:
+    """log|Gamma| of the on-shell vertex for the photon state the kernel was built for.
+
+    Each Fock sector n reads the two-pole closed form (module docstring), and
+    the state's sector weights combine by log-sum-exp: a single sector for the
+    vacuum and number states, and the vacuum sector of the dressed kernel for
+    a thermal state.  The vertex has gamma0's sign.  A pole denominator
+    1 - pole_mass below 1e-14 in magnitude, or at or below zero (on or past
+    the instability, where sectors change sign), is rejected.
     """
-    weights = kernel.state.weights
-    hier = solve_fock_hierarchy(max(weights), kernel)
-    return sum(w * hier[m] for m, w in weights.items())
+    gamma0, a, c2 = float(kernel.gamma0), float(kernel.a_bcs), float(kernel.c2)
+    gap = 1 - (a + 2 * c2)
+    if abs(gap) < 1e-14:
+        raise CriticalityError(f"|1 - pole_mass| = {abs(gap):.3e} < 1e-14")
+    if gap < 0:
+        raise CriticalityError(f"1 - pole_mass = {gap:.3e} < 0: the kernel is past the instability")
+    one_m_a = 1 - a
+    u = gap / (one_m_a * (1 + math.sqrt(2 * c2 / one_m_a)) ** 2)
+    log_u, log1p_u = math.log(u), math.log1p(u)
+    base = math.log(abs(gamma0 / gap))
+    return log_sum_exp(
+        math.log(w) + base - n * log_u + (math.log1p(u ** (2 * n + 1)) - log1p_u)
+        for n, w in kernel.state.weights.items()
+        if w > 0
+    )

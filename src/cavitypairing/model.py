@@ -79,6 +79,15 @@ class ModelParams:
             raise DomainError("e_f and k_f must be > 0")
         if self.q0 < 0 or self.q0 > 0.1 * self.k_f:
             raise DomainError("q0 must satisfy 0 <= q0 << k_F (enforced: q0 <= 0.1 k_F)")
+        try:
+            finite = math.isfinite(self.gtilde)
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise DomainError(
+                f"g0 = {self.g0!r} and delta_c = {self.delta_c!r} put gtilde = "
+                "g0**2 / (4 pi delta_c)**2 outside the float range"
+            )
 
     @property
     def gtilde(self) -> float:

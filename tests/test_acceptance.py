@@ -21,7 +21,14 @@ from cavitypairing.ladder import (
     solve_fock_hierarchy,
     thermal_resummation_check,
 )
-from cavitypairing.model import ConstantLifetime, Fock, ModelParams, Thermal, Vacuum
+from cavitypairing.model import (
+    ConstantLifetime,
+    DiagonalMixture,
+    Fock,
+    ModelParams,
+    Thermal,
+    Vacuum,
+)
 from cavitypairing.useries import RationalFunction as RF, taylor
 
 QUAD_P = ModelParams(g0=1.0, delta_c=1.0, q0=0.0, e_f=100.0, k_f=1.0)
@@ -187,3 +194,25 @@ def test_criterion_8_gaussian_collapse():
     _report(8, constant and state_free and flat, dt,
             "c2 = 0 leaves the hierarchy occupation-independent exactly; "
             "zeroing the statistical photon line removes all state dependence")
+
+
+def test_criterion_9_thermal_regularisation(const_params, const_lifetime):
+    # Boltzmann mixtures truncated at N: weights x^n / sum, n <= N, x = exp(-2).
+    # Each orders at the vacuum root with the pole order of its top sector; only
+    # the untruncated (thermal) sum regularises to gamma = 1
+    t0 = time.perf_counter()
+    vac = cr.find_tc(const_params, const_lifetime, Vacuum()).t_c
+    x = math.exp(-2.0)
+    devs = []
+    ok = True
+    for n_top in (5, 60):
+        z = sum(x**n for n in range(n_top + 1))
+        mix = DiagonalMixture({n: x**n / z for n in range(n_top + 1)})
+        crit = cr.criticality(mix, const_params, const_lifetime)
+        gamma = cr.fit_gamma(crit).exponent
+        devs.append(f"N={n_top}: gamma {gamma:.4f}")
+        ok = ok and crit.point.t_c == vac and abs(gamma - (n_top + 1)) <= 0.05
+    dt = time.perf_counter() - t0
+    _report(9, ok and dt < 10.0, dt,
+            f"truncated Boltzmann mixtures order at the vacuum T_c with gamma = N + 1 "
+            f"within 0.05 ({', '.join(devs)})")

@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
 import re
 import tempfile
+import textwrap
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavitypairing import cli, critical
+from cavitypairing import cli, critical, ladder, model
 from cavitypairing.cli import ConfigError, RunConfig, parse_state, state_label
 from cavitypairing.model import DiagonalMixture, Fock, Thermal, Vacuum
 
@@ -216,6 +218,28 @@ def test_overflow_names_quantity_and_input(tmp_path, capsys, line, command, name
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line, named", [
+    ("fit.gamma_points = 100000000000", "gamma_points: need 20 to 10000"),
+    ("fit.nu_points = 100000000000", "nu_points: need 8 to 1000"),
+])
+def test_config_caps_fit_points(line, named):
+    # parsed only: a run with these counts would allocate or compute for hours
+    with pytest.raises(ConfigError, match=named):
+        RunConfig.parse(line + "\n")
+
+
+@pytest.mark.parametrize("line, named", [
+    ("model.delta_c = 1e300", "delta_c = 1e+300"),
+    ("model.g0 = 1e200", "g0 = 1e+200"),
+])
+def test_gtilde_past_the_float_range_is_a_config_error(tmp_path, capsys, line, named):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "tc"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err and "gtilde" in err
+
+
 def test_main_missing_config_file(tmp_path):
     assert cli.main(
         ["--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path), "tc"]
@@ -267,7 +291,7 @@ def test_verify_passes_and_reports(tmp_path, capsys):
     names = {c["name"] for c in report["checks"]}
     assert {"oracle_equivalence", "thermal_resummation", "sector_chain",
             "bcs_quadrature", "offshell_cancellation", "gaussian_collapse",
-            "correlation_bessel", "thermal_identity"} <= names
+            "correlation_bessel", "thermal_dressing", "vertex_closed_form"} <= names
     bessel = next(c for c in report["checks"] if c["name"] == "correlation_bessel")
     assert "vs contour quadrature" in bessel["detail"]
     assert "power anisotropic, q=1 and q=3" in bessel["detail"]
@@ -284,6 +308,38 @@ def test_verify_fault_injection_fails_loudly(tmp_path, capsys):
     assert report["all_passed"] is False
     # the fault reaches the recursion the oracle checks and nothing else
     assert [c["name"] for c in report["checks"] if not c["passed"]] == ["oracle_equivalence"]
+
+
+def _mutant(func, old, new):
+    """``func`` rebuilt from its own source with ``old`` replaced by ``new``, once."""
+    src = textwrap.dedent(inspect.getsource(func))
+    assert src.count(old) == 1, old
+    namespace = dict(func.__globals__)
+    exec(compile(src.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
+    return namespace[func.__name__]
+
+
+@pytest.mark.parametrize("module, name, old, new, check", [
+    pytest.param(model, "statistical_factor", "1.0 / math.tanh(x)", "math.tanh(x)",
+                 "thermal_dressing", id="tanh-for-coth"),
+    pytest.param(ladder, "kernel_terms", "c2 = c2 * s**2", "c2 = c2 * s",
+                 "thermal_dressing", id="s-for-s-squared"),
+    pytest.param(ladder, "log_vertex", "u ** (2 * n + 1)", "u ** (2 * n)",
+                 "vertex_closed_form", id="even-power"),
+    pytest.param(ladder, "log_vertex", "u = gap / (one_m_a * (1 + math.sqrt(2 * c2 / one_m_a)) ** 2)",
+                 "u = (1 - math.sqrt(2 * c2 / one_m_a)) / (1 + math.sqrt(2 * c2 / one_m_a))",
+                 "vertex_closed_form", id="cancelling-root"),
+])
+def test_verify_check_catches_its_mutant(monkeypatch, module, name, old, new, check):
+    # negative control: a corrupted source function fails exactly the check that guards it
+    original = getattr(module, name)
+    mutant = _mutant(original, old, new)
+    for mod in (model, ladder, critical, cli):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, mutant)
+    passed, report = cli.run_verify(RunConfig())
+    assert not passed
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [check]
 
 
 def test_main_xi_ratios(tmp_path):
@@ -367,32 +423,82 @@ def test_main_vertex_and_scan(tmp_path):
 
 
 def test_overflowing_fits_are_rejected(tmp_path):
-    # the fock:60 hierarchy overflows, so both fits see non-finite data
+    # the power-form transform of the fock:60 pole overflows, so the nu fit sees
+    # non-finite data; gamma reads the vertex as a log and stays finite
     cfgf = tmp_path / "c.cfg"
-    cfgf.write_text("states.list = fock:60\n")
+    cfgf.write_text("states.list = fock:60\nfit.fock_form = power\n")
     args = ["--config", str(cfgf), "--out", str(tmp_path)]
     assert cli.main(args + ["exponents"]) == cli.EXIT_OK
     rows = list(csv.DictReader(io.StringIO((tmp_path / "exponents.csv").read_text())))
     assert [r["quantity"] for r in rows] == ["gamma", "nu"]
-    assert all(r["note"].startswith("REJECTED") for r in rows)
-    assert all(r["r_squared"] == "nan" for r in rows)
+    assert float(rows[0]["value"]) == pytest.approx(61.0, abs=0.05)
+    assert rows[1]["note"].startswith("REJECTED")
+    assert rows[1]["r_squared"] == "nan"
     assert cli.main(args + ["--strict", "exponents"]) == cli.EXIT_NUMERIC
 
 
-@pytest.mark.parametrize("command, row, fock_form", [
-    pytest.param("vertex", "gamma_on_shell = -inf", "reduced", id="vertex-gamma_on_shell = -inf"),
-    pytest.param("xi", "xi = nan", "reduced", id="xi-xi = nan"),
-    pytest.param("vertex", "gamma_on_shell = -inf", "power",
+@pytest.mark.parametrize("state, gamma", [
+    ("fock:45", 45.993), ("fock:46", 46.993), ("fock:60", 60.991), ("fock:200", 200.971),
+])
+def test_exponents_past_the_float_range_of_the_vertex(tmp_path, state, gamma):
+    # the vertex of these states passes 1e308 on the fit window; gamma = n + 1
+    # less the (n+1) t drift at the top of the window, with the window and the
+    # r^2 gate unchanged
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(_reference_cfg((state,)).emit())
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "exponents"]) == cli.EXIT_OK
+    rows = {r["quantity"]: r for r in
+            csv.DictReader(io.StringIO((tmp_path / "exponents.csv").read_text()))}
+    assert float(rows["gamma"]["value"]) == pytest.approx(gamma, abs=5e-4)
+    assert float(rows["gamma"]["r_squared"]) > 0.99999998
+    assert float(rows["nu"]["value"]) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("state, code", [("thermal", cli.EXIT_OK), ("vacuum", cli.EXIT_NUMERIC)])
+def test_window_rounding_to_t_c_gives_no_unflagged_gamma(tmp_path, capsys, state, code):
+    # every temperature of this window rounds to T_c: the thermal vertex is then
+    # constant, which no line explains (REJECTED, r^2 = nan), and the vacuum
+    # kernel there sits 1.8e-14 past its root, which the closed form refuses
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"states.list = {state}\nfit.gamma_window = 1e-300,1e-299\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "exponents"]) == code
+    if code == cli.EXIT_OK:
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "exponents.csv").read_text())))
+        gamma = next(r for r in rows if r["quantity"] == "gamma")
+        assert gamma["note"].startswith("REJECTED") and gamma["r_squared"] == "nan"
+    else:
+        assert "past the instability" in capsys.readouterr().err
+        assert not (tmp_path / "exponents.csv").exists()
+
+
+@pytest.mark.parametrize("command, state, row, fock_form", [
+    pytest.param("vertex", "fock:200", "gamma_on_shell = -inf", "reduced",
+                 id="vertex-gamma_on_shell = -inf"),
+    # the reduced form of fock:200 has a finite xi; the power-form transform of
+    # the order-61 pole of fock:60 overflows
+    pytest.param("xi", "fock:60", "xi = nan", "power", id="xi-xi = nan"),
+    pytest.param("vertex", "fock:200", "gamma_on_shell = -inf", "power",
                  id="vertex-gamma_on_shell = -inf-power"),
 ])
-def test_unflagged_non_finite_value_is_a_numerical_failure(tmp_path, capsys, command, row,
-                                                           fock_form):
+def test_unflagged_non_finite_value_is_a_numerical_failure(tmp_path, capsys, command, state,
+                                                           row, fock_form):
     cfgf = tmp_path / "c.cfg"
-    cfgf.write_text(f"states.list = fock:200\nfit.fock_form = {fock_form}\n")
+    cfgf.write_text(f"states.list = {state}\nfit.fock_form = {fock_form}\n")
     rc = cli.main(["--config", str(cfgf), "--out", str(tmp_path), command])
     assert rc == cli.EXIT_NUMERIC
-    assert f"numerical failure: {row} for state fock:200" in capsys.readouterr().err
+    assert f"numerical failure: {row} for state {state}" in capsys.readouterr().err
     assert not (tmp_path / f"{command}.csv").exists()
+
+
+def test_xi_of_a_pole_past_the_float_range(tmp_path):
+    # the reduced amplitude of fock:200 leaves the float range near T_c; xi
+    # never sees it, and grows as sqrt(n + 1)
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("states.list = fock:200\n")
+    assert cli.main(["--config", str(cfgf), "--out", str(tmp_path), "xi"]) == cli.EXIT_OK
+    rows = {r["quantity"]: float(r["value"]) for r in
+            csv.DictReader(io.StringIO((tmp_path / "xi.csv").read_text()))}
+    assert rows["xi_ratio"] == pytest.approx(math.sqrt(201), rel=0.02)
 
 
 @pytest.mark.parametrize("command", ["xi", "exponents"])
@@ -412,9 +518,11 @@ def test_power_form_past_float_factorials_names_the_pole_order(tmp_path, capsys,
     ("xi", "fock:200", cli.EXIT_NUMERIC),
 ])
 def test_overflow_warnings_stay_off_stderr(tmp_path, capsys, command, state, code):
-    # an overflowing hierarchy ends in REJECTED rows or exit 3, without numpy warnings
+    # an overflowing power form ends in REJECTED rows (the nu of fock:60), an
+    # infinite row (the vertex of fock:200) or a transform past float factorials
+    # (xi of fock:200), each without numpy warnings
     cfgf = tmp_path / "c.cfg"
-    cfgf.write_text(f"states.list = {state}\n")
+    cfgf.write_text(f"states.list = {state}\nfit.fock_form = power\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = cli.main(["--config", str(cfgf), "--out", str(tmp_path), command])

@@ -189,6 +189,9 @@ def test_gamma_invariant_under_vertex_rescale_and_convention():
 def test_gamma_needs_enough_points(const_params, const_lifetime):
     with pytest.raises(ValueError):
         cr.fit_gamma(cr.criticality(Vacuum(), const_params, const_lifetime), points=5)
+    with pytest.raises(ValueError):
+        cr.fit_gamma(cr.criticality(Vacuum(), const_params, const_lifetime),
+                     points=cr.MAX_GAMMA_POINTS + 1)
 
 
 # -- momentum-resolved vertex ----------------------------------------------------
@@ -343,16 +346,39 @@ def test_nu_window_validation(const_params, const_lifetime):
         cr.fit_nu(crit, window=(1e-4, 1e-3))
     with pytest.raises(ValueError):
         cr.fit_nu(crit, n_temps=4)
+    with pytest.raises(ValueError):
+        cr.fit_nu(crit, n_temps=cr.MAX_NU_POINTS + 1)
+
+
+@pytest.mark.parametrize("fit, exponent", [
+    pytest.param(cr.fit_gamma, 61.0, id="gamma"),
+    pytest.param(lambda crit: cr.fit_nu(crit, fock_form="reduced"), 0.5, id="nu-reduced"),
+])
+def test_high_pole_order_fits_are_finite(const_params, const_lifetime, fit, exponent):
+    # the fock:60 vertex leaves the float range on the fit window; the fits read
+    # it as a log, so gamma = n + 1 (less the (n+1) t drift at the top of the
+    # window) and the reduced form's nu = 1/2 pass the unchanged r^2 gate
+    crit = cr.criticality(Fock(60), const_params, const_lifetime)
+    f = fit(crit)
+    assert abs(f.exponent - exponent) <= 0.05
+    assert f.r_squared > 0.9999999
 
 
 @pytest.mark.parametrize("fit", [
-    pytest.param(cr.fit_gamma, id="gamma"),
-    pytest.param(lambda crit: cr.fit_nu(crit, fock_form="reduced"), id="nu-reduced"),
     pytest.param(lambda crit: cr.fit_nu(crit, fock_form="power"), id="nu-power"),
 ])
 def test_high_pole_order_fits_are_rejected(const_params, const_lifetime, fit):
-    # the fock:60 vertex and its power-form transform leave the float range on
-    # the fit window; the fit gate rejects them, with no numpy warning on the way
+    # the power-form transform of the order-61 pole leaves the float range on
+    # the fit window; the fit gate rejects it, with no numpy warning on the way
     crit = cr.criticality(Fock(60), const_params, const_lifetime)
     with pytest.raises(cr.FitRejected, match=r"r\^2 = nan"):
         fit(crit)
+
+
+def test_constant_fit_data_are_rejected(const_params, const_lifetime):
+    # constant data, as from a window whose temperatures all round to T_c, are
+    # explained by no line: r^2 is NaN, not 1, and the fit gate rejects them
+    assert math.isnan(cr._line_fit(np.log(np.geomspace(1e-6, 1e-3, 24)), np.full(24, 3.0))[1])
+    crit = cr.criticality(Thermal(), const_params, const_lifetime)
+    with pytest.raises(cr.FitRejected, match=r"r\^2 = nan"):
+        cr.fit_gamma(crit, window=(1e-300, 1e-299))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavitypairing.cli import RunConfig
+from cavitypairing.cli import RunConfig, _log_abs
 from cavitypairing.critical import find_tc
 from cavitypairing.ladder import (
     CriticalityError,
@@ -15,12 +15,12 @@ from cavitypairing.ladder import (
     bare_vertex,
     intermediate_vertex_closed_form,
     kernel_terms,
+    log_vertex,
     mass_curve,
     oracle_check,
     physical_vertex_series,
     solve_fock_hierarchy,
     thermal_resummation_check,
-    vertex_for_state,
 )
 from cavitypairing.model import (
     ConstantLifetime,
@@ -33,6 +33,8 @@ from cavitypairing.model import (
     statistical_factor,
 )
 from cavitypairing.useries import RationalFunction as RF
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 K_REF = KernelScalars(gamma0=F(-1), a_bcs=F(3, 10), c2=F(1, 4))
 
@@ -205,13 +207,14 @@ def test_unit_weight_display_coefficients():
 
 
 def test_solve_thermal_substitution(const_params, const_lifetime):
-    # the thermal vertex is the vacuum vertex of the kernel with c2 -> c2 * s**2
-    state = Thermal(math.log(3.0))
+    # the thermal vertex is the vacuum vertex of the kernel with c2 -> c2 * s**2;
+    # s = coth(2) keeps the dressed kernel above its root at T = 0.2
+    state = Thermal(4.0)
     s = statistical_factor(state, const_params.delta_c)
     bare = KernelScalars.from_model(const_params, const_lifetime, 0.2)
     k = KernelScalars.from_model(const_params, const_lifetime, 0.2, state=state)
     assert k.c2 == bare.c2 * s**2
-    assert vertex_for_state(k) == vertex_for_state(replace(bare, c2=bare.c2 * s**2))
+    assert log_vertex(k) == log_vertex(replace(bare, c2=bare.c2 * s**2))
 
 
 def test_solve_thermal_vacuum_limit(const_params, const_lifetime):
@@ -221,7 +224,7 @@ def test_solve_thermal_vacuum_limit(const_params, const_lifetime):
     bare = KernelScalars.from_model(const_params, const_lifetime, 0.2)
     k = KernelScalars.from_model(const_params, const_lifetime, 0.2, state=Thermal(60.0))
     assert replace(k, state=Vacuum()) == bare
-    assert vertex_for_state(k) == vertex_for_state(bare) == solve_fock_hierarchy(0, bare)[0]
+    assert log_vertex(k) == log_vertex(bare) == math.log(abs(solve_fock_hierarchy(0, bare)[0]))
 
 
 def test_solve_thermal_finite_on_grid(fl_params, fl_lifetime):
@@ -231,7 +234,7 @@ def test_solve_thermal_finite_on_grid(fl_params, fl_lifetime):
     vals = []
     for fac in (2.0, 3.0, 5.0, 8.0):
         k = KernelScalars.from_model(fl_params, fl_lifetime, tc * fac, state=Thermal())
-        vals.append(abs(vertex_for_state(k)))
+        vals.append(log_vertex(k))
         assert math.isfinite(vals[-1])
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -269,23 +272,32 @@ def test_divergence_order():
         assert abs(float(vals[2] - target)) < abs(float(vals[0] - target))
 
 
-def test_vertex_for_state_dispatch(const_params, const_lifetime):
+EPS = 2.0**-52
+
+
+def test_log_abs_of_rationals_past_the_float_range():
+    assert _log_abs(F(-3, 2)) == math.log(1.5)
+    assert _log_abs(F(3, 7) * 2**5000) == pytest.approx(math.log(3 / 7) + 5000 * math.log(2),
+                                                        rel=EPS)
+    assert _log_abs(F(7, 3 * 2**5000)) == pytest.approx(math.log(7 / 3) - 5000 * math.log(2),
+                                                        rel=EPS)
+
+
+def test_log_vertex_dispatch(const_params, const_lifetime):
     h = solve_fock_hierarchy(4, K_REF)
-    fock3 = replace(K_REF, state=Fock(3))
-    assert vertex_for_state(K_REF) == h[0]
-    assert vertex_for_state(fock3) == h[3]
-    # point-mass weights keep exact kernels exact
-    assert isinstance(vertex_for_state(K_REF), F)
-    assert isinstance(vertex_for_state(fock3), F)
+    assert log_vertex(K_REF) == pytest.approx(_log_abs(h[0]), rel=4 * EPS)
+    assert log_vertex(replace(K_REF, state=Fock(3))) == pytest.approx(_log_abs(h[3]), rel=4 * EPS)
     mix = replace(K_REF, state=DiagonalMixture({0: 0.5, 2: 0.5}))
-    assert float(vertex_for_state(mix)) == pytest.approx(0.5 * float(h[0]) + 0.5 * float(h[2]))
-    # a thermal kernel reads the vacuum sector of its dressed kernel, exactly when lifted
-    th = KernelScalars.from_model(const_params, const_lifetime, 0.2, state=Thermal()).exact()
-    assert vertex_for_state(th) == solve_fock_hierarchy(0, th)[0]
-    assert isinstance(vertex_for_state(th), F)
+    assert log_vertex(mix) == pytest.approx(_log_abs(F(1, 2) * h[0] + F(1, 2) * h[2]), rel=4 * EPS)
+    # a thermal kernel reads the vacuum sector of its dressed kernel
+    th = KernelScalars.from_model(const_params, const_lifetime, 0.2, state=Thermal())
+    assert log_vertex(th) == math.log(abs(solve_fock_hierarchy(0, th)[0]))
+    # c2 = 0 puts the two poles together at u = 1: every sector is gamma0 / (1 - a)
+    flat = KernelScalars(gamma0=-3.0, a_bcs=0.4, c2=0.0, state=Fock(50))
+    assert log_vertex(flat) == math.log(3.0 / 0.6)
 
 
-def test_vertex_for_state_thermal_fixed_beta():
+def test_log_vertex_thermal_fixed_beta():
     p = ModelParams(g0=1.0, delta_c=1.0, q0=0.0, e_f=100.0, k_f=1.0)
     lt = ConstantLifetime(0.5)
     state = Thermal(math.log(3.0))  # s = coth(beta * delta_c / 2) = 2
@@ -294,7 +306,54 @@ def test_vertex_for_state_thermal_fixed_beta():
     assert state.weights == k.state.weights == {0: 1}
     assert k.c2 == pytest.approx(bare.c2 * 2.0**2, rel=1e-15)
     closed = bare.gamma0 / (1 - bare.a_bcs - 2 * bare.c2 * 2.0**2)
-    assert vertex_for_state(k) == pytest.approx(closed, rel=1e-14)
+    assert log_vertex(k) == pytest.approx(math.log(abs(closed)), rel=1e-14)
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.5])
+@pytest.mark.parametrize("preset", ["reference", "fermi-liquid", "convention-heavy"])
+def test_log_vertex_no_worse_than_float_recursion(preset, t):
+    # both read the same float kernel, lifted exactly for the reference; up to
+    # n = 40 the float recursion stays finite on every kernel here
+    cfg = RunConfig.parse((CONFIGS / f"{preset}.cfg").read_text())
+    p, lt = cfg.params(), cfg.lifetime_model()
+    tc = find_tc(p, lt, Vacuum(), cfg.convention).t_c
+    k = KernelScalars.from_model(p, lt, tc * (1 + t), cfg.convention)
+    exact = [_log_abs(v) for v in solve_fock_hierarchy(40, k.exact())]
+    rec = solve_fock_hierarchy(40, k)
+    cf_err = max(abs(log_vertex(replace(k, state=Fock(n))) - e) for n, e in enumerate(exact))
+    rec_err = max(abs(math.log(abs(r)) - e) for r, e in zip(rec, exact))
+    assert cf_err <= rec_err + 4 * EPS * max(map(abs, exact))
+
+
+@pytest.mark.parametrize("preset", ["reference", "fermi-liquid", "convention-heavy"])
+def test_log_vertex_past_float_range_matches_exact_recursion(preset):
+    # near T_c the sectors leave the float range from n ~ 46; the closed form
+    # follows the exact recursion up to n = 60 within the error that the
+    # float 1 - M carries into (n+1) log(1 - M)
+    cfg = RunConfig.parse((CONFIGS / f"{preset}.cfg").read_text())
+    p, lt = cfg.params(), cfg.lifetime_model()
+    tc = find_tc(p, lt, Vacuum(), cfg.convention).t_c
+    k = KernelScalars.from_model(p, lt, tc * (1 + 1e-6), cfg.convention)
+    ke = k.exact()
+    exact = solve_fock_hierarchy(60, ke)
+    assert not math.isfinite(float(solve_fock_hierarchy(60, k)[60]))
+    gap_err = abs(F(1 - k.pole_mass) / (1 - ke.pole_mass) - 1)
+    mix = DiagonalMixture({0: 0.25, 46: 0.5, 60: 0.25})
+    cases = [(Fock(n), exact[n]) for n in range(61)]
+    cases.append((mix, sum(F(w) * exact[n] for n, w in mix.weights.items())))
+    for state, ref in cases:
+        n = max(state.weights)
+        log_ref = _log_abs(ref)
+        tol = (n + 1) * float(gap_err) + 4 * EPS * (n + 1 + abs(log_ref))
+        assert abs(log_vertex(replace(k, state=state)) - log_ref) <= tol, state
+
+
+@pytest.mark.parametrize("a_bcs, c2", [(0.3, 0.5), (1.5, 0.1), (0.5, 0.25)],
+                         ids=["past", "past-a", "on"])
+def test_log_vertex_rejects_kernels_on_or_past_the_instability(a_bcs, c2):
+    # the exact recursion runs past the pole; the closed form holds above it only
+    with pytest.raises(CriticalityError, match="pole_mass"):
+        log_vertex(KernelScalars(gamma0=-1.0, a_bcs=a_bcs, c2=c2, state=Fock(3)))
 
 
 # -- property tests ----------------------------------------------------------
