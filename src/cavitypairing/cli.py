@@ -167,20 +167,28 @@ def _convert(attr: str, val: str):
             raise ConfigError(f"{attr}: need at least one photon state, got {val!r}")
         return states
     if attr in ("gamma_window", "nu_window"):
-        lo, hi = (float(s) for s in val.split(","))
+        bad = ConfigError(f"{attr}: need lo,hi with 0 < lo < hi < inf, got {val!r}")
+        try:
+            lo, hi = (float(s) for s in val.split(","))
+        except ValueError:
+            raise bad from None
         if not 0 < lo < hi < math.inf:
-            raise ConfigError(f"{attr}: need 0 < lo < hi < inf, got {val!r}")
+            raise bad
         if attr == "nu_window" and hi / lo < critical.MIN_NU_WINDOW_RATIO:
             raise ConfigError(f"{attr}: must span at least two decades, got {val!r}")
         return (lo, hi)
     if attr in ("gamma_points", "nu_points"):
-        num = int(val)
         least, most = (
             (critical.MIN_GAMMA_POINTS, critical.MAX_GAMMA_POINTS) if attr == "gamma_points"
             else (critical.MIN_NU_POINTS, critical.MAX_NU_POINTS)
         )
+        bad = ConfigError(f"{attr}: need {least} to {most} (an integer), got {val!r}")
+        try:
+            num = int(val)
+        except ValueError:
+            raise bad from None
         if not least <= num <= most:
-            raise ConfigError(f"{attr}: need {least} to {most}, got {val!r}")
+            raise bad
         return num
     if attr == "physical_units":
         if val.lower() in ("true", "1", "yes"):

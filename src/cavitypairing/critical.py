@@ -38,7 +38,10 @@ kind of state.  The scan and the bisection run on Python floats, so T_c is
 one.  Everything that can leave the float range near T_c is carried as a log:
 ``fit_gamma`` fits ``ladder.log_vertex``, the vertex terms keep their
 amplitudes as logs relative to the largest, and ``vertex_P`` exponentiates
-once, through ``ladder.signed_exp``.  ``criticality``
+once, through ``ladder.signed_exp``.  The fits run on Python floats too:
+``_line_fit`` by centred sums, on windows from ``_geometric_grid``.  numpy
+serves only the ``kv`` transform, the contour reference and the root-scan
+grid.  ``criticality``
 returns a frozen ``Criticality`` holding the state, the model, the root and
 the mass slope, computed once; the fits, the correlation functions and the
 momentum-resolved vertex all take it instead of re-deriving T_c and m.
@@ -271,27 +274,57 @@ MIN_NU_WINDOW_RATIO = 99.0  # two decades
 R2_MIN = 0.999
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line: slope, r^2 and the largest |residual|.
+def _sum(v: list[float]) -> float:
+    """Pairwise sum: rounding error grows with log(len(v)), not len(v); ``sum`` up to 64 terms."""
+    if len(v) <= 64:
+        return sum(v)
+    half = len(v) // 2
+    return _sum(v[:half]) + _sum(v[half:])
 
+
+def _line_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
+    """Least-squares line on Python floats: slope, r^2 and the largest |residual|.
+
+    Centred sums, added pairwise by ``_sum``: the slope is sum(dx dy) /
+    sum(dx^2) about the means, and the residuals are dy - slope dx.  y's
+    mean is taken about y[0], so constant data centre to exact zeros.
     Non-finite data give NaN for all three, and constant data give r^2 = NaN
     (a line explains none of their variance): no fit gate accepts r^2 = NaN.
     """
-    if not np.all(np.isfinite(y)):
+    if not all(map(math.isfinite, y)):
         return math.nan, math.nan, math.nan
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else math.nan
-    return float(slope), r2, float(np.max(np.abs(y - pred)))
+    n = len(x)
+    xm = _sum(x) / n
+    ym = y[0] + _sum([v - y[0] for v in y]) / n
+    dx = [v - xm for v in x]
+    dy = [v - ym for v in y]
+    slope = _sum([a * b for a, b in zip(dx, dy)]) / _sum([a * a for a in dx])
+    resid = [b - slope * a for a, b in zip(dx, dy)]
+    ss_tot = _sum([b * b for b in dy])
+    r2 = 1.0 - _sum([e * e for e in resid]) / ss_tot if ss_tot > 0 else math.nan
+    return slope, r2, max(map(abs, resid))
+
+
+def _geometric_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n points from lo to hi at a constant ratio: the ends exact, lo exp(i step) between.
+
+    Ends whose ratio leaves the float range step through exp(log lo + i step).
+    """
+    ratio = hi / lo
+    if ratio < math.inf:
+        step = math.log(ratio) / (n - 1)
+        inner = [lo * math.exp(i * step) for i in range(1, n - 1)]
+    else:
+        step = (math.log(hi) - math.log(lo)) / (n - 1)
+        inner = [math.exp(math.log(lo) + i * step) for i in range(1, n - 1)]
+    return [lo, *inner, hi]
 
 
 def _fit_exponent(name, crit: Criticality, window, points: int, log_value_at) -> ExponentFit:
     """Exponent -d log value / d log t of ``log_value_at(T_c (1 + t))`` on a geometric window of t."""
-    red = np.geomspace(window[0], window[1], points)
-    logs = np.array([log_value_at(crit.point.t_c * (1.0 + t)) for t in red.tolist()])
-    slope, r2, resid = _line_fit(np.log(red), logs)
+    red = _geometric_grid(window[0], window[1], points)
+    logs = [log_value_at(crit.point.t_c * (1.0 + t)) for t in red]
+    slope, r2, resid = _line_fit([math.log(t) for t in red], logs)
     if not r2 > R2_MIN:
         raise FitRejected(
             f"{name} fit rejected: r^2 = {r2:.6f} <= {R2_MIN}",
@@ -408,12 +441,12 @@ def vertex_P(
     )
 
 
-def _bessel_transform(term: _LorentzianTerm, r: np.ndarray) -> np.ndarray:
+def _bessel_transform(term: _LorentzianTerm, r: Sequence[float]) -> np.ndarray:
     """Exact 2D Fourier transform of one Lorentzian term on the grid r."""
     from scipy.special import kv  # only the correlation commands pay its import
 
     nu = term.order - 1
-    rs = r / math.sqrt(term.c_par)
+    rs = np.array(r) / math.sqrt(term.c_par)
     sm = math.sqrt(term.mass)
     try:
         pref = term.amp / (
@@ -514,28 +547,23 @@ def correlation_function(
     # slowest decay across terms sets the expected length
     xi_est = max(math.sqrt(t.c_par / t.mass) for t in terms)
 
-    def fit(grid: np.ndarray):
+    def fit(grid: list[float]):
         values = sum(_bessel_transform(term, grid) for term in terms)
         bad = np.flatnonzero(~(values > 0))
         if bad.size:
             raise QuadratureError(f"non-positive correlation value at r={grid[bad[0]]}")
-        slope, r2, _ = _line_fit(grid, np.log(values))
-        return values, -1.0 / slope, r2
+        slope, r2, _ = _line_fit(grid, np.log(values).tolist())
+        # a flat or NaN tail has no decay length: xi = NaN, which the xi and nu gates catch
+        return values, -1.0 / slope if slope else math.nan, r2
 
-    grid = np.geomspace(3.0 * xi_est, 10.0 * xi_est, 20)
+    grid = _geometric_grid(3.0 * xi_est, 10.0 * xi_est, 20)
     values, xi, r2 = fit(grid)
     if xi > 0:
-        grid = np.geomspace(3.0 * xi, 10.0 * xi, 20)
+        grid = _geometric_grid(3.0 * xi, 10.0 * xi, 20)
         values, xi, r2 = fit(grid)
     if xi <= 0:
         raise QuadratureError("fitted correlation length is not positive")
-    return CorrelationProfile(
-        tuple(grid.tolist()),
-        tuple(values.tolist()),
-        float(xi),
-        (float(grid[0]), float(grid[-1])),
-        r2,
-    )
+    return CorrelationProfile(tuple(grid), tuple(values.tolist()), xi, (grid[0], grid[-1]), r2)
 
 
 def fit_nu(

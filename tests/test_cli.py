@@ -121,10 +121,10 @@ def test_json_has_schema_version(tmp_path):
 
 
 def test_emit_determinism(tmp_path):
-    cfg = RunConfig()
-    a = cli.cmd_tc(cfg).to_csv()
-    b = cli.cmd_tc(cfg).to_csv()
-    assert a == b
+    text = (Path(__file__).resolve().parents[1] / "configs" / "reference.cfg").read_text()
+    cfg = RunConfig.parse(text)
+    for cmd in (cli.cmd_tc, cli.cmd_exponents, cli.cmd_xi):
+        assert cmd(cfg).to_csv() == cmd(cfg).to_csv()
 
 
 # -- subcommands through main ------------------------------------------------------
@@ -226,6 +226,22 @@ def test_config_caps_fit_points(line, named):
     # parsed only: a run with these counts would allocate or compute for hours
     with pytest.raises(ConfigError, match=named):
         RunConfig.parse(line + "\n")
+
+
+@pytest.mark.parametrize("line, named", [
+    ("fit.gamma_points = 1e11", "gamma_points: need 20 to 10000 (an integer), got '1e11'"),
+    ("fit.gamma_points = 2.5", "gamma_points: need 20 to 10000 (an integer), got '2.5'"),
+    ("fit.nu_points = ten", "nu_points: need 8 to 1000 (an integer), got 'ten'"),
+    ("fit.gamma_window = 1e-6", "gamma_window: need lo,hi with 0 < lo < hi < inf, got '1e-6'"),
+    ("fit.gamma_window = 1e-6,1e-4,1e-3",
+     "gamma_window: need lo,hi with 0 < lo < hi < inf, got '1e-6,1e-4,1e-3'"),
+    ("fit.nu_window = a,b", "nu_window: need lo,hi with 0 < lo < hi < inf, got 'a,b'"),
+])
+def test_config_names_fit_key_and_form(tmp_path, capsys, line, named):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "tc"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {named}\n"
 
 
 @pytest.mark.parametrize("line, named", [

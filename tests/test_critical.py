@@ -1,5 +1,7 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -382,3 +384,104 @@ def test_constant_fit_data_are_rejected(const_params, const_lifetime):
     crit = cr.criticality(Thermal(), const_params, const_lifetime)
     with pytest.raises(cr.FitRejected, match=r"r\^2 = nan"):
         cr.fit_gamma(crit, window=(1e-300, 1e-299))
+
+
+# -- the float fit layer -----------------------------------------------------------
+
+EPS = 2.0**-52
+
+
+def _exact_slope(x, y):
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    xm, ym = sum(xs) / len(xs), sum(ys) / len(ys)
+    return float(sum((a - xm) * (b - ym) for a, b in zip(xs, ys))
+                 / sum((a - xm) ** 2 for a in xs))
+
+
+@pytest.mark.parametrize("n", [8, 20, 24, 1000, 10000])
+def test_line_fit_matches_polyfit(n):
+    # np.polyfit's own slope sits up to ~12 ulp off the exact least-squares
+    # slope at n = 8, and ~40 ulp is what plain left-to-right sums give at
+    # n = 10000; the pairwise centred sums stay within 4 ulp of the exact slope
+    rng = np.random.default_rng(n)
+    for rep in range(3):
+        x = np.sort(rng.uniform(-14.0, -7.0, n))
+        y = -2.5 * x + 1.0 + rng.normal(0.0, 0.5, n)
+        slope, r2, resid = cr._line_fit(x.tolist(), y.tolist())
+        assert type(slope) is type(r2) is type(resid) is float
+        ref_slope, ref_icpt = np.polyfit(x, y, 1)
+        res = y - (ref_slope * x + ref_icpt)
+        ref_r2 = 1.0 - np.sum(res**2) / np.sum((y - y.mean()) ** 2)
+        assert slope == pytest.approx(ref_slope, rel=16 * EPS, abs=0)
+        assert r2 == pytest.approx(ref_r2, rel=4 * EPS, abs=0)
+        assert resid == pytest.approx(np.max(np.abs(res)), rel=1e-12)
+        if rep == 0:
+            assert slope == pytest.approx(_exact_slope(x.tolist(), y.tolist()), rel=4 * EPS, abs=0)
+
+
+def test_line_fit_degenerate_data():
+    x = [math.log(t) for t in cr._geometric_grid(1e-6, 1e-3, 24)]
+    for bad in (math.inf, -math.inf, math.nan):
+        assert all(math.isnan(v) for v in cr._line_fit(x, [1.0] * 23 + [bad]))
+    # the mean of constant data is taken about its first value, so it is exact
+    for c in (3.0, 0.1, -7.3e-200, 1e300):
+        slope, r2, resid = cr._line_fit(x, [c] * 24)
+        assert slope == 0.0 and resid == 0.0 and math.isnan(r2)
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.0, math.nan])
+def test_flat_or_nan_correlation_tail_gives_nan_xi(const_params, const_lifetime, monkeypatch,
+                                                   slope):
+    # no decay length and no ZeroDivisionError: xi = NaN, which the nu fit rejects
+    # and the CLI's non-finite row check turns into exit 3
+    crit = cr.criticality(Fock(1), const_params, const_lifetime)
+    monkeypatch.setattr(cr, "_line_fit", lambda x, y: (slope, math.nan, math.nan))
+    assert math.isnan(cr.correlation_function(crit, crit.point.t_c * 1.01).xi)
+    with pytest.raises(cr.FitRejected, match=r"r\^2 = nan"):
+        cr.fit_nu(crit)
+
+
+def _decimal_grid(lo, hi, n):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        step = (Decimal(hi) / Decimal(lo)).ln() / (n - 1)
+        return [float(Decimal(lo) * (step * i).exp()) for i in range(n)]
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (1e-6, 1e-3, 24), (1e-5, 1e-3, 8), (1e-6, 1e-3, 10000), (1e-300, 1e-299, 24),
+    (3 * 0.37, 10 * 0.37, 20), (3 * 2.9e3, 10 * 2.9e3, 20), (3 * 7.1e-4, 10 * 7.1e-4, 20),
+])
+def test_geometric_grid(lo, hi, n):
+    grid = cr._geometric_grid(lo, hi, n)
+    assert len(grid) == n and grid[0] == lo and grid[-1] == hi
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+    assert max(abs(g / r - 1.0) for g, r in zip(grid, _decimal_grid(lo, hi, n))) <= 4 * EPS
+    # np.geomspace steps in log10 and is itself off the 50-digit grid by up to
+    # 8 ulp on these windows (282 ulp at 1e-300): the two agree to 16 ulp there
+    if lo > 1e-100:
+        assert np.max(np.abs(np.array(grid) / np.geomspace(lo, hi, n) - 1.0)) <= 16 * EPS
+
+
+def test_geometric_grid_past_the_float_range():
+    # ends whose ratio overflows step through logs, and still give a finite grid
+    grid = cr._geometric_grid(1e-300, 1e300, 24)
+    assert grid[0] == 1e-300 and grid[-1] == 1e300
+    assert all(a < b < math.inf for a, b in zip(grid, grid[1:]))
+    assert max(abs(g / r - 1.0) for g, r in zip(grid, _decimal_grid(1e-300, 1e300, 24))) < 1e-12
+
+
+@pytest.mark.parametrize("fock_form", ["reduced", "power"])
+def test_fit_layer_calls_no_polyfit_or_geomspace(const_params, const_lifetime, monkeypatch,
+                                                 fock_form):
+    # T_c's scan grid is np.geomspace; the fits and the correlation grids are not
+    crit = cr.criticality(DiagonalMixture({0: 0.5, 2: 0.5}), const_params, const_lifetime)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit layer called numpy's polyfit or geomspace")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np, "geomspace", refuse)
+    assert abs(cr.fit_gamma(crit).exponent - 3.0) <= 0.05
+    assert abs(cr.fit_nu(crit, fock_form=fock_form).exponent - 0.5) <= 0.02
+    assert cr.correlation_function(crit, crit.point.t_c * 1.001, fock_form=fock_form).xi > 0
