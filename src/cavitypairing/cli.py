@@ -473,12 +473,12 @@ def cmd_vertex(cfg: RunConfig) -> ResultTable:
             value=ladder.signed_exp(ladder.log_vertex(k), k.gamma0) * unit,
             provenance="ladder.log_vertex", note=f"reduced_t={_fmt(t_red)}",
         )
+        vertex = critical.momentum_vertex(crit, T, cfg.anisotropy, cfg.fock_form)
         for P in (0.0, 0.05, 0.1):
             for theta in (0.0, math.pi / 4, math.pi / 2):
-                v = critical.vertex_P(crit, P, theta, T, cfg.anisotropy, cfg.fock_form)
                 table.add(
                     state=state_label(state), quantity=f"vertex_P[{_fmt(P)},{_fmt(theta)}]",
-                    value=v * unit, provenance="critical.vertex_P",
+                    value=vertex(P, theta) * unit, provenance="critical.vertex_P",
                 )
     return table
 

@@ -32,13 +32,15 @@ in P_x, adaptive quadrature in P_y) as the reference that ``verify`` checks
 the closed form against.
 
 ``find_tc`` and ``mass_slope`` take the photon state and read its pole-mass
-curve ``ladder.mass_curve``, which shares ``KernelScalars.from_model``'s one
-dressing but builds no kernel per temperature; nothing here branches on the
-kind of state.  The scan and the bisection run on Python floats, so T_c is
-one.  Everything that can leave the float range near T_c is carried as a log:
-``fit_gamma`` fits ``ladder.log_vertex``, the vertex terms keep their
-amplitudes as logs relative to the largest, and ``vertex_P`` exponentiates
-once, through ``ladder.signed_exp``.  The fits run on Python floats too:
+curve ``ladder.mass_curve``, built once per search with the lifetime, the
+convention and the dressing resolved, so a scan point is one curve call;
+``fit_gamma`` builds ``ladder.kernel_terms`` once per fit in the same way, and
+``momentum_vertex`` the vertex terms once per temperature.  Nothing here
+branches on the kind of state.  The scan and the bisection run on Python
+floats, so T_c is one.  Everything that can leave the float range near T_c
+is carried as a log: ``fit_gamma`` fits ``ladder.log_vertex``, the vertex
+terms keep their amplitudes as logs relative to the largest, and
+``momentum_vertex`` exponentiates once, through ``ladder.signed_exp``.  The fits run on Python floats too:
 ``_line_fit`` by centred sums, on windows from ``_geometric_grid``.  numpy
 serves only the ``kv`` transform, the contour reference and the root-scan
 grid.  ``criticality``
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,6 +84,7 @@ __all__ = [
     "fit_nu",
     "fitted_pole_location",
     "mass_slope",
+    "momentum_vertex",
     "vertex_P",
 ]
 
@@ -189,12 +192,11 @@ def find_tc(
     lo_f, hi_f = SCAN_RANGE
     ts = np.geomspace(lo_f * p.e_f, hi_f * p.e_f, N_SCAN).tolist()
     mass = ladder.mass_curve(p, lt, convention, state)
-    f = lambda T: mass(T) - 1.0
-    vals = [f(t) for t in ts]
+    vals = [mass(t) - 1.0 for t in ts]
     brackets = [
-        (ts[i], ts[i + 1], vals[i] > vals[i + 1])
-        for i in range(N_SCAN - 1)
-        if vals[i] == 0.0 or (vals[i] > 0) != (vals[i + 1] > 0)
+        (t0, t1, v0 > v1)
+        for t0, t1, v0, v1 in zip(ts, ts[1:], vals, vals[1:])
+        if v0 == 0.0 or (v0 > 0) != (v1 > 0)
     ]
     if not brackets:
         raise BracketError(
@@ -203,6 +205,7 @@ def find_tc(
         )
     downward = [b for b in brackets if b[2]]
     lo, hi, _ = downward[-1] if downward else brackets[-1]
+    f = lambda T: mass(T) - 1.0
     tc = _bisect(f, lo, hi)
     return CriticalPoint(tc, (lo, hi), abs(f(tc)), len(brackets))
 
@@ -349,10 +352,11 @@ def fit_gamma(
     if not MIN_GAMMA_POINTS <= points <= MAX_GAMMA_POINTS:
         raise ValueError(f"need {MIN_GAMMA_POINTS} to {MAX_GAMMA_POINTS} window points")
 
+    gamma0 = ladder.bare_vertex(crit.params)
+    terms = ladder.kernel_terms(crit.params, crit.lifetime, crit.convention, crit.state)
+
     def log_gamma_at(T):
-        return log_vertex(
-            KernelScalars.from_model(crit.params, crit.lifetime, T, crit.convention, crit.state)
-        )
+        return log_vertex(KernelScalars(gamma0, *terms(T), crit.state))
 
     return _fit_exponent("gamma", crit, window, points, log_gamma_at)
 
@@ -417,6 +421,33 @@ def _vertex_terms(
     ]
 
 
+def momentum_vertex(
+    crit: Criticality,
+    T: float,
+    anisotropy: float = 1.0,
+    fock_form: str = "power",
+) -> Callable[[float, float], float]:
+    """(P, theta) -> pair vertex at center-of-mass momentum P and angle theta, T > T_c.
+
+    The Lorentzian terms at T are built once, so a grid of (P, theta) pays
+    for them once.  ``fock_form="power"`` keeps the full pole order n+1;
+    ``"reduced"`` is the small-P binomial collapse onto a single Lorentzian
+    with the mass divided by n+1.  The two agree in value and curvature at
+    P = 0.  The sum runs on logs; a value past the float range is -inf
+    (gamma0 < 0), one below it 0.
+    """
+    log_top, terms = _vertex_terms(crit, T, anisotropy, fock_form)
+    gamma0 = ladder.bare_vertex(crit.params)
+    log_scale = math.log(abs(gamma0)) + log_top
+
+    def vertex(P: float, theta: float) -> float:
+        px = P * math.cos(theta)
+        py = P * math.sin(theta)
+        return signed_exp(log_scale + log_sum_exp(t.log_value(px, py) for t in terms), gamma0)
+
+    return vertex
+
+
 def vertex_P(
     crit: Criticality,
     P: float,
@@ -425,20 +456,8 @@ def vertex_P(
     anisotropy: float = 1.0,
     fock_form: str = "power",
 ) -> float:
-    """Pair vertex at center-of-mass momentum P and angle theta, T > T_c.
-
-    ``fock_form="power"`` keeps the full pole order n+1; ``"reduced"`` is the
-    small-P binomial collapse onto a single Lorentzian with the mass divided
-    by n+1.  The two agree in value and curvature at P = 0.  The sum runs on
-    logs; a value past the float range is -inf (gamma0 < 0), one below it 0.
-    """
-    log_top, terms = _vertex_terms(crit, T, anisotropy, fock_form)
-    px = P * math.cos(theta)
-    py = P * math.sin(theta)
-    gamma0 = ladder.bare_vertex(crit.params)
-    return signed_exp(
-        math.log(abs(gamma0)) + log_top + log_sum_exp(t.log_value(px, py) for t in terms), gamma0
-    )
+    """Pair vertex at center-of-mass momentum P and angle theta, T > T_c (``momentum_vertex``)."""
+    return momentum_vertex(crit, T, anisotropy, fock_form)(P, theta)
 
 
 def _bessel_transform(term: _LorentzianTerm, r: Sequence[float]) -> np.ndarray:

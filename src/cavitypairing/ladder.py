@@ -26,11 +26,17 @@ kernel: ``kernel_terms`` dresses c2 by s**2 at its statistical factor
 s = coth(beta*delta_c/2), and the vertex is then the vacuum sector of the
 dressed kernel, gamma0 / (1 - a_bcs - 2*c2*s**2).  Every other state averages
 the bare hierarchy over its Fock-sector weights.  ``kernel_terms`` is the one
-place a photon state shapes a kernel: it returns the terms as a function of T
-on plain floats.  ``KernelScalars.from_model`` freezes them at one T, keeping
-the state so that ``pole_mass`` and ``log_vertex`` need no argument, and
-``mass_curve`` reads the pole mass off them without building a kernel, for the
-root searches that evaluate it hundreds of times.
+place a photon state shapes a kernel, and it returns the terms as a function
+of T on plain floats.  It resolves the convention, the lifetime model and the
+state's dressing once, when it is built: f_a*gtilde*delta_c always, delta_c*tau
+and c2 for a constant lifetime, and s for a thermal state of fixed beta.  A
+call then computes a_bcs = (f_a*gtilde*delta_c)/T and only what still depends
+on T: the Fermi-liquid rate and the equilibrium s.  ``mass_curve`` closes over
+the same factors and returns the pole mass a_bcs + 2*c2 alone, with no tuple,
+for the root searches that evaluate it hundreds of times; with a constant
+lifetime and no equilibrium dressing each call is one Python call.
+``KernelScalars.from_model`` freezes the terms at one T, keeping the state so
+that ``pole_mass`` and ``log_vertex`` need no argument.
 
 Floats read the vertex from the two-pole closed form of Gamma(u)/(1-u) instead
 of the recursion, whose values leave the float range near the pole from
@@ -59,13 +65,15 @@ from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 from .model import (
+    ConstantLifetime,
+    FermiLiquidLifetime,
     InitialPhotonState,
     LifetimeModel,
     ModelParams,
     Thermal,
     Vacuum,
+    _fermi_liquid_rate,
     statistical_factor,
-    tau_inv,
 )
 from .useries import RationalFunction, taylor
 
@@ -122,29 +130,25 @@ def _pole_mass(a_bcs: Number, c2: Number) -> Number:
     return a_bcs + 2 * c2
 
 
-def kernel_terms(
-    p: ModelParams,
-    lt: LifetimeModel,
-    convention: str = "canonical",
-    state: InitialPhotonState = Vacuum(),
-) -> Callable[[float], tuple]:
-    """The photon state's kernel terms as a function T -> (a_bcs, c2, gtilde, dct).
-
-    The convention, gtilde, delta_c and whether the state is thermal are read
-    once; each call then costs a lifetime rate and a few float operations.  A
-    thermal state dresses c2 by s**2 at its statistical factor s; this is the
-    one place a photon state shapes a kernel.
-    """
+def _kernel_curves(
+    p: ModelParams, lt: LifetimeModel, convention: str, state: InitialPhotonState
+) -> tuple[Callable[[float], tuple], Callable[[float], float]]:
+    """``kernel_terms`` and ``mass_curve`` of one model and state, over factors resolved once."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     fa, fc = CONVENTIONS[convention]
-    g, dc = p.gtilde, p.delta_c
+    g, dc, e_f = p.gtilde, p.delta_c, p.e_f
+    a = fa * g * dc
+    if isinstance(lt, ConstantLifetime):
+        fixed_dct = dc / lt.rate
+    elif isinstance(lt, FermiLiquidLifetime):
+        fixed_dct = None
+    else:
+        raise TypeError(f"unknown lifetime model {lt!r}")
     thermal = isinstance(state, Thermal)
+    fixed_s = statistical_factor(state, dc) if thermal and state.beta is not None else None
 
-    def terms(temperature: float) -> tuple:
-        if temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        dct = dc / tau_inv(lt, p, temperature)
+    def c2_at(temperature: float, dct: float) -> float:
         try:
             c2 = fc * (g * dct) ** 2
         except OverflowError as exc:
@@ -153,7 +157,7 @@ def kernel_terms(
                 f"delta_c * tau = {dct:.6g} for lifetime {lt} at T = {temperature:.6g}"
             ) from exc
         if thermal:
-            s = statistical_factor(state, dc, temperature)
+            s = statistical_factor(state, dc, temperature) if fixed_s is None else fixed_s
             try:
                 c2 = c2 * s**2
             except OverflowError as exc:
@@ -161,9 +165,59 @@ def kernel_terms(
                     f"thermal kernel mass a_bcs + 2 c2 s**2 overflows: photon statistical "
                     f"factor s = coth(beta * delta_c / 2) = {s:.6g} at T = {temperature}"
                 ) from exc
-        return fa * g * dc / temperature, c2, g, dct
+        return c2
 
-    return terms
+    # With no Fermi-liquid rate and no equilibrium s, c2 does not depend on T.
+    # T enters only its overflow messages, so an overflow is left to each call.
+    fixed_c2 = None
+    if fixed_dct is not None and (not thermal or fixed_s is not None):
+        try:
+            fixed_c2 = c2_at(math.nan, fixed_dct)
+        except OverflowError:
+            pass
+
+    def terms(temperature: float) -> tuple:
+        if temperature <= 0:
+            raise ValueError("temperature must be > 0")
+        dct = dc / _fermi_liquid_rate(e_f, temperature) if fixed_dct is None else fixed_dct
+        return a / temperature, c2_at(temperature, dct) if fixed_c2 is None else fixed_c2, g, dct
+
+    if fixed_c2 is None:
+        def mass(temperature: float) -> float:
+            if temperature <= 0:
+                raise ValueError("temperature must be > 0")
+            dct = dc / _fermi_liquid_rate(e_f, temperature) if fixed_dct is None else fixed_dct
+            c2 = c2_at(temperature, dct)
+            return a / temperature + 2 * c2
+    else:
+        two_c2 = 2 * fixed_c2  # exact, so a / T + two_c2 is the float a / T + 2 * c2
+
+        def mass(temperature: float) -> float:
+            if temperature <= 0:
+                raise ValueError("temperature must be > 0")
+            return a / temperature + two_c2
+
+    return terms, mass
+
+
+def kernel_terms(
+    p: ModelParams,
+    lt: LifetimeModel,
+    convention: str = "canonical",
+    state: InitialPhotonState = Vacuum(),
+) -> Callable[[float], tuple]:
+    """The photon state's kernel terms as a function T -> (a_bcs, c2, gtilde, dct).
+
+    Built once per model and state: f_a gtilde delta_c, and for a constant
+    lifetime delta_c tau and c2, dressed when the state is thermal with a fixed
+    beta, are computed here.  A call computes a_bcs = f_a gtilde delta_c / T
+    and what still depends on T, the Fermi-liquid rate and the equilibrium
+    s = coth(delta_c / 2T).  A thermal state dresses c2 by s**2; this is the one
+    place a photon state shapes a kernel.  An overflow of c2 or of s**2 names
+    T, so it is raised by each call; an unknown convention or lifetime model is
+    raised here.
+    """
+    return _kernel_curves(p, lt, convention, state)[0]
 
 
 def mass_curve(
@@ -172,9 +226,14 @@ def mass_curve(
     convention: str = "canonical",
     state: InitialPhotonState = Vacuum(),
 ) -> Callable[[float], float]:
-    """T -> pole mass of the photon state's kernel, equal to ``from_model(...).pole_mass``."""
-    terms = kernel_terms(p, lt, convention, state)
-    return lambda temperature: _pole_mass(*terms(temperature)[:2])
+    """T -> pole mass a_bcs + 2 c2 of the state's kernel, equal to ``from_model(...).pole_mass``.
+
+    It closes over the factors ``kernel_terms`` resolves once, with the same
+    arithmetic, checks and errors, and builds no tuple per call.  Where c2 does
+    not depend on T (a constant lifetime, no equilibrium dressing) a call is
+    a_bcs + 2 c2 with 2 c2 precomputed, which doubling makes exact.
+    """
+    return _kernel_curves(p, lt, convention, state)[1]
 
 
 @dataclass(frozen=True)

@@ -133,12 +133,17 @@ def tau_inv(lt: LifetimeModel, p: ModelParams, temperature: float) -> float:
     if isinstance(lt, ConstantLifetime):
         return lt.rate
     if isinstance(lt, FermiLiquidLifetime):
-        if not (0.0 < temperature < p.e_f):
-            raise DomainError(
-                f"Fermi-liquid lifetime needs 0 < T < E_F, got T={temperature}, E_F={p.e_f}"
-            )
-        return (math.pi * temperature**2 / (8.0 * p.e_f)) * math.log(p.e_f / temperature)
+        return _fermi_liquid_rate(p.e_f, temperature)
     raise TypeError(f"unknown lifetime model {lt!r}")
+
+
+def _fermi_liquid_rate(e_f: float, temperature: float) -> float:
+    """The Fermi-liquid tau_inv(T), for callers that resolved the lifetime model once."""
+    if not (0.0 < temperature < e_f):
+        raise DomainError(
+            f"Fermi-liquid lifetime needs 0 < T < E_F, got T={temperature}, E_F={e_f}"
+        )
+    return (math.pi * temperature**2 / (8.0 * e_f)) * math.log(e_f / temperature)
 
 
 # ---------------------------------------------------------------------------

@@ -338,7 +338,7 @@ def _mutant(func, old, new):
 @pytest.mark.parametrize("module, name, old, new, check", [
     pytest.param(model, "statistical_factor", "1.0 / math.tanh(x)", "math.tanh(x)",
                  "thermal_dressing", id="tanh-for-coth"),
-    pytest.param(ladder, "kernel_terms", "c2 = c2 * s**2", "c2 = c2 * s",
+    pytest.param(ladder, "_kernel_curves", "c2 = c2 * s**2", "c2 = c2 * s",
                  "thermal_dressing", id="s-for-s-squared"),
     pytest.param(ladder, "log_vertex", "u ** (2 * n + 1)", "u ** (2 * n)",
                  "vertex_closed_form", id="even-power"),
@@ -401,6 +401,29 @@ def test_each_command_solves_each_pole_mass_once(monkeypatch):
     assert len(calls) == 2
     cli.cmd_exponents(exp_cfg)
     assert len(calls) == 4
+
+
+def test_vertex_builds_each_states_terms_once(monkeypatch):
+    calls = []
+    vertex_terms = critical._vertex_terms
+    monkeypatch.setattr(critical, "_vertex_terms",
+                        lambda *a, **kw: calls.append(a) or vertex_terms(*a, **kw))
+    cfg = _reference_cfg(ROOT_STATES)
+    rows = cli.cmd_vertex(cfg).rows
+    assert len(calls) == len(ROOT_STATES)
+    # the shared terms give vertex_P's values bit for bit
+    unit = cli._scale(cfg)
+    crits = {state_label(c.state): c for c in cli._criticalities(cfg, cfg.state_objects())}
+    checked = 0
+    for row in rows:
+        if row.quantity.startswith("vertex_P["):
+            P, theta = (float(x) for x in row.quantity[len("vertex_P["):-1].split(","))
+            crit = crits[row.state]
+            T = crit.point.t_c * (1.0 + cfg.xi_reduced_t)
+            assert row.value == critical.vertex_P(crit, P, theta, T, cfg.anisotropy,
+                                                  cfg.fock_form) * unit
+            checked += 1
+    assert checked == 9 * len(ROOT_STATES)
 
 
 def test_commands_label_states_alike(tmp_path):

@@ -1,22 +1,29 @@
 import math
+import random
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cavitypairing import critical as cr
+from cavitypairing import ladder, model
+from cavitypairing.cli import RunConfig
 from cavitypairing.ladder import KernelScalars, bare_vertex
 from cavitypairing.model import (
     ConstantLifetime,
     DiagonalMixture,
     DomainError,
+    FermiLiquidLifetime,
     Fock,
     ModelParams,
     Thermal,
     Vacuum,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # -- critical temperature -----------------------------------------------------
@@ -91,6 +98,118 @@ def test_tc_no_root_reports_scan_table():
         cr.find_tc(p, lt, Vacuum())
     assert err.value.scan_table is not None
     assert len(err.value.scan_table) == 512
+
+
+# The generic curve: the pole mass read off the kernel-terms tuple at each T, and
+# the geometric scan plus bisection on it.  The reference for find_tc and
+# mass_slope, which read the curve that resolves its factors once.
+
+def _reference_mass(p, lt, convention, state):
+    terms = ladder.kernel_terms(p, lt, convention, state)
+    return lambda T: ladder._pole_mass(*terms(T)[:2])
+
+
+def _reference_find_tc(p, lt, state, convention):
+    lo_f, hi_f = cr.SCAN_RANGE
+    ts = np.geomspace(lo_f * p.e_f, hi_f * p.e_f, cr.N_SCAN).tolist()
+    mass = _reference_mass(p, lt, convention, state)
+    f = lambda T: mass(T) - 1.0
+    vals = [f(t) for t in ts]
+    brackets = [
+        (ts[i], ts[i + 1], vals[i] > vals[i + 1])
+        for i in range(len(ts) - 1)
+        if vals[i] == 0.0 or (vals[i] > 0) != (vals[i + 1] > 0)
+    ]
+    if not brackets:
+        table = [(t, v + 1.0) for t, v in zip(ts, vals)]
+        raise cr.BracketError("no sign change", scan_table=table)
+    downward = [b for b in brackets if b[2]]
+    lo, hi, _ = downward[-1] if downward else brackets[-1]
+    tc = cr._bisect(f, lo, hi)
+    return cr.CriticalPoint(tc, (lo, hi), abs(f(tc)), len(brackets))
+
+
+def _reference_slope(p, lt, state, convention, tc):
+    f = _reference_mass(p, lt, convention, state)
+    h = cr.SLOPE_STEP * tc
+    d1 = (f(tc + h) - f(tc - h)) / (2 * h)
+    d2 = (f(tc + h / 2) - f(tc - h / 2)) / h
+    return -(4 * d2 - d1) / 3
+
+
+def _root_search(find, slope, p, lt, state, convention):
+    """(point, slope) of one search, or the scan table of its BracketError."""
+    try:
+        point = find(p, lt, state, convention)
+    except cr.BracketError as err:
+        return "no root", err.scan_table
+    return point, slope(p, lt, state, convention, point.t_c)
+
+
+def _seeded_points(n):
+    """tc-sweep-like points: half constant lifetime, half Fermi-liquid, every convention."""
+    rng = random.Random(20261019)
+    conventions = sorted(ladder.CONVENTIONS)
+    for i in range(n):
+        if i % 2 == 0:
+            g = 10 ** rng.uniform(math.log10(0.005), math.log10(0.03))
+            p = ModelParams.with_gtilde(g, 1.0, 0.0, 100.0, 1.0)
+            lt = ConstantLifetime(g * math.sqrt(2 / rng.uniform(0.1, 0.6)))
+        else:
+            g = 10 ** rng.uniform(math.log10(3e-4), math.log10(3e-3))
+            p = ModelParams.with_gtilde(g, 50.0, 0.0, 1e4, 1.0)
+            lt = FermiLiquidLifetime()
+        yield p, lt, conventions[i % 3]
+
+
+ROOT_STATES = (Vacuum(), Fock(3), DiagonalMixture({0: 0.5, 3: 0.5}), Thermal(), Thermal(2.0))
+
+
+def test_root_search_matches_reference_curve_bitwise():
+    def slope(p, lt, state, convention, tc):
+        return cr.mass_slope(p, lt, state, convention, tc=tc)
+
+    cases = [(p, lt, state, convention)
+             for p, lt, convention in _seeded_points(12) for state in ROOT_STATES]
+    for name in ("reference", "convention-heavy"):
+        cfg = RunConfig.parse((CONFIGS / f"{name}.cfg").read_text())
+        cases += [(cfg.params(), cfg.lifetime_model(), state, cfg.convention)
+                  for state in ROOT_STATES]
+    # no root on the scan: both give the same scan table
+    cases.append((ModelParams.with_gtilde(1e-12, 1.0, 0.0, 100.0, 1.0), ConstantLifetime(1.0),
+                  Vacuum(), "canonical"))
+    two_crossings = no_root = 0
+    for p, lt, state, convention in cases:
+        got = _root_search(cr.find_tc, slope, p, lt, state, convention)
+        want = _root_search(_reference_find_tc, _reference_slope, p, lt, state, convention)
+        assert got == want, (p, lt, state, convention)
+        no_root += got[0] == "no root"
+        two_crossings += got[0] != "no root" and got[0].n_brackets == 2
+    # the reference and convention-heavy presets' equilibrium thermal roots cross twice
+    assert two_crossings >= 2
+    assert no_root >= 1
+
+
+def test_constant_lifetime_search_resolves_the_rate_once(const_params, const_lifetime,
+                                                         monkeypatch):
+    # the scan's cost per point is the curve call alone: no lifetime rate or fixed-beta s per T
+    calls = []
+
+    def counting(fn):
+        return lambda *a, **kw: calls.append(fn.__name__) or fn(*a, **kw)
+
+    for mod in (model, ladder, cr):
+        for name in ("tau_inv", "statistical_factor", "_fermi_liquid_rate"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
+    counts = []
+    for n_scan in (cr.N_SCAN, 4 * cr.N_SCAN):
+        monkeypatch.setattr(cr, "N_SCAN", n_scan)
+        calls.clear()
+        for state in (Vacuum(), Thermal(2.0)):
+            cr.criticality(state, const_params, const_lifetime)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
 
 
 def test_fitted_pole_matches_kernel_root(const_params, const_lifetime):

@@ -25,6 +25,7 @@ from cavitypairing.ladder import (
 from cavitypairing.model import (
     ConstantLifetime,
     DiagonalMixture,
+    DomainError,
     FermiLiquidLifetime,
     Fock,
     ModelParams,
@@ -82,6 +83,32 @@ def test_kernel_terms_match_from_model(const_params, lifetime, convention):
             k = KernelScalars.from_model(const_params, lifetime, T, convention, state)
             assert terms(T) == (k.a_bcs, k.c2, k.gtilde, k.dct)
             assert mass(T) == float(k.pole_mass)
+    # each error has one type and message, whether raised building the curve or calling it
+    cases = [(lifetime, state, T, ValueError, "temperature must be > 0")
+             for state in states for T in (0.0, -1.0)]
+    if isinstance(lifetime, FermiLiquidLifetime):
+        cases += [(lifetime, state, T, DomainError, "Fermi-liquid lifetime needs 0 < T < E_F")
+                  for state in states for T in (const_params.e_f, 2 * const_params.e_f)]
+    else:
+        cases += [(ConstantLifetime(1e-300), state, 0.5, OverflowError,
+                   "resonant kernel c2 = (gtilde * delta_c * tau)**2 overflows: delta_c * tau = "
+                   "1e+300 for lifetime ConstantLifetime(rate=1e-300) at T = 0.5")
+                  for state in states]
+    cases.append((lifetime, Thermal(1e-300), 0.5, OverflowError,
+                  "thermal kernel mass a_bcs + 2 c2 s**2 overflows: photon statistical "
+                  "factor s = coth(beta * delta_c / 2) = 2e+300 at T = 0.5"))
+    for lt, state, T, kind, message in cases:
+        raised = []
+        for build in (
+            lambda: kernel_terms(const_params, lt, convention, state)(T),
+            lambda: mass_curve(const_params, lt, convention, state)(T),
+            lambda: KernelScalars.from_model(const_params, lt, T, convention, state),
+        ):
+            with pytest.raises(kind) as err:
+                build()
+            raised.append((type(err.value), str(err.value)))
+        assert raised[0] == raised[1] == raised[2], (lt, state, T)
+        assert raised[0][1].startswith(message), raised[0][1]
 
 
 def test_kernel_conventions():
