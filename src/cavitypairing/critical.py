@@ -36,17 +36,19 @@ curve ``ladder.mass_curve``, built once per search with the lifetime, the
 convention and the dressing resolved, so a scan point is one curve call;
 ``fit_gamma`` builds ``ladder.kernel_terms`` once per fit in the same way, and
 ``momentum_vertex`` the vertex terms once per temperature.  Nothing here
-branches on the kind of state.  The scan and the bisection run on Python
-floats, so T_c is one.  Everything that can leave the float range near T_c
-is carried as a log: ``fit_gamma`` fits ``ladder.log_vertex``, the vertex
-terms keep their amplitudes as logs relative to the largest, and
-``momentum_vertex`` exponentiates once, through ``ladder.signed_exp``.  The fits run on Python floats too:
-``_line_fit`` by centred sums, on windows from ``_geometric_grid``.  numpy
-serves only the ``kv`` transform, the contour reference and the root-scan
-grid.  ``criticality``
-returns a frozen ``Criticality`` holding the state, the model, the root and
-the mass slope, computed once; the fits, the correlation functions and the
-momentum-resolved vertex all take it instead of re-deriving T_c and m.
+branches on the kind of state.  Everything that can leave the float range
+near T_c is carried as a log: ``fit_gamma`` fits ``ladder.log_vertex``, the
+vertex terms keep their amplitudes as logs relative to the largest, and
+``momentum_vertex`` exponentiates once, through ``ladder.signed_exp``.
+``criticality`` returns a frozen ``Criticality`` holding the state, the
+model, the root and the mass slope, computed once; the fits, the correlation
+functions and the momentum-resolved vertex all take it instead of
+re-deriving T_c and m.
+
+The root scan, the fit windows and the correlation grids come from
+``_geometric_grid``, and the bisection, ``_line_fit`` and the correlation
+logs run on Python floats.  numpy, imported lazily, serves only the ``kv``
+transform, so T_c and the fits do not depend on numpy's CPU-specific kernels.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import ladder
 from .ladder import KernelScalars, log_sum_exp, log_vertex, signed_exp
@@ -158,6 +158,21 @@ RTOL = 1e-12
 SLOPE_STEP = 1e-6
 
 
+def _geometric_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n points from lo to hi at a constant ratio: the ends exact, lo exp(i step) between.
+
+    Ends whose ratio leaves the float range step through exp(log lo + i step).
+    """
+    ratio = hi / lo
+    if ratio < math.inf:
+        step = math.log(ratio) / (n - 1)
+        inner = [lo * math.exp(i * step) for i in range(1, n - 1)]
+    else:
+        step = (math.log(hi) - math.log(lo)) / (n - 1)
+        inner = [math.exp(math.log(lo) + i * step) for i in range(1, n - 1)]
+    return [lo, *inner, hi]
+
+
 def _bisect(f, lo: float, hi: float) -> float:
     """Midpoint of the sign change of f on [lo, hi], to relative width RTOL."""
     flo = f(lo)
@@ -181,16 +196,16 @@ def find_tc(
 ) -> CriticalPoint:
     """Locate the root of the state's M(T) = 1 by geometric scan plus bisection.
 
-    The scan covers ``SCAN_RANGE`` in units of E_F.  The upper end stays
-    strictly below E_F: the Fermi-liquid lifetime formula degenerates
-    (log -> 0) at the band edge, which would manufacture a spurious
-    high-temperature crossing.  The instability root is a downward crossing
-    (M > 1 below T_c: the vertex diverges on cooling); if the scan finds
-    several crossings, the largest downward one is refined, and
-    ``CriticalPoint.n_brackets`` counts them.
+    The scan covers ``SCAN_RANGE`` in units of E_F on ``N_SCAN`` points of
+    ``_geometric_grid``.  The upper end stays strictly below E_F: the
+    Fermi-liquid lifetime formula degenerates (log -> 0) at the band edge,
+    which would manufacture a spurious high-temperature crossing.  The
+    instability root is a downward crossing (M > 1 below T_c: the vertex
+    diverges on cooling); if the scan finds several crossings, the largest
+    downward one is refined, and ``CriticalPoint.n_brackets`` counts them.
     """
     lo_f, hi_f = SCAN_RANGE
-    ts = np.geomspace(lo_f * p.e_f, hi_f * p.e_f, N_SCAN).tolist()
+    ts = _geometric_grid(lo_f * p.e_f, hi_f * p.e_f, N_SCAN)
     mass = ladder.mass_curve(p, lt, convention, state)
     vals = [mass(t) - 1.0 for t in ts]
     brackets = [
@@ -306,21 +321,6 @@ def _line_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, flo
     ss_tot = _sum([b * b for b in dy])
     r2 = 1.0 - _sum([e * e for e in resid]) / ss_tot if ss_tot > 0 else math.nan
     return slope, r2, max(map(abs, resid))
-
-
-def _geometric_grid(lo: float, hi: float, n: int) -> list[float]:
-    """n points from lo to hi at a constant ratio: the ends exact, lo exp(i step) between.
-
-    Ends whose ratio leaves the float range step through exp(log lo + i step).
-    """
-    ratio = hi / lo
-    if ratio < math.inf:
-        step = math.log(ratio) / (n - 1)
-        inner = [lo * math.exp(i * step) for i in range(1, n - 1)]
-    else:
-        step = (math.log(hi) - math.log(lo)) / (n - 1)
-        inner = [math.exp(math.log(lo) + i * step) for i in range(1, n - 1)]
-    return [lo, *inner, hi]
 
 
 def _fit_exponent(name, crit: Criticality, window, points: int, log_value_at) -> ExponentFit:
@@ -460,9 +460,11 @@ def vertex_P(
     return momentum_vertex(crit, T, anisotropy, fock_form)(P, theta)
 
 
-def _bessel_transform(term: _LorentzianTerm, r: Sequence[float]) -> np.ndarray:
-    """Exact 2D Fourier transform of one Lorentzian term on the grid r."""
-    from scipy.special import kv  # only the correlation commands pay its import
+def _bessel_transform(term: _LorentzianTerm, r: Sequence[float]) -> "np.ndarray":
+    """Exact 2D Fourier transform of one Lorentzian term on the grid r, as a numpy array."""
+    # only the correlation commands pay these imports
+    import numpy as np
+    from scipy.special import kv
 
     nu = term.order - 1
     rs = np.array(r) / math.sqrt(term.c_par)
@@ -521,16 +523,16 @@ def correlation_quadrature(
     r_grid: Sequence[float],
     anisotropy: float = 1.0,
     fock_form: str = "reduced",
-) -> np.ndarray:
-    """Reference C(r) by numerical transform, independent of the closed form.
+) -> list[float]:
+    """Reference C(r), one float per point of r_grid, by a transform independent of the closed form.
 
     Same vertex terms as ``correlation_function``, transformed by residue in
     P_x and adaptive quadrature in P_y.  Raises ``QuadratureError`` when the
     summed error estimate exceeds ``_QUAD_REL_TOL`` of the value.
     """
     _, terms = _vertex_terms(crit, T, anisotropy, fock_form)
-    out = np.empty(len(r_grid))
-    for i, r in enumerate(r_grid):
+    out = []
+    for r in r_grid:
         parts = [_contour_transform(term, float(r)) for term in terms]
         tot = sum(v for v, _ in parts)
         err = sum(e for _, e in parts)
@@ -538,7 +540,7 @@ def correlation_quadrature(
             raise QuadratureError(
                 f"quadrature error {err:.3e} exceeds {_QUAD_REL_TOL:.1e} relative at r={r}"
             )
-        out[i] = tot
+        out.append(tot)
     return out
 
 
@@ -567,11 +569,11 @@ def correlation_function(
     xi_est = max(math.sqrt(t.c_par / t.mass) for t in terms)
 
     def fit(grid: list[float]):
-        values = sum(_bessel_transform(term, grid) for term in terms)
-        bad = np.flatnonzero(~(values > 0))
-        if bad.size:
-            raise QuadratureError(f"non-positive correlation value at r={grid[bad[0]]}")
-        slope, r2, _ = _line_fit(grid, np.log(values).tolist())
+        values = sum(_bessel_transform(term, grid) for term in terms).tolist()
+        bad = [r for r, v in zip(grid, values) if not v > 0]
+        if bad:
+            raise QuadratureError(f"non-positive correlation value at r={bad[0]}")
+        slope, r2, _ = _line_fit(grid, [math.log(v) for v in values])
         # a flat or NaN tail has no decay length: xi = NaN, which the xi and nu gates catch
         return values, -1.0 / slope if slope else math.nan, r2
 
@@ -582,7 +584,7 @@ def correlation_function(
         values, xi, r2 = fit(grid)
     if xi <= 0:
         raise QuadratureError("fitted correlation length is not positive")
-    return CorrelationProfile(tuple(grid), tuple(values.tolist()), xi, (grid[0], grid[-1]), r2)
+    return CorrelationProfile(tuple(grid), tuple(values), xi, (grid[0], grid[-1]), r2)
 
 
 def fit_nu(

@@ -1,11 +1,13 @@
-"""scipy stays out of commands that never call it.
+"""numpy and scipy stay out of commands that never call them.
 
-Importing ``scipy.integrate`` costs several times the rest of a ``tc``,
-``vertex`` or ``scan`` run, so ``cavitypairing`` imports scipy only where it
-is called: ``scipy.special`` for the closed-form correlations (``exponents``,
-``xi``, ``verify``) and ``scipy.integrate`` for the quadrature checks
-(``verify``).  The check runs in a fresh interpreter, because any earlier
-test in this process may already have loaded scipy.
+Importing numpy costs about as much as the rest of a ``tc``, ``vertex`` or
+``scan`` run, and ``scipy.integrate`` several times that, so
+``cavitypairing`` imports each only where it is called: numpy and
+``scipy.special`` inside the closed-form correlations (``exponents``,
+``xi``, ``verify``), ``scipy.integrate`` for the quadrature checks
+(``verify``).  ``tc``, ``vertex`` and ``scan`` run on Python floats alone.
+The check runs in a fresh interpreter, because any earlier test in this
+process may already have loaded numpy or scipy.
 """
 
 import json
@@ -22,7 +24,7 @@ from pathlib import Path
 from cavitypairing import cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 
 cfg = cli.RunConfig.parse(Path(sys.argv[1]).read_text(encoding="utf-8"))
 cli.cmd_tc(cfg)
@@ -46,5 +48,6 @@ def test_tc_vertex_scan_load_no_scipy_and_xi_loads_only_special():
     assert proc.returncode == 0, proc.stderr
     mods = json.loads(proc.stdout.splitlines()[-1])
     assert mods["before_xi"] == []
+    assert "numpy" in mods["after_xi"]
     assert "scipy.special" in mods["after_xi"]
     assert "scipy.integrate" not in mods["after_xi"]

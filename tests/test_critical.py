@@ -10,7 +10,7 @@ import pytest
 
 from cavitypairing import critical as cr
 from cavitypairing import ladder, model
-from cavitypairing.cli import RunConfig
+from cavitypairing.cli import RunConfig, cmd_scan
 from cavitypairing.ladder import KernelScalars, bare_vertex
 from cavitypairing.model import (
     ConstantLifetime,
@@ -111,7 +111,7 @@ def _reference_mass(p, lt, convention, state):
 
 def _reference_find_tc(p, lt, state, convention):
     lo_f, hi_f = cr.SCAN_RANGE
-    ts = np.geomspace(lo_f * p.e_f, hi_f * p.e_f, cr.N_SCAN).tolist()
+    ts = cr._geometric_grid(lo_f * p.e_f, hi_f * p.e_f, cr.N_SCAN)
     mass = _reference_mass(p, lt, convention, state)
     f = lambda T: mass(T) - 1.0
     vals = [f(t) for t in ts]
@@ -593,14 +593,17 @@ def test_geometric_grid_past_the_float_range():
 @pytest.mark.parametrize("fock_form", ["reduced", "power"])
 def test_fit_layer_calls_no_polyfit_or_geomspace(const_params, const_lifetime, monkeypatch,
                                                  fock_form):
-    # T_c's scan grid is np.geomspace; the fits and the correlation grids are not
-    crit = cr.criticality(DiagonalMixture({0: 0.5, 2: 0.5}), const_params, const_lifetime)
+    # the root scan, `scan`'s grid, the fits and the correlation logs run on
+    # Python floats: numpy serves only the Bessel-K transform
+    import scipy.special  # noqa: F401  (loaded before numpy is patched)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the fit layer called numpy's polyfit or geomspace")
+        raise AssertionError("called numpy's polyfit, geomspace or log")
 
-    monkeypatch.setattr(np, "polyfit", refuse)
-    monkeypatch.setattr(np, "geomspace", refuse)
+    for name in ("polyfit", "geomspace", "log"):
+        monkeypatch.setattr(np, name, refuse)
+    crit = cr.criticality(DiagonalMixture({0: 0.5, 2: 0.5}), const_params, const_lifetime)
+    assert len(cmd_scan(RunConfig()).rows) == 2 * 60
     assert abs(cr.fit_gamma(crit).exponent - 3.0) <= 0.05
     assert abs(cr.fit_nu(crit, fock_form=fock_form).exponent - 0.5) <= 0.02
     assert cr.correlation_function(crit, crit.point.t_c * 1.001, fock_form=fock_form).xi > 0
