@@ -310,13 +310,15 @@ class ResultTable:
         self.rows.append(Row(**kw))
 
     def to_csv(self) -> str:
+        """One line per row: the text columns quoted where needed, the numbers as ``.17g``."""
+        q = _csv_quote
         out = [",".join(self.COLUMNS)]
-        for r in self.rows:
-            cells = []
-            for col in self.COLUMNS:
-                v = getattr(r, col)
-                cells.append(_fmt(v) if isinstance(v, float) else _csv_quote(str(v)))
-            out.append(",".join(cells))
+        out += [
+            f"{q(r.state)},{q(r.quantity)},{r.value:.17g},{r.uncertainty:.17g},"
+            f"{r.window_lo:.17g},{r.window_hi:.17g},{r.r_squared:.17g},"
+            f"{q(r.provenance)},{q(r.note)}"
+            for r in self.rows
+        ]
         return "\n".join(out) + "\n"
 
     def to_json(self) -> str:
@@ -329,10 +331,13 @@ class ResultTable:
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
+_CSV_SPECIAL = frozenset(',"\n\r')
+
+
 def _csv_quote(cell: str) -> str:
-    if any(c in cell for c in ',"\n\r'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
+    if _CSV_SPECIAL.isdisjoint(cell):
+        return cell
+    return '"' + cell.replace('"', '""') + '"'
 
 
 def emit(table: ResultTable, fmt: str, out_dir: Path, stem: str) -> Path:
@@ -624,6 +629,30 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
         off.ratio < 1e-2,
         f"|sum|/|leading| = {off.ratio:.3e} at dc*tau={_VERIFY_DCTAU:g}",
     )
+
+    # the closed-form T_c and slope of a constant lifetime vs a 512-point scan,
+    # bisection and Richardson difference run here on the shared pole-mass curve,
+    # for the convention-heavy couplings, subcritical under every convention
+    p_root, lt_root = ModelParams.with_gtilde(0.02, 1.0, 0.0, 100.0, 1.0), ConstantLifetime(0.2)
+    worst_tc = worst_m = 0.0
+    for state in (Vacuum(), Thermal(2.0)):
+        mass = ladder.mass_curve(p_root, lt_root, cfg.convention, state)
+        lo, hi = 1e-8 * p_root.e_f, 0.99 * p_root.e_f
+        ts = [lo * (hi / lo) ** (i / 511) for i in range(512)]
+        lo, hi = next((t0, t1) for t0, t1 in zip(ts, ts[1:]) if mass(t0) > 1.0 >= mass(t1))
+        while hi - lo > 1e-14 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if mass(mid) > 1.0 else (lo, mid)
+        tc = 0.5 * (lo + hi)
+        h = 1e-6 * tc
+        d1 = (mass(tc + h) - mass(tc - h)) / (2 * h)
+        d2 = (mass(tc + h / 2) - mass(tc - h / 2)) / h
+        crit = critical.criticality(state, p_root, lt_root, cfg.convention)
+        worst_tc = max(worst_tc, abs(crit.point.t_c / tc - 1.0))
+        worst_m = max(worst_m, abs(crit.slope / (-(4 * d2 - d1) / 3) - 1.0))
+    record("tc_closed_form", worst_tc <= 1e-11 and worst_m <= 1e-7,
+           f"max rel dev T_c {worst_tc:.3e}, mass slope {worst_m:.3e} vs scan, bisection and "
+           "Richardson difference of the pole-mass curve (vacuum and beta delta_c = 2)")
 
     # closed-form correlations vs the independent contour quadrature on the
     # fit grid, for a simple and a third-order anisotropic pole summed

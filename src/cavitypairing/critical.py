@@ -33,13 +33,19 @@ the closed form against.
 
 ``find_tc`` and ``mass_slope`` take the photon state and read its pole-mass
 curve ``ladder.mass_curve``, built once per search with the lifetime, the
-convention and the dressing resolved, so a scan point is one curve call;
-``fit_gamma`` builds ``ladder.kernel_terms`` once per fit in the same way, and
-``momentum_vertex`` the vertex terms once per temperature.  Nothing here
-branches on the kind of state.  Everything that can leave the float range
-near T_c is carried as a log: ``fit_gamma`` fits ``ladder.log_vertex``, the
-vertex terms keep their amplitudes as logs relative to the largest, and
-``momentum_vertex`` exponentiates once, through ``ladder.signed_exp``.
+convention and the dressing resolved.  Where c2 does not depend on T (a
+constant lifetime, and any state but the equilibrium thermal one) the curve
+is M = A/T + B, so T_c = A / (1 - B) and m = A / T_c**2 exactly; elsewhere a
+scan brackets the root, bisection refines it and a Richardson difference
+gives m.  ``fit_gamma`` builds ``ladder.kernel_terms`` once per fit in the
+same way, and ``momentum_vertex`` the vertex terms once per temperature.
+``fit_nu`` branches on the number of Lorentzian terms: one term is
+scale-invariant, xi sqrt(mass) being the same at every T, so one correlation
+profile serves the whole window.  Nothing here branches on the kind of state.
+Everything that can leave the float range near T_c is carried as a log:
+``fit_gamma`` fits ``ladder.log_vertex``, the vertex terms keep their
+amplitudes as logs relative to the largest, and ``momentum_vertex``
+exponentiates once, through ``ladder.signed_exp``.
 ``criticality`` returns a frozen ``Criticality`` holding the state, the
 model, the root and the mass slope, computed once; the fits, the correlation
 functions and the momentum-resolved vertex all take it instead of
@@ -188,25 +194,65 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _linear_root(
+    mass: Callable[[float], float], a: float, b: float, lo: float, hi: float
+) -> CriticalPoint | None:
+    """Root T_c = A / (1 - B) of M(T) = A/T + B = 1, or None where the scan must decide.
+
+    None unless B < 1 and lo < T_c < hi.  The bracket is the cell of the
+    ``_geometric_grid(lo, hi, N_SCAN)`` scan that ``find_tc`` would otherwise
+    run: its index read from log(T_c / lo), checked (and moved by one where
+    rounding put it next door) against the scan's own sign test, M > 1 at the
+    lower end and M < 1 at the upper.  A cell that fails it, as when M rounds
+    to exactly 1 at a grid point, is also left to the scan.
+    """
+    if not b < 1:
+        return None
+    tc = a / (1.0 - b)
+    if not lo < tc < hi:
+        return None
+    last = N_SCAN - 1
+    step = math.log(hi / lo) / last
+
+    def grid(i: int) -> float:  # point i of _geometric_grid(lo, hi, N_SCAN)
+        return lo if i == 0 else hi if i == last else lo * math.exp(i * step)
+
+    guess = min(int(math.log(tc / lo) / step), last - 1)
+    for i in (guess, guess - 1, guess + 1):
+        if 0 <= i < last and mass(grid(i)) > 1.0 > mass(grid(i + 1)):
+            return CriticalPoint(tc, (grid(i), grid(i + 1)), abs(mass(tc) - 1.0), 1)
+    return None
+
+
 def find_tc(
     p: ModelParams,
     lt: LifetimeModel,
     state: InitialPhotonState,
     convention: str = "canonical",
 ) -> CriticalPoint:
-    """Locate the root of the state's M(T) = 1 by geometric scan plus bisection.
+    """Locate the root of the state's M(T) = 1: in closed form where it is exact, else by scan.
 
-    The scan covers ``SCAN_RANGE`` in units of E_F on ``N_SCAN`` points of
-    ``_geometric_grid``.  The upper end stays strictly below E_F: the
-    Fermi-liquid lifetime formula degenerates (log -> 0) at the band edge,
-    which would manufacture a spurious high-temperature crossing.  The
-    instability root is a downward crossing (M > 1 below T_c: the vertex
-    diverges on cooling); if the scan finds several crossings, the largest
-    downward one is refined, and ``CriticalPoint.n_brackets`` counts them.
+    Where c2 does not depend on T (a constant lifetime, and any state but
+    the equilibrium thermal one) the pole mass is A/T + B, and
+    ``_linear_root`` returns T_c = A / (1 - B) with the scan cell that holds
+    it as the bracket, ``n_brackets = 1`` and the residual |M(T_c) - 1|.
+    Otherwise, or if that root is not inside the scan, a geometric scan
+    over ``SCAN_RANGE`` in units of E_F on ``N_SCAN`` points of
+    ``_geometric_grid`` brackets the crossings and bisection refines one.
+    The upper end stays strictly below E_F: the Fermi-liquid lifetime
+    formula degenerates (log -> 0) at the band edge, which would manufacture
+    a spurious high-temperature crossing.  The instability root is a
+    downward crossing (M > 1 below T_c: the vertex diverges on cooling); if
+    the scan finds several crossings, the largest downward one is refined,
+    and ``CriticalPoint.n_brackets`` counts them.
     """
     lo_f, hi_f = SCAN_RANGE
-    ts = _geometric_grid(lo_f * p.e_f, hi_f * p.e_f, N_SCAN)
-    mass = ladder.mass_curve(p, lt, convention, state)
+    lo, hi = lo_f * p.e_f, hi_f * p.e_f
+    _, mass, split = ladder._kernel_curves(p, lt, convention, state)
+    point = None if split is None else _linear_root(mass, *split, lo, hi)
+    if point is not None:
+        return point
+    ts = _geometric_grid(lo, hi, N_SCAN)
     vals = [mass(t) - 1.0 for t in ts]
     brackets = [
         (t0, t1, v0 > v1)
@@ -233,15 +279,18 @@ def mass_slope(
     *,
     tc: float,
 ) -> float:
-    """m = -dM/dT at T_c, Richardson-extrapolated central difference.
+    """m = -dM/dT at T_c: A / T_c**2 where M = A/T + B, else a Richardson-extrapolated difference.
 
     The linear Taylor term then reads 1 - M(T) ~ m (T - T_c) with m > 0.
     """
-    f = ladder.mass_curve(p, lt, convention, state)
-    h = SLOPE_STEP * tc
-    d1 = (f(tc + h) - f(tc - h)) / (2 * h)
-    d2 = (f(tc + h / 2) - f(tc - h / 2)) / h
-    m = -(4 * d2 - d1) / 3
+    _, mass, split = ladder._kernel_curves(p, lt, convention, state)
+    if split is not None:
+        m = split[0] / (tc * tc)
+    else:
+        h = SLOPE_STEP * tc
+        d1 = (mass(tc + h) - mass(tc - h)) / (2 * h)
+        d2 = (mass(tc + h / 2) - mass(tc - h / 2)) / h
+        m = -(4 * d2 - d1) / 3
     if not m > 0:
         raise SlopeError(f"mass slope {m} is not positive at T_c={tc}")
     return m
@@ -591,19 +640,37 @@ def fit_nu(
     crit: Criticality,
     window: tuple[float, float] = (1e-5, 1e-3),
     n_temps: int = 8,
-    **corr_kwargs,
+    anisotropy: float = 1.0,
+    fock_form: str = "reduced",
 ) -> ExponentFit:
     """Correlation-length exponent from log xi vs log reduced temperature.
 
     Uses >= 8 reduced temperatures spanning two decades; the answer is 1/2
     for Gaussian and number states alike (only the amplitude of xi knows the
-    photon number).
+    photon number).  A vertex of one Lorentzian term (vacuum, a number state,
+    a thermal state) has C(r; T) = A(T) F(sqrt(mass(T)) r), so xi sqrt(mass)
+    is the same at every T: ``correlation_function`` runs once, at the
+    window's first temperature T_ref, and log xi(T) = log xi(T_ref) +
+    (log mass(T_ref) - log mass(T)) / 2 with the term's mass at each T.  A
+    vertex of several terms (a mixture) is not scale-invariant and runs
+    ``correlation_function`` at every T.
     """
     if not MIN_NU_POINTS <= n_temps <= MAX_NU_POINTS:
         raise ValueError(f"need {MIN_NU_POINTS} to {MAX_NU_POINTS} temperatures")
     if window[1] / window[0] < MIN_NU_WINDOW_RATIO:
         raise ValueError("window must span at least two decades")
-    return _fit_exponent(
-        "nu", crit, window, n_temps,
-        lambda T: math.log(correlation_function(crit, T, **corr_kwargs).xi),
-    )
+
+    def log_xi(T):
+        return math.log(correlation_function(crit, T, anisotropy, fock_form).xi)
+
+    def log_mass(T):
+        return math.log(_vertex_terms(crit, T, anisotropy, fock_form)[1][0].mass)
+
+    t_ref = crit.point.t_c * (1.0 + window[0])
+    _, terms = _vertex_terms(crit, t_ref, anisotropy, fock_form)
+    if len(terms) == 1:
+        log_xi_ref, log_mass_ref = log_xi(t_ref), math.log(terms[0].mass)
+        log_value_at = lambda T: log_xi_ref + 0.5 * (log_mass_ref - log_mass(T))
+    else:
+        log_value_at = log_xi
+    return _fit_exponent("nu", crit, window, n_temps, log_value_at)

@@ -34,7 +34,9 @@ call then computes a_bcs = (f_a*gtilde*delta_c)/T and only what still depends
 on T: the Fermi-liquid rate and the equilibrium s.  ``mass_curve`` closes over
 the same factors and returns the pole mass a_bcs + 2*c2 alone, with no tuple,
 for the root searches that evaluate it hundreds of times; with a constant
-lifetime and no equilibrium dressing each call is one Python call.
+lifetime and no equilibrium dressing each call is one Python call, and the
+mass is A/T + B with A = f_a*gtilde*delta_c and B = 2*c2 fixed, which
+``critical`` solves in closed form.
 ``KernelScalars.from_model`` freezes the terms at one T, keeping the state so
 that ``pole_mass`` and ``log_vertex`` need no argument.
 
@@ -132,8 +134,12 @@ def _pole_mass(a_bcs: Number, c2: Number) -> Number:
 
 def _kernel_curves(
     p: ModelParams, lt: LifetimeModel, convention: str, state: InitialPhotonState
-) -> tuple[Callable[[float], tuple], Callable[[float], float]]:
-    """``kernel_terms`` and ``mass_curve`` of one model and state, over factors resolved once."""
+) -> tuple[Callable[[float], tuple], Callable[[float], float], tuple[float, float] | None]:
+    """``kernel_terms`` and ``mass_curve`` of one model and state, over factors resolved once.
+
+    The third item is (A, B) when c2 does not depend on T, so that the pole
+    mass is exactly the float A / T + B; it is None otherwise.
+    """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     fa, fc = CONVENTIONS[convention]
@@ -189,6 +195,8 @@ def _kernel_curves(
             dct = dc / _fermi_liquid_rate(e_f, temperature) if fixed_dct is None else fixed_dct
             c2 = c2_at(temperature, dct)
             return a / temperature + 2 * c2
+
+        split = None
     else:
         two_c2 = 2 * fixed_c2  # exact, so a / T + two_c2 is the float a / T + 2 * c2
 
@@ -197,7 +205,9 @@ def _kernel_curves(
                 raise ValueError("temperature must be > 0")
             return a / temperature + two_c2
 
-    return terms, mass
+        split = (a, two_c2)
+
+    return terms, mass, split
 
 
 def kernel_terms(

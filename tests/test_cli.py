@@ -113,6 +113,40 @@ def test_csv_round_trip_exact():
     assert rows[1]["note"] == "a,b"
 
 
+def _reference_to_csv(table) -> str:
+    """The cell-by-cell emitter: ``.17g`` for a float, quoting by generator for the rest."""
+    def quote(cell):
+        if any(c in cell for c in ',"\n\r'):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    out = [",".join(table.COLUMNS)]
+    for r in table.rows:
+        cells = []
+        for col in table.COLUMNS:
+            v = getattr(r, col)
+            cells.append(format(v, ".17g") if isinstance(v, float) else quote(str(v)))
+        out.append(",".join(cells))
+    return "\n".join(out) + "\n"
+
+
+def test_csv_rows_match_cell_by_cell_emitter():
+    table = _small_table()
+    for value in (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 7,
+                  -12, 1.0 / 3.0, 1e300):
+        table.add(state="vacuum", quantity="t_c", value=value, uncertainty=-value,
+                  r_squared=value, provenance="p", note="")
+    for text in ("a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "plain", '",\r\n'):
+        table.add(state=text, quantity=text, value=0.5, window_lo=-0.0, window_hi=math.inf,
+                  provenance=text, note=text)
+    assert table.to_csv().encode() == _reference_to_csv(table).encode()
+    cfg = RunConfig.parse((Path(__file__).resolve().parents[1] / "configs"
+                           / "reference.cfg").read_text())
+    for cmd in (cli.cmd_tc, cli.cmd_vertex, cli.cmd_scan):
+        table = cmd(cfg)
+        assert table.to_csv() == _reference_to_csv(table)
+
+
 def test_json_has_schema_version(tmp_path):
     table = _small_table()
     payload = json.loads(table.to_json())
@@ -307,7 +341,8 @@ def test_verify_passes_and_reports(tmp_path, capsys):
     names = {c["name"] for c in report["checks"]}
     assert {"oracle_equivalence", "thermal_resummation", "sector_chain",
             "bcs_quadrature", "offshell_cancellation", "gaussian_collapse",
-            "correlation_bessel", "thermal_dressing", "vertex_closed_form"} <= names
+            "correlation_bessel", "thermal_dressing", "vertex_closed_form",
+            "tc_closed_form"} <= names
     bessel = next(c for c in report["checks"] if c["name"] == "correlation_bessel")
     assert "vs contour quadrature" in bessel["detail"]
     assert "power anisotropic, q=1 and q=3" in bessel["detail"]
@@ -345,6 +380,10 @@ def _mutant(func, old, new):
     pytest.param(ladder, "log_vertex", "u = gap / (one_m_a * (1 + math.sqrt(2 * c2 / one_m_a)) ** 2)",
                  "u = (1 - math.sqrt(2 * c2 / one_m_a)) / (1 + math.sqrt(2 * c2 / one_m_a))",
                  "vertex_closed_form", id="cancelling-root"),
+    pytest.param(critical, "_linear_root", "tc = a / (1.0 - b)", "tc = 1.01 * a / (1.0 - b)",
+                 "tc_closed_form", id="t_c-times-1.01"),
+    pytest.param(critical, "mass_slope", "m = split[0] / (tc * tc)",
+                 "m = 2 * split[0] / (tc * tc)", "tc_closed_form", id="slope-times-2"),
 ])
 def test_verify_check_catches_its_mutant(monkeypatch, module, name, old, new, check):
     # negative control: a corrupted source function fails exactly the check that guards it
@@ -497,7 +536,8 @@ def test_exponents_past_the_float_range_of_the_vertex(tmp_path, state, gamma):
 def test_window_rounding_to_t_c_gives_no_unflagged_gamma(tmp_path, capsys, state, code):
     # every temperature of this window rounds to T_c: the thermal vertex is then
     # constant, which no line explains (REJECTED, r^2 = nan), and the vacuum
-    # kernel there sits 1.8e-14 past its root, which the closed form refuses
+    # kernel there sits on its root, T_c = A / (1 - B) read in closed form, where
+    # 1 - M rounds to exactly 0, which the vertex refuses
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"states.list = {state}\nfit.gamma_window = 1e-300,1e-299\n")
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "exponents"]) == code
@@ -506,7 +546,7 @@ def test_window_rounding_to_t_c_gives_no_unflagged_gamma(tmp_path, capsys, state
         gamma = next(r for r in rows if r["quantity"] == "gamma")
         assert gamma["note"].startswith("REJECTED") and gamma["r_squared"] == "nan"
     else:
-        assert "past the instability" in capsys.readouterr().err
+        assert "|1 - pole_mass| = 0.000e+00 < 1e-14" in capsys.readouterr().err
         assert not (tmp_path / "exponents.csv").exists()
 
 

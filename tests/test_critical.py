@@ -165,29 +165,68 @@ def _seeded_points(n):
 ROOT_STATES = (Vacuum(), Fock(3), DiagonalMixture({0: 0.5, 3: 0.5}), Thermal(), Thermal(2.0))
 
 
-def test_root_search_matches_reference_curve_bitwise():
-    def slope(p, lt, state, convention, tc):
-        return cr.mass_slope(p, lt, state, convention, tc=tc)
-
+def _root_cases():
     cases = [(p, lt, state, convention)
              for p, lt, convention in _seeded_points(12) for state in ROOT_STATES]
     for name in ("reference", "convention-heavy"):
         cfg = RunConfig.parse((CONFIGS / f"{name}.cfg").read_text())
         cases += [(cfg.params(), cfg.lifetime_model(), state, cfg.convention)
                   for state in ROOT_STATES]
-    # no root on the scan: both give the same scan table
+    # no root on the scan: the closed-form root 1e-12 lies below it
     cases.append((ModelParams.with_gtilde(1e-12, 1.0, 0.0, 100.0, 1.0), ConstantLifetime(1.0),
                   Vacuum(), "canonical"))
-    two_crossings = no_root = 0
-    for p, lt, state, convention in cases:
-        got = _root_search(cr.find_tc, slope, p, lt, state, convention)
+    return cases
+
+
+def _linear_mass(lt, state):
+    """M = A/T + B exactly: a constant lifetime and no equilibrium dressing."""
+    return isinstance(lt, ConstantLifetime) and not (isinstance(state, Thermal)
+                                                     and state.beta is None)
+
+
+def _slope(p, lt, state, convention, tc):
+    return cr.mass_slope(p, lt, state, convention, tc=tc)
+
+
+def test_root_search_matches_reference_curve_bitwise():
+    # where the scan still decides: Fermi-liquid lifetimes, the equilibrium
+    # thermal state, and a closed-form root outside the scan
+    two_crossings = no_root = scanned = 0
+    for p, lt, state, convention in _root_cases():
         want = _root_search(_reference_find_tc, _reference_slope, p, lt, state, convention)
+        if _linear_mass(lt, state) and want[0] != "no root":
+            continue
+        got = _root_search(cr.find_tc, _slope, p, lt, state, convention)
         assert got == want, (p, lt, state, convention)
+        scanned += 1
         no_root += got[0] == "no root"
         two_crossings += got[0] != "no root" and got[0].n_brackets == 2
     # the reference and convention-heavy presets' equilibrium thermal roots cross twice
     assert two_crossings >= 2
     assert no_root >= 1
+    assert scanned >= 40
+
+
+def test_closed_form_root_matches_reference_scan():
+    # M = A/T + B: T_c = A / (1 - B) to the rounding of two float operations,
+    # in the scan's own bracket, and the slope A / T_c**2 against the
+    # Richardson difference of the generic curve
+    closed = 0
+    for p, lt, state, convention in _root_cases():
+        want = _root_search(_reference_find_tc, _reference_slope, p, lt, state, convention)
+        if not _linear_mass(lt, state) or want[0] == "no root":
+            continue
+        (ref, ref_slope), (got, slope) = want, _root_search(
+            cr.find_tc, _slope, p, lt, state, convention)
+        a, b = ladder._kernel_curves(p, lt, convention, state)[2]
+        exact = Fraction(a) / (1 - Fraction(b))
+        assert abs(Fraction(got.t_c) - exact) <= 2 * Fraction(math.ulp(got.t_c))
+        assert got.t_c == pytest.approx(ref.t_c, rel=cr.RTOL, abs=0)
+        assert (got.bracket, got.n_brackets) == (ref.bracket, ref.n_brackets)
+        assert got.residual == abs(ladder.mass_curve(p, lt, convention, state)(got.t_c) - 1.0)
+        assert slope == pytest.approx(ref_slope, rel=1e-8, abs=0)
+        closed += 1
+    assert closed >= 20
 
 
 def test_constant_lifetime_search_resolves_the_rate_once(const_params, const_lifetime,
@@ -469,6 +508,74 @@ def test_nu_window_validation(const_params, const_lifetime):
         cr.fit_nu(crit, n_temps=4)
     with pytest.raises(ValueError):
         cr.fit_nu(crit, n_temps=cr.MAX_NU_POINTS + 1)
+
+
+def _per_t_fit_nu(crit, window=(1e-5, 1e-3), n_temps=8, **kw):
+    """The nu fit with ``correlation_function`` run at every window temperature."""
+    return cr._fit_exponent("nu", crit, window, n_temps,
+                            lambda T: math.log(cr.correlation_function(crit, T, **kw).xi))
+
+
+def _preset_crit(name, state):
+    cfg = RunConfig.parse((CONFIGS / f"{name}.cfg").read_text())
+    return cr.criticality(state, cfg.params(), cfg.lifetime_model(), cfg.convention)
+
+
+@pytest.mark.parametrize("preset", ["reference", "fermi-liquid"])
+@pytest.mark.parametrize("fock_form", ["reduced", "power"])
+@pytest.mark.parametrize("state", [Vacuum(), Fock(3), Fock(60), Thermal(), Thermal(2.0)],
+                         ids=["vacuum", "fock:3", "fock:60", "thermal", "thermal:beta=2"])
+def test_single_term_nu_matches_per_temperature_route(preset, fock_form, state):
+    # one Lorentzian term: xi sqrt(mass) is the same at every T, so one profile
+    # gives every window temperature's xi
+    crit = _preset_crit(preset, state)
+    if state == Fock(60) and fock_form == "power":
+        # the order-61 transform leaves the float range: both routes reject r^2 = nan
+        for fit in (cr.fit_nu, _per_t_fit_nu):
+            with pytest.raises(cr.FitRejected, match=r"r\^2 = nan"):
+                fit(crit, fock_form=fock_form)
+        return
+    got = cr.fit_nu(crit, fock_form=fock_form)
+    want = _per_t_fit_nu(crit, fock_form=fock_form)
+    assert abs(got.exponent - want.exponent) <= 1e-15
+    assert got.window == want.window and got.r_squared > cr.R2_MIN
+
+
+@pytest.mark.parametrize("fock_form", ["reduced", "power"])
+def test_mixture_nu_keeps_the_per_temperature_route(const_params, const_lifetime, fock_form):
+    crit = cr.criticality(DiagonalMixture({0: 0.5, 2: 0.5}), const_params, const_lifetime)
+    assert cr.fit_nu(crit, fock_form=fock_form) == _per_t_fit_nu(crit, fock_form=fock_form)
+
+
+@pytest.mark.parametrize("state", [Vacuum(), Fock(3), Thermal(), Thermal(2.0)])
+def test_single_term_nu_runs_one_profile(const_params, const_lifetime, monkeypatch, state):
+    calls = []
+    transform = cr._bessel_transform
+    monkeypatch.setattr(cr, "_bessel_transform",
+                        lambda *a: calls.append(a) or transform(*a))
+    crit = cr.criticality(state, const_params, const_lifetime)
+    for fock_form in ("reduced", "power"):
+        calls.clear()
+        cr.fit_nu(crit, fock_form=fock_form)
+        assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("state", [Vacuum(), Thermal(2.0), DiagonalMixture({0: 0.5, 2: 0.5})])
+def test_nu_window_touching_t_c_raises_as_per_temperature(const_params, const_lifetime, state):
+    # every temperature of the window rounds to T_c, where no vertex exists
+    crit = cr.criticality(state, const_params, const_lifetime)
+    window = (1e-300, 1e-297)
+    with pytest.raises(DomainError) as want:
+        _per_t_fit_nu(crit, window)
+    with pytest.raises(DomainError) as got:
+        cr.fit_nu(crit, window)
+    assert str(got.value) == str(want.value)
+    for kw, error in ((dict(anisotropy=0.0), ValueError), (dict(fock_form="nope"), ValueError)):
+        with pytest.raises(error) as want:
+            _per_t_fit_nu(crit, **kw)
+        with pytest.raises(error) as got:
+            cr.fit_nu(crit, **kw)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("fit, exponent", [
