@@ -481,7 +481,7 @@ def cmd_vertex(cfg: RunConfig) -> ResultTable:
             for theta in (0.0, math.pi / 4, math.pi / 2):
                 table.add(
                     state=state_label(state), quantity=f"vertex_P[{_fmt(P)},{_fmt(theta)}]",
-                    value=vertex(P, theta) * unit, provenance="critical.vertex_P",
+                    value=vertex(P, theta) * unit, provenance="critical.momentum_vertex",
                 )
     return table
 
@@ -666,6 +666,43 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     record("correlation_bessel", all(d < 1e-4 for d in devs),
            f"max rel dev {max(devs):.3e} vs contour quadrature at 5 fit-grid points in [3 xi, 10 xi] "
            "(mix:{0,2} power anisotropic, q=1 and q=3)")
+
+    # the momentum-resolved vertex against gamma0 / [P^2 (cos^2 theta + a) + m (T - T_c)]^(n+1),
+    # summed over the sector weights and written out here, and the reduced form
+    # against the power form at P = 0, in value and in curvature along theta = 0
+    a = cfg.anisotropy
+    worst = worst_value = worst_curv = 0.0
+    for crit in _criticalities(cfg, [Fock(2), DiagonalMixture({0: 0.5, 2: 0.5})]):
+        T = crit.point.t_c * (1.0 + 1e-3)
+        gap = crit.slope * (T - crit.point.t_c)
+        gamma0 = -crit.params.g0**2 / (2.0 * crit.params.delta_c)
+        power = critical.momentum_vertex(crit, T, a, "power")
+        reduced = critical.momentum_vertex(crit, T, a, "reduced")
+        for P in (0.0, math.sqrt(gap), 3.0 * math.sqrt(gap)):
+            for theta in (0.0, math.pi / 2):
+                want = sum(w * gamma0 / (P * P * (math.cos(theta) ** 2 + a) + gap) ** (n + 1)
+                           for n, w in crit.state.weights.items())
+                worst = max(worst, abs(power(P, theta) / want - 1.0))
+        h = 1e-3 * math.sqrt(gap / (1.0 + a))
+        v_power, v_reduced = power(0.0, 0.0), reduced(0.0, 0.0)
+        worst_value = max(worst_value, abs(v_reduced / v_power - 1.0))
+        curv = (reduced(h, 0.0) - v_reduced) / (power(h, 0.0) - v_power)
+        worst_curv = max(worst_curv, abs(curv - 1.0))
+    record("momentum_vertex", worst <= 1e-12 and worst_value <= 1e-12 and worst_curv <= 1e-4,
+           f"max rel dev {worst:.3e} of the power form from gamma0 / [P^2 (cos^2 theta + a) + "
+           f"m (T - T_c)]^(n+1) at theta = 0, pi/2; reduced vs power at P = 0: value "
+           f"{worst_value:.3e}, curvature {worst_curv:.3e} (fock:2 and mix:{{0,2}}, reduced_t = 1e-3)")
+
+    # the line fit on exact power-law data t**-nu returns nu to a few ulp
+    window, points = RunConfig.gamma_window, RunConfig.gamma_points
+    ts = critical._geometric_grid(window[0], window[1], points)
+    worst = 0.0
+    for nu in (0.5, 1.0, 3.0):
+        slope, _, _ = critical._line_fit([math.log(t) for t in ts], [math.log(t**-nu) for t in ts])
+        worst = max(worst, abs(slope + nu) / math.ulp(nu))
+    record("line_fit", worst <= 4.0,
+           f"max |fitted - exact exponent| = {worst:g} ulp for nu = 0.5, 1, 3 on the default "
+           f"gamma window ({points} points on [{window[0]:g}, {window[1]:g}])")
 
     passed = all(c["passed"] for c in checks)
     report = {

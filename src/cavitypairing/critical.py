@@ -18,7 +18,7 @@ P; for the number-state case the correlation length is
 extracted from the leading-pole form with the mass reduced by n+1, which is
 precisely what the binomial collapse of the power form gives at small P (the
 exact power form shares the value and curvature at P = 0 but its tail slope
-is not what sets the physical decay scale; see ``vertex_P`` for both).
+is not what sets the physical decay scale; ``momentum_vertex`` gives both).
 
 Each Lorentzian term amp / (c_par P_x^2 + c_perp P_y^2 + m)^q transforms in
 closed form (DLMF 10.32.10-11; Gradshteyn-Ryzhik 6.565.4):
@@ -35,10 +35,11 @@ the closed form against.
 curve ``ladder.mass_curve``, built once per search with the lifetime, the
 convention and the dressing resolved.  Where c2 does not depend on T (a
 constant lifetime, and any state but the equilibrium thermal one) the curve
-is M = A/T + B, so T_c = A / (1 - B) and m = A / T_c**2 exactly; elsewhere a
-scan brackets the root, bisection refines it and a Richardson difference
-gives m.  ``fit_gamma`` builds ``ladder.kernel_terms`` once per fit in the
-same way, and ``momentum_vertex`` the vertex terms once per temperature.
+is M = A/T + B, so T_c = A / (1 - B) and m = A / T_c**2 exactly, with no
+scan; elsewhere a scan brackets the root, bisection refines it and a
+Richardson difference gives m.  ``fit_gamma`` builds ``ladder.kernel_terms``
+once per fit in the same way, and ``momentum_vertex`` the vertex terms once
+per temperature.
 ``fit_nu`` branches on the number of Lorentzian terms: one term is
 scale-invariant, xi sqrt(mass) being the same at every T, so one correlation
 profile serves the whole window.  Nothing here branches on the kind of state.
@@ -70,7 +71,6 @@ from .model import (
     InitialPhotonState,
     LifetimeModel,
     ModelParams,
-    Vacuum,
 )
 from .sectors import QuadratureError, quad
 
@@ -88,10 +88,8 @@ __all__ = [
     "find_tc",
     "fit_gamma",
     "fit_nu",
-    "fitted_pole_location",
     "mass_slope",
     "momentum_vertex",
-    "vertex_P",
 ]
 
 
@@ -194,36 +192,6 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _linear_root(
-    mass: Callable[[float], float], a: float, b: float, lo: float, hi: float
-) -> CriticalPoint | None:
-    """Root T_c = A / (1 - B) of M(T) = A/T + B = 1, or None where the scan must decide.
-
-    None unless B < 1 and lo < T_c < hi.  The bracket is the cell of the
-    ``_geometric_grid(lo, hi, N_SCAN)`` scan that ``find_tc`` would otherwise
-    run: its index read from log(T_c / lo), checked (and moved by one where
-    rounding put it next door) against the scan's own sign test, M > 1 at the
-    lower end and M < 1 at the upper.  A cell that fails it, as when M rounds
-    to exactly 1 at a grid point, is also left to the scan.
-    """
-    if not b < 1:
-        return None
-    tc = a / (1.0 - b)
-    if not lo < tc < hi:
-        return None
-    last = N_SCAN - 1
-    step = math.log(hi / lo) / last
-
-    def grid(i: int) -> float:  # point i of _geometric_grid(lo, hi, N_SCAN)
-        return lo if i == 0 else hi if i == last else lo * math.exp(i * step)
-
-    guess = min(int(math.log(tc / lo) / step), last - 1)
-    for i in (guess, guess - 1, guess + 1):
-        if 0 <= i < last and mass(grid(i)) > 1.0 > mass(grid(i + 1)):
-            return CriticalPoint(tc, (grid(i), grid(i + 1)), abs(mass(tc) - 1.0), 1)
-    return None
-
-
 def find_tc(
     p: ModelParams,
     lt: LifetimeModel,
@@ -233,10 +201,11 @@ def find_tc(
     """Locate the root of the state's M(T) = 1: in closed form where it is exact, else by scan.
 
     Where c2 does not depend on T (a constant lifetime, and any state but
-    the equilibrium thermal one) the pole mass is A/T + B, and
-    ``_linear_root`` returns T_c = A / (1 - B) with the scan cell that holds
-    it as the bracket, ``n_brackets = 1`` and the residual |M(T_c) - 1|.
-    Otherwise, or if that root is not inside the scan, a geometric scan
+    the equilibrium thermal one) the pole mass is A/T + B, and if B < 1 and
+    T_c = A / (1 - B) lies inside the scan range it is returned with no
+    scan: a closed-form root brackets itself, so ``bracket`` is (T_c, T_c),
+    ``n_brackets = 1``, and ``residual`` is |M(T_c) - 1|, the pole-mass
+    residual (not an error bar on T_c).  Otherwise a geometric scan
     over ``SCAN_RANGE`` in units of E_F on ``N_SCAN`` points of
     ``_geometric_grid`` brackets the crossings and bisection refines one.
     The upper end stays strictly below E_F: the Fermi-liquid lifetime
@@ -249,9 +218,11 @@ def find_tc(
     lo_f, hi_f = SCAN_RANGE
     lo, hi = lo_f * p.e_f, hi_f * p.e_f
     _, mass, split = ladder._kernel_curves(p, lt, convention, state)
-    point = None if split is None else _linear_root(mass, *split, lo, hi)
-    if point is not None:
-        return point
+    if split is not None and split[1] < 1:
+        a, b = split
+        tc = a / (1.0 - b)
+        if lo < tc < hi:
+            return CriticalPoint(tc, (tc, tc), abs(mass(tc) - 1.0), 1)
     ts = _geometric_grid(lo, hi, N_SCAN)
     vals = [mass(t) - 1.0 for t in ts]
     brackets = [
@@ -306,25 +277,6 @@ def criticality(
     point = find_tc(p, lt, state, convention)
     slope = mass_slope(p, lt, state, convention, tc=point.t_c)
     return Criticality(state, p, lt, convention, point, slope)
-
-
-def fitted_pole_location(
-    n: int,
-    p: ModelParams,
-    lt: LifetimeModel,
-    convention: str = "canonical",
-) -> float:
-    """Pole temperature of Gamma^n located from vertex values alone.
-
-    The ratio Gamma^n / Gamma^(n+1) vanishes linearly and with a sign change
-    at the pole, so the divergence can be bisected without referencing the
-    kernel mass directly.
-    """
-    def ratio(T):
-        vals = ladder.solve_fock_hierarchy(n + 1, KernelScalars.from_model(p, lt, T, convention))
-        return vals[n] / vals[n + 1]
-
-    return _bisect(ratio, *find_tc(p, lt, Vacuum(), convention).bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +447,6 @@ def momentum_vertex(
         return signed_exp(log_scale + log_sum_exp(t.log_value(px, py) for t in terms), gamma0)
 
     return vertex
-
-
-def vertex_P(
-    crit: Criticality,
-    P: float,
-    theta: float,
-    T: float,
-    anisotropy: float = 1.0,
-    fock_form: str = "power",
-) -> float:
-    """Pair vertex at center-of-mass momentum P and angle theta, T > T_c (``momentum_vertex``)."""
-    return momentum_vertex(crit, T, anisotropy, fock_form)(P, theta)
 
 
 def _bessel_transform(term: _LorentzianTerm, r: Sequence[float]) -> "np.ndarray":

@@ -33,10 +33,10 @@ and c2 for a constant lifetime, and s for a thermal state of fixed beta.  A
 call then computes a_bcs = (f_a*gtilde*delta_c)/T and only what still depends
 on T: the Fermi-liquid rate and the equilibrium s.  ``mass_curve`` closes over
 the same factors and returns the pole mass a_bcs + 2*c2 alone, with no tuple,
-for the root searches that evaluate it hundreds of times; with a constant
-lifetime and no equilibrium dressing each call is one Python call, and the
-mass is A/T + B with A = f_a*gtilde*delta_c and B = 2*c2 fixed, which
-``critical`` solves in closed form.
+for the root scans that evaluate it hundreds of times.  With a constant
+lifetime and no equilibrium dressing the mass is A/T + B with
+A = f_a*gtilde*delta_c and B = 2*c2 fixed, which ``critical`` solves in
+closed form with no scan.
 ``KernelScalars.from_model`` freezes the terms at one T, keeping the state so
 that ``pole_mass`` and ``log_vertex`` need no argument.
 
@@ -128,10 +128,6 @@ def bare_vertex(p: ModelParams) -> float:
     return -p.g0**2 / (2.0 * p.delta_c)
 
 
-def _pole_mass(a_bcs: Number, c2: Number) -> Number:
-    return a_bcs + 2 * c2
-
-
 def _kernel_curves(
     p: ModelParams, lt: LifetimeModel, convention: str, state: InitialPhotonState
 ) -> tuple[Callable[[float], tuple], Callable[[float], float], tuple[float, float] | None]:
@@ -188,26 +184,15 @@ def _kernel_curves(
         dct = dc / _fermi_liquid_rate(e_f, temperature) if fixed_dct is None else fixed_dct
         return a / temperature, c2_at(temperature, dct) if fixed_c2 is None else fixed_c2, g, dct
 
-    if fixed_c2 is None:
-        def mass(temperature: float) -> float:
-            if temperature <= 0:
-                raise ValueError("temperature must be > 0")
-            dct = dc / _fermi_liquid_rate(e_f, temperature) if fixed_dct is None else fixed_dct
-            c2 = c2_at(temperature, dct)
-            return a / temperature + 2 * c2
+    def mass(temperature: float) -> float:
+        if temperature <= 0:
+            raise ValueError("temperature must be > 0")
+        if fixed_c2 is not None:
+            return a / temperature + 2 * fixed_c2
+        dct = dc / _fermi_liquid_rate(e_f, temperature) if fixed_dct is None else fixed_dct
+        return a / temperature + 2 * c2_at(temperature, dct)
 
-        split = None
-    else:
-        two_c2 = 2 * fixed_c2  # exact, so a / T + two_c2 is the float a / T + 2 * c2
-
-        def mass(temperature: float) -> float:
-            if temperature <= 0:
-                raise ValueError("temperature must be > 0")
-            return a / temperature + two_c2
-
-        split = (a, two_c2)
-
-    return terms, mass, split
+    return terms, mass, None if fixed_c2 is None else (a, 2 * fixed_c2)
 
 
 def kernel_terms(
@@ -241,7 +226,7 @@ def mass_curve(
     It closes over the factors ``kernel_terms`` resolves once, with the same
     arithmetic, checks and errors, and builds no tuple per call.  Where c2 does
     not depend on T (a constant lifetime, no equilibrium dressing) a call is
-    a_bcs + 2 c2 with 2 c2 precomputed, which doubling makes exact.
+    a_bcs + 2 c2 with c2 computed once.
     """
     return _kernel_curves(p, lt, convention, state)[1]
 
@@ -277,7 +262,7 @@ class KernelScalars:
     @property
     def pole_mass(self) -> Number:
         """Kernel mass a_bcs + 2*c2 whose crossing of 1 is the pole of the state's vertex."""
-        return _pole_mass(self.a_bcs, self.c2)
+        return self.a_bcs + 2 * self.c2
 
     @classmethod
     def from_model(

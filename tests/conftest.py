@@ -1,5 +1,7 @@
 import pytest
 
+from cavitypairing.critical import _bisect
+from cavitypairing.ladder import CriticalityError, KernelScalars, solve_fock_hierarchy
 from cavitypairing.model import ConstantLifetime, FermiLiquidLifetime, ModelParams
 
 
@@ -27,3 +29,36 @@ def fl_params():
 @pytest.fixture(scope="session")
 def fl_lifetime():
     return FermiLiquidLifetime()
+
+
+def _locate_pole(n, p, lt):
+    """Pole temperature of Gamma^n located from vertex values alone, never from the kernel mass.
+
+    The ratio Gamma^n / Gamma^(n+1) vanishes linearly, with a sign change, at
+    the pole.  Below it the ratio changes sign more than once, so of the sign
+    changes on a geometric scan over [1e-8, 0.99] E_F the cell whose ends are
+    smallest in magnitude is bisected: the zero of the ratio, not a pole of it.
+    A temperature on the pole itself, where the hierarchy raises
+    ``CriticalityError``, reads as the ratio's zero, which ends the bisection.
+    """
+    def ratio(T):
+        try:
+            vals = solve_fock_hierarchy(n + 1, KernelScalars.from_model(p, lt, T))
+        except CriticalityError:
+            return 0.0
+        return vals[n] / vals[n + 1]
+
+    lo, hi = 1e-8 * p.e_f, 0.99 * p.e_f
+    ts = [lo * (hi / lo) ** (i / 511) for i in range(512)]
+    vals = [ratio(t) for t in ts]
+    cells = [(max(abs(v0), abs(v1)), t0, t1)
+             for t0, t1, v0, v1 in zip(ts, ts[1:], vals, vals[1:])
+             if v0 == 0.0 or (v0 > 0) != (v1 > 0)]
+    _, lo, hi = min(cells)
+    return _bisect(ratio, lo, hi)
+
+
+@pytest.fixture(scope="session")
+def fitted_pole_location():
+    """(n, params, lifetime) -> the pole of Gamma^n bisected from the hierarchy's own values."""
+    return _locate_pole

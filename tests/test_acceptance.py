@@ -81,7 +81,8 @@ def test_criterion_2_thermal_closure():
             f"{rep.residual:.2e} < 1e-8 with tail {rep.tail:.2e} < 1e-12")
 
 
-def test_criterion_3_tc_invariance(const_params, const_lifetime, fl_params, fl_lifetime):
+def test_criterion_3_tc_invariance(const_params, const_lifetime, fl_params, fl_lifetime,
+                                   fitted_pole_location):
     t0 = time.perf_counter()
     details = []
     ok = True
@@ -94,7 +95,7 @@ def test_criterion_3_tc_invariance(const_params, const_lifetime, fl_params, fl_l
         ok = ok and th.t_c > vac.t_c
         worst = 0.0
         for n in (0, 1, 3, 5):
-            pole = cr.fitted_pole_location(n, p, lt)
+            pole = fitted_pole_location(n, p, lt)
             worst = max(worst, abs(pole / vac.t_c - 1.0))
         ok = ok and worst < 1e-10
         details.append(f"{tag}: max pole dev {worst:.1e}, thermal-vacuum "

@@ -155,10 +155,13 @@ def test_json_has_schema_version(tmp_path):
 
 
 def test_emit_determinism(tmp_path):
-    text = (Path(__file__).resolve().parents[1] / "configs" / "reference.cfg").read_text()
-    cfg = RunConfig.parse(text)
-    for cmd in (cli.cmd_tc, cli.cmd_exponents, cli.cmd_xi):
-        assert cmd(cfg).to_csv() == cmd(cfg).to_csv()
+    for preset in ("reference", "fermi-liquid", "convention-heavy"):
+        text = (Path(__file__).resolve().parents[1] / "configs" / f"{preset}.cfg").read_text()
+        cfg = RunConfig.parse(text)
+        for cmd in (cli.cmd_tc, cli.cmd_exponents, cli.cmd_xi, cli.cmd_vertex, cli.cmd_scan):
+            first, second = cmd(cfg), cmd(cfg)
+            assert first.to_csv() == second.to_csv(), (preset, cmd.__name__)
+            assert first.to_json() == second.to_json(), (preset, cmd.__name__)
 
 
 # -- subcommands through main ------------------------------------------------------
@@ -342,7 +345,7 @@ def test_verify_passes_and_reports(tmp_path, capsys):
     assert {"oracle_equivalence", "thermal_resummation", "sector_chain",
             "bcs_quadrature", "offshell_cancellation", "gaussian_collapse",
             "correlation_bessel", "thermal_dressing", "vertex_closed_form",
-            "tc_closed_form"} <= names
+            "tc_closed_form", "momentum_vertex", "line_fit"} <= names
     bessel = next(c for c in report["checks"] if c["name"] == "correlation_bessel")
     assert "vs contour quadrature" in bessel["detail"]
     assert "power anisotropic, q=1 and q=3" in bessel["detail"]
@@ -380,10 +383,18 @@ def _mutant(func, old, new):
     pytest.param(ladder, "log_vertex", "u = gap / (one_m_a * (1 + math.sqrt(2 * c2 / one_m_a)) ** 2)",
                  "u = (1 - math.sqrt(2 * c2 / one_m_a)) / (1 + math.sqrt(2 * c2 / one_m_a))",
                  "vertex_closed_form", id="cancelling-root"),
-    pytest.param(critical, "_linear_root", "tc = a / (1.0 - b)", "tc = 1.01 * a / (1.0 - b)",
+    pytest.param(critical, "find_tc", "tc = a / (1.0 - b)", "tc = 1.01 * a / (1.0 - b)",
                  "tc_closed_form", id="t_c-times-1.01"),
     pytest.param(critical, "mass_slope", "m = split[0] / (tc * tc)",
                  "m = 2 * split[0] / (tc * tc)", "tc_closed_form", id="slope-times-2"),
+    pytest.param(critical, "_vertex_terms", "mass_gap / (n + 1)", "mass_gap",
+                 "momentum_vertex", id="reduced-mass-not-divided"),
+    pytest.param(critical, "_vertex_terms", " - math.log(n + 1)", "",
+                 "momentum_vertex", id="reduced-amplitude-not-divided"),
+    pytest.param(critical, "_vertex_terms", "c_perp = anisotropy", "c_perp = c_par",
+                 "momentum_vertex", id="anisotropy-lost"),
+    pytest.param(critical, "_line_fit", "slope = _sum(", "slope = 1.01 * _sum(",
+                 "line_fit", id="line-slope-times-1.01"),
 ])
 def test_verify_check_catches_its_mutant(monkeypatch, module, name, old, new, check):
     # negative control: a corrupted source function fails exactly the check that guards it
@@ -450,7 +461,7 @@ def test_vertex_builds_each_states_terms_once(monkeypatch):
     cfg = _reference_cfg(ROOT_STATES)
     rows = cli.cmd_vertex(cfg).rows
     assert len(calls) == len(ROOT_STATES)
-    # the shared terms give vertex_P's values bit for bit
+    # the shared terms give momentum_vertex's values bit for bit
     unit = cli._scale(cfg)
     crits = {state_label(c.state): c for c in cli._criticalities(cfg, cfg.state_objects())}
     checked = 0
@@ -459,8 +470,8 @@ def test_vertex_builds_each_states_terms_once(monkeypatch):
             P, theta = (float(x) for x in row.quantity[len("vertex_P["):-1].split(","))
             crit = crits[row.state]
             T = crit.point.t_c * (1.0 + cfg.xi_reduced_t)
-            assert row.value == critical.vertex_P(crit, P, theta, T, cfg.anisotropy,
-                                                  cfg.fock_form) * unit
+            vertex = critical.momentum_vertex(crit, T, cfg.anisotropy, cfg.fock_form)
+            assert row.value == vertex(P, theta) * unit
             checked += 1
     assert checked == 9 * len(ROOT_STATES)
 

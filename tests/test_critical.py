@@ -106,7 +106,7 @@ def test_tc_no_root_reports_scan_table():
 
 def _reference_mass(p, lt, convention, state):
     terms = ladder.kernel_terms(p, lt, convention, state)
-    return lambda T: ladder._pole_mass(*terms(T)[:2])
+    return lambda T: KernelScalars(bare_vertex(p), *terms(T)).pole_mass
 
 
 def _reference_find_tc(p, lt, state, convention):
@@ -209,8 +209,8 @@ def test_root_search_matches_reference_curve_bitwise():
 
 def test_closed_form_root_matches_reference_scan():
     # M = A/T + B: T_c = A / (1 - B) to the rounding of two float operations,
-    # in the scan's own bracket, and the slope A / T_c**2 against the
-    # Richardson difference of the generic curve
+    # bracketing itself, and the slope A / T_c**2 against the Richardson
+    # difference of the generic curve
     closed = 0
     for p, lt, state, convention in _root_cases():
         want = _root_search(_reference_find_tc, _reference_slope, p, lt, state, convention)
@@ -222,7 +222,8 @@ def test_closed_form_root_matches_reference_scan():
         exact = Fraction(a) / (1 - Fraction(b))
         assert abs(Fraction(got.t_c) - exact) <= 2 * Fraction(math.ulp(got.t_c))
         assert got.t_c == pytest.approx(ref.t_c, rel=cr.RTOL, abs=0)
-        assert (got.bracket, got.n_brackets) == (ref.bracket, ref.n_brackets)
+        assert ref.bracket[0] <= got.t_c <= ref.bracket[1]
+        assert (got.bracket, got.n_brackets) == ((got.t_c, got.t_c), ref.n_brackets)
         assert got.residual == abs(ladder.mass_curve(p, lt, convention, state)(got.t_c) - 1.0)
         assert slope == pytest.approx(ref_slope, rel=1e-8, abs=0)
         closed += 1
@@ -251,10 +252,10 @@ def test_constant_lifetime_search_resolves_the_rate_once(const_params, const_lif
     assert counts[0] == counts[1] <= 2
 
 
-def test_fitted_pole_matches_kernel_root(const_params, const_lifetime):
+def test_fitted_pole_matches_kernel_root(const_params, const_lifetime, fitted_pole_location):
     crit = cr.find_tc(const_params, const_lifetime, Vacuum())
     for n in (0, 1, 3, 5):
-        pole = cr.fitted_pole_location(n, const_params, const_lifetime)
+        pole = fitted_pole_location(n, const_params, const_lifetime)
         assert pole == pytest.approx(crit.t_c, rel=1e-10)
 
 
@@ -361,7 +362,7 @@ def test_vertex_p_reduces_to_on_shell_pole(const_params, const_lifetime):
     m = cr.mass_slope(const_params, const_lifetime, Vacuum(), tc=crit.t_c)
     T = crit.t_c * 1.001
     for n in (0, 2):
-        v = cr.vertex_P(cr.criticality(Fock(n), const_params, const_lifetime), 0.0, 0.3, T)
+        v = cr.momentum_vertex(cr.criticality(Fock(n), const_params, const_lifetime), T)(0.0, 0.3)
         expect = bare_vertex(const_params) / (m * (T - crit.t_c)) ** (n + 1)
         assert v == pytest.approx(expect, rel=1e-12)
 
@@ -372,7 +373,7 @@ def test_vertex_p_angular_factor(const_params, const_lifetime):
     T = crit.t_c * 1.001
     a = 0.7
     c = cr.Criticality(Vacuum(), const_params, const_lifetime, "canonical", crit, m)
-    v = cr.vertex_P(c, 2.0, math.pi / 2, T, anisotropy=a)
+    v = cr.momentum_vertex(c, T, anisotropy=a)(2.0, math.pi / 2)
     expect = bare_vertex(const_params) / (4.0 * a + m * (T - crit.t_c))
     assert v == pytest.approx(expect, rel=1e-12)
 
@@ -382,12 +383,13 @@ def test_vertex_p_inversion_symmetry(const_params, const_lifetime):
     m = cr.mass_slope(const_params, const_lifetime, Vacuum(), tc=crit.t_c)
     T = crit.t_c * 1.0005
     c = cr.Criticality(Fock(1), const_params, const_lifetime, "canonical", crit, m)
+    vertex = cr.momentum_vertex(c, T)
     rng = np.random.default_rng(7)
     for _ in range(12):
         P, th = rng.uniform(0, 3), rng.uniform(0, 2 * math.pi)
-        v1 = cr.vertex_P(c, P, th, T)
-        v2 = cr.vertex_P(c, P, th + math.pi, T)
-        v3 = cr.vertex_P(c, P, -th, T)
+        v1 = vertex(P, th)
+        v2 = vertex(P, th + math.pi)
+        v3 = vertex(P, -th)
         assert v1 == pytest.approx(v2, rel=1e-14)
         assert v1 == pytest.approx(v3, rel=1e-14)
 
@@ -400,11 +402,10 @@ def test_vertex_p_forms_agree_at_small_momentum(const_params, const_lifetime):
     p_small = 1e-3 * math.sqrt(mass)
     for n in (1, 4):
         c = cr.Criticality(Fock(n), const_params, const_lifetime, "canonical", crit, m)
-        full = cr.vertex_P(c, p_small, 0.9, T, fock_form="power")
-        red = cr.vertex_P(c, p_small, 0.9, T, fock_form="reduced")
-        assert red == pytest.approx(full, rel=1e-5)
-        assert cr.vertex_P(c, 0.0, 0.0, T, fock_form="reduced") == pytest.approx(
-            cr.vertex_P(c, 0.0, 0.0, T, fock_form="power"), rel=1e-14)
+        full = cr.momentum_vertex(c, T, fock_form="power")
+        red = cr.momentum_vertex(c, T, fock_form="reduced")
+        assert red(p_small, 0.9) == pytest.approx(full(p_small, 0.9), rel=1e-5)
+        assert red(0.0, 0.0) == pytest.approx(full(0.0, 0.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("fock_form", ["reduced", "power"])
@@ -416,14 +417,14 @@ def test_vertex_p_high_order_saturates_without_raising(const_params, const_lifet
     crit = replace(base, state=Fock(200), slope=float(base.slope),
                    point=replace(base.point, t_c=float(base.point.t_c)))
     t_c = crit.point.t_c
-    assert cr.vertex_P(crit, 0.0, 0.0, t_c * (1 + 1e-4), fock_form=fock_form) == -math.inf
-    assert cr.vertex_P(crit, 0.0, 0.0, t_c * 101.0, fock_form=fock_form) == 0.0
+    assert cr.momentum_vertex(crit, t_c * (1 + 1e-4), fock_form=fock_form)(0.0, 0.0) == -math.inf
+    assert cr.momentum_vertex(crit, t_c * 101.0, fock_form=fock_form)(0.0, 0.0) == 0.0
 
 
 def test_vertex_p_requires_supercritical_temperature(const_params, const_lifetime):
     c = cr.criticality(Vacuum(), const_params, const_lifetime)
     with pytest.raises(DomainError):
-        cr.vertex_P(c, 0.1, 0.0, c.point.t_c * 0.5)
+        cr.momentum_vertex(c, c.point.t_c * 0.5)
 
 
 # -- correlation function ---------------------------------------------------------
