@@ -526,6 +526,17 @@ def _log_abs(x: Fraction) -> float:
     return math.log((num << max(0, -k)) / (den << max(0, k))) + k * math.log(2)
 
 
+def _scan_root(mass, e_f: float) -> float:
+    """First downward crossing of mass(T) = 1: a 512-point scan of [1e-8, 0.99] E_F, bisected."""
+    lo, hi = 1e-8 * e_f, 0.99 * e_f
+    ts = [lo * (hi / lo) ** (i / 511) for i in range(512)]
+    lo, hi = next((t0, t1) for t0, t1 in zip(ts, ts[1:]) if mass(t0) > 1.0 >= mass(t1))
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mass(mid) > 1.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     """Full invariant suite; returns (all_passed, machine-readable report)."""
     checks = []
@@ -637,13 +648,7 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     worst_tc = worst_m = 0.0
     for state in (Vacuum(), Thermal(2.0)):
         mass = ladder.mass_curve(p_root, lt_root, cfg.convention, state)
-        lo, hi = 1e-8 * p_root.e_f, 0.99 * p_root.e_f
-        ts = [lo * (hi / lo) ** (i / 511) for i in range(512)]
-        lo, hi = next((t0, t1) for t0, t1 in zip(ts, ts[1:]) if mass(t0) > 1.0 >= mass(t1))
-        while hi - lo > 1e-14 * hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if mass(mid) > 1.0 else (lo, mid)
-        tc = 0.5 * (lo + hi)
+        tc = _scan_root(mass, p_root.e_f)
         h = 1e-6 * tc
         d1 = (mass(tc + h) - mass(tc - h)) / (2 * h)
         d2 = (mass(tc + h / 2) - mass(tc - h / 2)) / h
@@ -654,6 +659,17 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
            f"max rel dev T_c {worst_tc:.3e}, mass slope {worst_m:.3e} vs scan, bisection and "
            "Richardson difference of the pole-mass curve (vacuum and beta delta_c = 2)")
 
+    # the Fermi-liquid root against a scan and bisection run here of the pole
+    # mass with the rate written out, on the fermi-liquid preset's couplings
+    p_fl = ModelParams.with_gtilde(1e-3, 50.0, 0.0, 1e4, 1.0)
+    (f_a, f_c), g_dc, e_f = CONVENTIONS[cfg.convention], p_fl.gtilde * p_fl.delta_c, p_fl.e_f
+    rate = lambda t: math.pi * t * t / (8.0 * e_f) * math.log(e_f / t)
+    tc = _scan_root(lambda t: f_a * g_dc / t + 2.0 * f_c * (g_dc / rate(t)) ** 2, e_f)
+    dev = abs(critical.find_tc(p_fl, FermiLiquidLifetime(), Vacuum(), cfg.convention).t_c / tc - 1)
+    record("fermi_liquid_root", dev <= 1e-11,
+           f"rel dev T_c {dev:.3e} vs scan and bisection of a_bcs + 2 f_c (gtilde delta_c / "
+           "rate)**2, rate = pi T**2 / (8 E_F) ln(E_F / T) (vacuum, fermi-liquid couplings)")
+
     # closed-form correlations vs the independent contour quadrature on the
     # fit grid, for a simple and a third-order anisotropic pole summed
     mix = DiagonalMixture({0: 0.5, 2: 0.5})
@@ -662,7 +678,7 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     T = crit.point.t_c * (1.0 + 1e-4)
     prof = critical.correlation_function(crit, T, **kw)
     ref = critical.correlation_quadrature(crit, T, prof.r_grid[::4], **kw)
-    devs = [abs(v / q - 1.0) for v, q in zip(prof.values[::4], ref)]
+    devs = [abs(math.exp(v) / q - 1.0) for v, q in zip(prof.log_values[::4], ref)]
     record("correlation_bessel", all(d < 1e-4 for d in devs),
            f"max rel dev {max(devs):.3e} vs contour quadrature at 5 fit-grid points in [3 xi, 10 xi] "
            "(mix:{0,2} power anisotropic, q=1 and q=3)")
@@ -768,18 +784,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"report: {path}")
             return EXIT_OK if passed else EXIT_VERIFY
 
-        if args.command == "tc":
-            table = cmd_tc(cfg)
-        elif args.command == "exponents":
-            table = cmd_exponents(cfg)
-        elif args.command == "xi":
-            table = cmd_xi(cfg)
-        elif args.command == "vertex":
-            table = cmd_vertex(cfg)
-        elif args.command == "scan":
-            table = cmd_scan(cfg)
-        else:  # pragma: no cover
-            raise AssertionError(args.command)
+        # built per call, so a wrapper rebound over a cmd_* name is the one that runs
+        table = {"tc": cmd_tc, "exponents": cmd_exponents, "xi": cmd_xi,
+                 "vertex": cmd_vertex, "scan": cmd_scan}[args.command](cfg)
     except (critical.BracketError, critical.SlopeError, sectors.QuadratureError,
             ladder.CriticalityError, DomainError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

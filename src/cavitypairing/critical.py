@@ -26,7 +26,7 @@ closed form (DLMF 10.32.10-11; Gradshteyn-Ryzhik 6.565.4):
     C(r) = amp / (2 pi sqrt(c_par c_perp)) (r' / (2 sqrt(m)))^(q-1)
            K_{q-1}(sqrt(m) r') / (q-1)!,        r' = r / sqrt(c_par),
 
-evaluated with ``scipy.special.kv`` over the whole r grid at once.
+evaluated as log C, with ``scipy.special.kve`` (K times e^x) for K.
 ``correlation_quadrature`` keeps an independent numerical transform (residue
 in P_x, adaptive quadrature in P_y) as the reference that ``verify`` checks
 the closed form against.
@@ -45,8 +45,8 @@ scale-invariant, xi sqrt(mass) being the same at every T, so one correlation
 profile serves the whole window.  Nothing here branches on the kind of state.
 Everything that can leave the float range near T_c is carried as a log:
 ``fit_gamma`` fits ``ladder.log_vertex``, the vertex terms keep their
-amplitudes as logs relative to the largest, and ``momentum_vertex``
-exponentiates once, through ``ladder.signed_exp``.
+amplitudes as logs relative to the largest, ``momentum_vertex``
+exponentiates once, through ``ladder.signed_exp``, and C(r) is fitted as log C.
 ``criticality`` returns a frozen ``Criticality`` holding the state, the
 model, the root and the mass slope, computed once; the fits, the correlation
 functions and the momentum-resolved vertex all take it instead of
@@ -54,8 +54,8 @@ re-deriving T_c and m.
 
 The root scan, the fit windows and the correlation grids come from
 ``_geometric_grid``, and the bisection, ``_line_fit`` and the correlation
-logs run on Python floats.  numpy, imported lazily, serves only the ``kv``
-transform, so T_c and the fits do not depend on numpy's CPU-specific kernels.
+logs run on Python floats, with no CPU-dependent array kernels; ``kve``,
+imported lazily, is the one third-party call of the closed form.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class ExponentFit:
 @dataclass(frozen=True)
 class CorrelationProfile:
     r_grid: tuple
-    values: tuple
+    log_values: tuple
     xi: float
     fit_window: tuple[float, float]
     r_squared: float
@@ -376,10 +376,6 @@ class _LorentzianTerm:
     mass: float
     order: int
 
-    @property
-    def amp(self) -> float:
-        return math.exp(self.log_amp)
-
     def log_value(self, px: float, py: float) -> float:
         return self.log_amp - self.order * math.log(
             self.c_par * px * px + self.c_perp * py * py + self.mass
@@ -449,27 +445,23 @@ def momentum_vertex(
     return vertex
 
 
-def _bessel_transform(term: _LorentzianTerm, r: Sequence[float]) -> "np.ndarray":
-    """Exact 2D Fourier transform of one Lorentzian term on the grid r, as a numpy array."""
-    # only the correlation commands pay these imports
-    import numpy as np
-    from scipy.special import kv
+def _log_bessel_transform(term: _LorentzianTerm, r: Sequence[float]) -> list[float]:
+    """log C of one Lorentzian term's exact 2D Fourier transform, per point of the grid r.
 
-    nu = term.order - 1
-    rs = np.array(r) / math.sqrt(term.c_par)
-    sm = math.sqrt(term.mass)
-    try:
-        pref = term.amp / (
-            2.0 * math.pi * math.sqrt(term.c_par * term.c_perp) * math.factorial(nu)
-        )
-    except OverflowError:
-        raise QuadratureError(
-            f"closed-form transform of a pole of order {term.order} leaves the float "
-            f"range: ({nu})! exceeds the largest float"
-        ) from None
-    # high pole orders overflow here; the fit gate or the non-finite row check catches them
-    with np.errstate(over="ignore"):
-        return pref * (rs / (2.0 * sm)) ** nu * kv(nu, sm * rs)
+    log C = log amp - log(2 pi sqrt(c_par c_perp)) - lgamma(nu + 1) + nu log(x / 2m)
+    + log kve(nu, x) - x, with x = sqrt(m / c_par) r and nu = q - 1, for every order.
+    """
+    from scipy.special import kve  # only the correlation commands pay this import
+
+    nu, m, scale = term.order - 1, term.mass, math.sqrt(term.mass / term.c_par)
+    xs = [scale * v for v in r]
+    head = (term.log_amp - math.log(2.0 * math.pi * math.sqrt(term.c_par * term.c_perp))
+            - math.lgamma(nu + 1))
+    logs = [head + nu * math.log(x / (2.0 * m)) + math.log(k) - x
+            for x, k in zip(xs, kve(nu, xs).tolist())]
+    if not all(map(math.isfinite, logs)):
+        raise QuadratureError(f"transform of a pole of order {term.order} leaves the float range")
+    return logs
 
 
 # quad's error estimate must stay below this fraction of the reference value
@@ -502,8 +494,8 @@ def _contour_transform(term: _LorentzianTerm, r: float) -> tuple[float, float]:
     decay = r * math.sqrt(c_perp / c_par)
     y_max = (60.0 + mu0 * r) / max(decay, 1e-300)
     v, e = quad(inner, 0.0, y_max, epsabs=0.0, epsrel=1e-2 * _QUAD_REL_TOL, limit=400)
-    scale = 2.0 / (2.0 * math.pi) ** 2
-    return scale * term.amp * v, scale * abs(term.amp) * e
+    scale = 2.0 / (2.0 * math.pi) ** 2 * math.exp(term.log_amp)
+    return scale * v, scale * e
 
 
 def correlation_quadrature(
@@ -544,8 +536,7 @@ def correlation_function(
     C(r) is the 2D Fourier transform of the momentum-resolved vertex along
     the distinguished axis, summed over the closed-form transforms of its
     Lorentzian terms and divided by gamma0 times the largest term's
-    amplitude, so the profile is positive and stays in the float range for
-    any pole order; xi does not depend on that scale.
+    amplitude; xi does not depend on that scale.  The profile holds log C.
     xi comes from a log-linear fit of the tail over r in [3 xi_est, 10 xi_est]
     with one re-estimation pass, and the profile holds that 20-point grid.
     For number states the default ``fock_form="reduced"`` fits the
@@ -558,22 +549,23 @@ def correlation_function(
     xi_est = max(math.sqrt(t.c_par / t.mass) for t in terms)
 
     def fit(grid: list[float]):
-        values = sum(_bessel_transform(term, grid) for term in terms).tolist()
-        bad = [r for r, v in zip(grid, values) if not v > 0]
-        if bad:
-            raise QuadratureError(f"non-positive correlation value at r={bad[0]}")
-        slope, r2, _ = _line_fit(grid, [math.log(v) for v in values])
-        # a flat or NaN tail has no decay length: xi = NaN, which the xi and nu gates catch
-        return values, -1.0 / slope if slope else math.nan, r2
+        logs = [_log_bessel_transform(term, grid) for term in terms]
+        log_c = logs[0]
+        if len(logs) > 1:  # a mixture: its terms summed over one maximum of the whole grid
+            top = max(map(max, logs))
+            log_c = [top + math.log(sum(math.exp(v - top) for v in col)) for col in zip(*logs)]
+        slope, r2, _ = _line_fit(grid, log_c)
+        # a flat tail has no decay length: xi = NaN, which the xi and nu gates catch
+        return log_c, -1.0 / slope if slope else math.nan, r2
 
     grid = _geometric_grid(3.0 * xi_est, 10.0 * xi_est, 20)
-    values, xi, r2 = fit(grid)
+    log_values, xi, r2 = fit(grid)
     if xi > 0:
         grid = _geometric_grid(3.0 * xi, 10.0 * xi, 20)
-        values, xi, r2 = fit(grid)
+        log_values, xi, r2 = fit(grid)
     if xi <= 0:
         raise QuadratureError("fitted correlation length is not positive")
-    return CorrelationProfile(tuple(grid), tuple(values), xi, (grid[0], grid[-1]), r2)
+    return CorrelationProfile(tuple(grid), tuple(log_values), xi, (grid[0], grid[-1]), r2)
 
 
 def fit_nu(

@@ -345,7 +345,7 @@ def test_verify_passes_and_reports(tmp_path, capsys):
     assert {"oracle_equivalence", "thermal_resummation", "sector_chain",
             "bcs_quadrature", "offshell_cancellation", "gaussian_collapse",
             "correlation_bessel", "thermal_dressing", "vertex_closed_form",
-            "tc_closed_form", "momentum_vertex", "line_fit"} <= names
+            "tc_closed_form", "momentum_vertex", "line_fit", "fermi_liquid_root"} <= names
     bessel = next(c for c in report["checks"] if c["name"] == "correlation_bessel")
     assert "vs contour quadrature" in bessel["detail"]
     assert "power anisotropic, q=1 and q=3" in bessel["detail"]
@@ -395,6 +395,9 @@ def _mutant(func, old, new):
                  "momentum_vertex", id="anisotropy-lost"),
     pytest.param(critical, "_line_fit", "slope = _sum(", "slope = 1.01 * _sum(",
                  "line_fit", id="line-slope-times-1.01"),
+    pytest.param(model, "_fermi_liquid_rate", "(math.pi * temperature**2",
+                 "(2 * math.pi * temperature**2", "fermi_liquid_root",
+                 id="fermi-liquid-rate-times-2"),
 ])
 def test_verify_check_catches_its_mutant(monkeypatch, module, name, old, new, check):
     # negative control: a corrupted source function fails exactly the check that guards it
@@ -511,19 +514,22 @@ def test_main_vertex_and_scan(tmp_path):
     assert (tmp_path / "scan.csv").exists()
 
 
-def test_overflowing_fits_are_rejected(tmp_path):
-    # the power-form transform of the fock:60 pole overflows, so the nu fit sees
-    # non-finite data; gamma reads the vertex as a log and stays finite
+@pytest.mark.parametrize("state", ["fock:60", "mix:{0:0.5,60:0.5}"])
+def test_power_form_fits_a_pole_of_order_61(tmp_path, state):
+    # the power-form transform of the order-61 pole passes 1e308 on the fit
+    # grid; it is carried as a log, so nu = 1/2 and xi is finite
     cfgf = tmp_path / "c.cfg"
-    cfgf.write_text("states.list = fock:60\nfit.fock_form = power\n")
-    args = ["--config", str(cfgf), "--out", str(tmp_path)]
+    cfgf.write_text(f"states.list = {state}\nfit.fock_form = power\n")
+    args = ["--config", str(cfgf), "--out", str(tmp_path), "--strict"]
     assert cli.main(args + ["exponents"]) == cli.EXIT_OK
     rows = list(csv.DictReader(io.StringIO((tmp_path / "exponents.csv").read_text())))
     assert [r["quantity"] for r in rows] == ["gamma", "nu"]
     assert float(rows[0]["value"]) == pytest.approx(61.0, abs=0.05)
-    assert rows[1]["note"].startswith("REJECTED")
-    assert rows[1]["r_squared"] == "nan"
-    assert cli.main(args + ["--strict", "exponents"]) == cli.EXIT_NUMERIC
+    assert float(rows[1]["value"]) == pytest.approx(0.5, abs=1e-9)
+    assert cli.main(args + ["xi"]) == cli.EXIT_OK
+    rows = {r["quantity"]: float(r["value"]) for r in
+            csv.DictReader(io.StringIO((tmp_path / "xi.csv").read_text()))}
+    assert math.isfinite(rows["xi"]) and rows["xi_ratio"] > 1.0
 
 
 @pytest.mark.parametrize("state, gamma", [
@@ -564,9 +570,6 @@ def test_window_rounding_to_t_c_gives_no_unflagged_gamma(tmp_path, capsys, state
 @pytest.mark.parametrize("command, state, row, fock_form", [
     pytest.param("vertex", "fock:200", "gamma_on_shell = -inf", "reduced",
                  id="vertex-gamma_on_shell = -inf"),
-    # the reduced form of fock:200 has a finite xi; the power-form transform of
-    # the order-61 pole of fock:60 overflows
-    pytest.param("xi", "fock:60", "xi = nan", "power", id="xi-xi = nan"),
     pytest.param("vertex", "fock:200", "gamma_on_shell = -inf", "power",
                  id="vertex-gamma_on_shell = -inf-power"),
 ])
@@ -593,13 +596,17 @@ def test_xi_of_a_pole_past_the_float_range(tmp_path):
 
 @pytest.mark.parametrize("command", ["xi", "exponents"])
 def test_power_form_past_float_factorials_names_the_pole_order(tmp_path, capsys, command):
-    # (n)! leaves the float range from n = 171, so the closed-form transform cannot run
+    # 184! is far past the largest float, and the transform of the order-185
+    # pole is the first whose log leaves the float range: kve(184, x) is inf at
+    # x = 3, the first point of the fit grid in units of the decay length
     cfgf = tmp_path / "c.cfg"
-    cfgf.write_text("states.list = fock:171\nfit.fock_form = power\n")
+    cfgf.write_text("states.list = fock:184\nfit.fock_form = power\n")
     assert cli.main(["--config", str(cfgf), "--out", str(tmp_path), command]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert "pole of order 172" in err
-    assert "int too large" not in err
+    assert "pole of order 185" in err
+    assert "Traceback" not in err
+    cfgf.write_text("states.list = fock:183\nfit.fock_form = power\n")
+    assert cli.main(["--config", str(cfgf), "--out", str(tmp_path), command]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("command, state, code", [
@@ -608,9 +615,9 @@ def test_power_form_past_float_factorials_names_the_pole_order(tmp_path, capsys,
     ("xi", "fock:200", cli.EXIT_NUMERIC),
 ])
 def test_overflow_warnings_stay_off_stderr(tmp_path, capsys, command, state, code):
-    # an overflowing power form ends in REJECTED rows (the nu of fock:60), an
-    # infinite row (the vertex of fock:200) or a transform past float factorials
-    # (xi of fock:200), each without numpy warnings
+    # the power form of fock:60 fits, and one past the float range ends in an
+    # infinite row (the vertex of fock:200) or a transform whose log leaves the
+    # float range (xi of fock:200), each without numpy or scipy warnings
     cfgf = tmp_path / "c.cfg"
     cfgf.write_text(f"states.list = {state}\nfit.fock_form = power\n")
     with warnings.catch_warnings(record=True) as caught:

@@ -2,14 +2,15 @@
 
 Importing numpy costs about as much as the rest of a ``tc``, ``vertex`` or
 ``scan`` run, and ``scipy.integrate`` several times that, so
-``cavitypairing`` imports each only where it is called: numpy and
-``scipy.special`` inside the closed-form correlations (``exponents``,
-``xi``, ``verify``), ``scipy.integrate`` for the quadrature checks
-(``verify``).  ``tc``, ``vertex`` and ``scan`` run on Python floats alone.
+``cavitypairing`` imports scipy only where it is called, and numpy only
+through it: ``scipy.special`` inside the closed-form correlations
+(``exponents``, ``xi``, ``verify``), ``scipy.integrate`` for the quadrature
+checks (``verify``).  ``tc``, ``vertex`` and ``scan`` run on Python floats alone.
 The check runs in a fresh interpreter, because any earlier test in this
 process may already have loaded numpy or scipy.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -51,3 +52,13 @@ def test_tc_vertex_scan_load_no_scipy_and_xi_loads_only_special():
     assert "numpy" in mods["after_xi"]
     assert "scipy.special" in mods["after_xi"]
     assert "scipy.integrate" not in mods["after_xi"]
+
+
+def test_package_imports_no_numpy():
+    # the correlations take only K from scipy.special.kve and compute the rest
+    # on Python floats, so no result runs through numpy's CPU-dependent kernels
+    for path in sorted((ROOT / "src" / "cavitypairing").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+        assert not [m for m in modules if m.split(".")[0] == "numpy"], path.name

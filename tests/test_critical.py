@@ -439,7 +439,7 @@ def test_correlation_closed_form_matches_quadrature(const_params, const_lifetime
     kw = dict(anisotropy=anisotropy, fock_form="power")
     prof = cr.correlation_function(crit, T, **kw)  # its own 20-point grid on [3 xi, 10 xi]
     ref = cr.correlation_quadrature(crit, T, prof.r_grid, **kw)
-    assert np.max(np.abs(np.asarray(prof.values) / ref - 1.0)) < 1e-8
+    assert np.max(np.abs(np.exp(prof.log_values) / ref - 1.0)) < 1e-8
 
 
 def test_correlation_xi_ratio_sqrt_n_plus_one(const_params, const_lifetime):
@@ -463,11 +463,10 @@ def test_correlation_xi_shrinks_sqrt2_on_doubling(const_params, const_lifetime):
 def test_correlation_profile_positive_logconvex_tail(const_params, const_lifetime):
     crit = cr.criticality(Fock(2), const_params, const_lifetime)
     prof = cr.correlation_function(crit, crit.point.t_c * (1 + 1e-4))
-    vals = np.asarray(prof.values)
-    assert np.all(vals > 0)
+    lr = np.asarray(prof.log_values)
+    assert np.all(np.isfinite(lr))
     # log-convexity via divided differences (geometric grid)
     r = np.asarray(prof.r_grid)
-    lr = np.log(vals)
     slopes = np.diff(lr) / np.diff(r)
     assert np.all(np.diff(slopes) > -1e-12)
     assert prof.xi > 0
@@ -530,15 +529,13 @@ def test_single_term_nu_matches_per_temperature_route(preset, fock_form, state):
     # one Lorentzian term: xi sqrt(mass) is the same at every T, so one profile
     # gives every window temperature's xi
     crit = _preset_crit(preset, state)
-    if state == Fock(60) and fock_form == "power":
-        # the order-61 transform leaves the float range: both routes reject r^2 = nan
-        for fit in (cr.fit_nu, _per_t_fit_nu):
-            with pytest.raises(cr.FitRejected, match=r"r\^2 = nan"):
-                fit(crit, fock_form=fock_form)
-        return
     got = cr.fit_nu(crit, fock_form=fock_form)
     want = _per_t_fit_nu(crit, fock_form=fock_form)
-    assert abs(got.exponent - want.exponent) <= 1e-15
+    # the per-T route rounds a fresh transform at each T; at pole order 61 the
+    # logs of kve carry ~1e-13, which reaches nu as up to 2e-14
+    order_61 = state == Fock(60) and fock_form == "power"
+    assert abs(got.exponent - want.exponent) <= (1e-13 if order_61 else 1e-15)
+    assert abs(got.exponent - 0.5) <= 1e-9
     assert got.window == want.window and got.r_squared > cr.R2_MIN
 
 
@@ -551,8 +548,8 @@ def test_mixture_nu_keeps_the_per_temperature_route(const_params, const_lifetime
 @pytest.mark.parametrize("state", [Vacuum(), Fock(3), Thermal(), Thermal(2.0)])
 def test_single_term_nu_runs_one_profile(const_params, const_lifetime, monkeypatch, state):
     calls = []
-    transform = cr._bessel_transform
-    monkeypatch.setattr(cr, "_bessel_transform",
+    transform = cr._log_bessel_transform
+    monkeypatch.setattr(cr, "_log_bessel_transform",
                         lambda *a: calls.append(a) or transform(*a))
     crit = cr.criticality(state, const_params, const_lifetime)
     for fock_form in ("reduced", "power"):
@@ -582,26 +579,17 @@ def test_nu_window_touching_t_c_raises_as_per_temperature(const_params, const_li
 @pytest.mark.parametrize("fit, exponent", [
     pytest.param(cr.fit_gamma, 61.0, id="gamma"),
     pytest.param(lambda crit: cr.fit_nu(crit, fock_form="reduced"), 0.5, id="nu-reduced"),
+    pytest.param(lambda crit: cr.fit_nu(crit, fock_form="power"), 0.5, id="nu-power"),
 ])
 def test_high_pole_order_fits_are_finite(const_params, const_lifetime, fit, exponent):
-    # the fock:60 vertex leaves the float range on the fit window; the fits read
-    # it as a log, so gamma = n + 1 (less the (n+1) t drift at the top of the
-    # window) and the reduced form's nu = 1/2 pass the unchanged r^2 gate
+    # the fock:60 vertex and the power form's order-61 transform leave the float
+    # range on the fit window; the fits read both as logs, so gamma = n + 1
+    # (less the (n+1) t drift at the top of the window) and nu = 1/2 in either
+    # form pass the unchanged r^2 gate
     crit = cr.criticality(Fock(60), const_params, const_lifetime)
     f = fit(crit)
     assert abs(f.exponent - exponent) <= 0.05
     assert f.r_squared > 0.9999999
-
-
-@pytest.mark.parametrize("fit", [
-    pytest.param(lambda crit: cr.fit_nu(crit, fock_form="power"), id="nu-power"),
-])
-def test_high_pole_order_fits_are_rejected(const_params, const_lifetime, fit):
-    # the power-form transform of the order-61 pole leaves the float range on
-    # the fit window; the fit gate rejects it, with no numpy warning on the way
-    crit = cr.criticality(Fock(60), const_params, const_lifetime)
-    with pytest.raises(cr.FitRejected, match=r"r\^2 = nan"):
-        fit(crit)
 
 
 def test_constant_fit_data_are_rejected(const_params, const_lifetime):
@@ -702,7 +690,7 @@ def test_geometric_grid_past_the_float_range():
 def test_fit_layer_calls_no_polyfit_or_geomspace(const_params, const_lifetime, monkeypatch,
                                                  fock_form):
     # the root scan, `scan`'s grid, the fits and the correlation logs run on
-    # Python floats: numpy serves only the Bessel-K transform
+    # Python floats: nothing in the package calls numpy
     import scipy.special  # noqa: F401  (loaded before numpy is patched)
 
     def refuse(*args, **kwargs):

@@ -2,13 +2,15 @@
 
 numpy picks its kernels for ``geomspace``, ``log`` and ``power`` at run
 time, and its AVX-512 kernels round differently from libm.  The commands
-compute on Python floats and hand numpy only the Bessel-K transform, so the
-CSVs of ``tc``, ``vertex``, ``scan``, ``exponents`` and ``xi`` on every
-preset, in both Fock forms, come out byte-identical with numpy's AVX-512
-kernels on and off.  (The power form's (r'/2 sqrt(m))**(q-1) in the
-transform is still numpy's ``power``; for q >= 4 it can differ in the last
-bit between kernels, which the presets' logs happen to absorb.)  The check
-needs a CPU that numpy runs AVX-512 kernels on, and skips elsewhere.
+compute on Python floats and call no numpy function: the Bessel-K transform
+takes its logs, powers and factorials with ``math`` and only K itself from
+``scipy.special.kve``.  So the CSVs of ``tc``, ``vertex``, ``scan``,
+``exponents`` and ``xi`` on every preset, in both Fock forms, come out
+byte-identical with numpy's AVX-512 kernels on and off.  That includes the
+power form's high pole orders (``fock:1`` to ``fock:20``, ``fock:40``,
+``fock:59`` and two mixtures), where (r'/2 sqrt(m))**(q-1) taken by numpy's
+``power`` differs in the last bit between kernels.  The check needs a CPU
+that numpy runs AVX-512 kernels on, and skips elsewhere.
 """
 
 import json
@@ -34,12 +36,17 @@ AVX512 = [
 
 CHILD = """
 import hashlib, json, sys
+from dataclasses import replace
 from pathlib import Path
 from cavitypairing import cli
 try:
     from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_features__
+
+# power-form pole orders from 2 to 60, alone and mixed
+HIGH = tuple(f"fock:{n}" for n in range(1, 21)) + (
+    "fock:40", "fock:59", "mix:{0:0.5,6:0.5}", "mix:{3:0.25,10:0.75}")
 
 digests = {}
 for preset in sorted(Path(sys.argv[1]).glob("*.cfg")):
@@ -50,6 +57,10 @@ for preset in sorted(Path(sys.argv[1]).glob("*.cfg")):
         for name in names:
             csv = getattr(cli, "cmd_" + name)(cfg).to_csv()
             digests[f"{preset.stem}/{form}/{name}"] = hashlib.sha256(csv.encode()).hexdigest()
+    high = replace(cli.RunConfig.parse(text + "\\nfit.fock_form = power\\n"), states=HIGH)
+    for name in ("exponents", "xi"):
+        csv = getattr(cli, "cmd_" + name)(high).to_csv()
+        digests[f"{preset.stem}/power-high/{name}"] = hashlib.sha256(csv.encode()).hexdigest()
 on = sorted(k for k, v in __cpu_features__.items() if v)
 print(json.dumps({"features": on, "digests": digests}))
 """
@@ -77,5 +88,5 @@ def test_outputs_identical_with_avx512_kernels_on_and_off():
     off = _run(" ".join(AVX512))
     assert set(AVX512) <= set(default["features"])
     assert not set(AVX512) & set(off["features"])
-    assert len(default["digests"]) == 3 * 7
+    assert len(default["digests"]) == 3 * 9
     assert off["digests"] == default["digests"]
