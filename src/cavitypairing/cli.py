@@ -495,8 +495,8 @@ def cmd_scan(cfg: RunConfig) -> ResultTable:
     p, lt = cfg.params(), cfg.lifetime_model()
     table = ResultTable()
     unit = _scale(cfg)
-    m_vac = ladder.mass_curve(p, lt, cfg.convention)
-    m_th = ladder.mass_curve(p, lt, cfg.convention, Thermal())
+    m_vac = ladder.kernel_curves(p, lt, cfg.convention).mass
+    m_th = ladder.kernel_curves(p, lt, cfg.convention, Thermal()).mass
     for T in critical._geometric_grid(1e-4 * p.e_f, 0.5 * p.e_f, _SCAN_POINTS):
         note = f"T={_fmt(T / unit)}"
         table.add(state="-", quantity="m_vac", value=m_vac(T),
@@ -537,8 +537,20 @@ def _scan_root(mass, e_f: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _richardson_slope(mass, t: float) -> float:
+    """-dM/dT at t: central differences of steps 1e-6 t and 5e-7 t, Richardson-extrapolated."""
+    h = 1e-6 * t
+    d1 = (mass(t + h) - mass(t - h)) / (2 * h)
+    d2 = (mass(t + h / 2) - mass(t - h / 2)) / h
+    return -(4 * d2 - d1) / 3
+
+
 def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
-    """Full invariant suite; returns (all_passed, machine-readable report)."""
+    """Full invariant suite; returns (all_passed, machine-readable report).
+
+    Every check runs on couplings of its own: of the config it reads only the
+    kernel convention and the anisotropy.
+    """
     checks = []
     rng = random.Random(20240917)
 
@@ -550,12 +562,12 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     p = _VERIFY_PARAMS
     lt = ConstantLifetime(1.0 / _VERIFY_DCTAU)
     T = _VERIFY_T_OVER_DELTA * p.delta_c
-    c2 = ladder.kernel_terms(p, lt, cfg.convention)(T)[1]
+    c2 = ladder.kernel_curves(p, lt, cfg.convention).terms(T)[1]
     worst = 0.0
     for state in (Thermal(2.0 / p.delta_c), Thermal()):
         x = math.exp(-(state.beta or 1.0 / T) * p.delta_c)
         s = (1 + x) / (1 - x)
-        dressed = ladder.kernel_terms(p, lt, cfg.convention, state)(T)[1]
+        dressed = ladder.kernel_curves(p, lt, cfg.convention, state).terms(T)[1]
         worst = max(worst, abs(statistical_factor(state, p.delta_c, T) / s - 1),
                     abs(dressed / (c2 * s * s) - 1))
     record("thermal_dressing", worst < 1e-14,
@@ -643,37 +655,61 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
 
     # the closed-form T_c and slope of a constant lifetime vs a 512-point scan,
     # bisection and Richardson difference run here on the shared pole-mass curve,
-    # for the convention-heavy couplings, subcritical under every convention
-    p_root, lt_root = ModelParams.with_gtilde(0.02, 1.0, 0.0, 100.0, 1.0), ConstantLifetime(0.2)
+    # for the convention-heavy couplings, subcritical under every convention;
+    # the root and correlation checks below run on the same couplings
+    g0 = ModelParams.with_gtilde(0.02, 1.0, 0.0, 100.0, 1.0).g0
+    vcfg = RunConfig(g0=g0, delta_c=1.0, q0=0.0, e_f=100.0, k_f=1.0, lifetime="constant:0.2",
+                     convention=cfg.convention, anisotropy=cfg.anisotropy)
+    p_root, lt_root = vcfg.params(), vcfg.lifetime_model()
     worst_tc = worst_m = 0.0
     for state in (Vacuum(), Thermal(2.0)):
-        mass = ladder.mass_curve(p_root, lt_root, cfg.convention, state)
+        mass = ladder.kernel_curves(p_root, lt_root, cfg.convention, state).mass
         tc = _scan_root(mass, p_root.e_f)
-        h = 1e-6 * tc
-        d1 = (mass(tc + h) - mass(tc - h)) / (2 * h)
-        d2 = (mass(tc + h / 2) - mass(tc - h / 2)) / h
         crit = critical.criticality(state, p_root, lt_root, cfg.convention)
         worst_tc = max(worst_tc, abs(crit.point.t_c / tc - 1.0))
-        worst_m = max(worst_m, abs(crit.slope / (-(4 * d2 - d1) / 3) - 1.0))
+        worst_m = max(worst_m, abs(crit.slope / _richardson_slope(mass, tc) - 1.0))
     record("tc_closed_form", worst_tc <= 1e-11 and worst_m <= 1e-7,
            f"max rel dev T_c {worst_tc:.3e}, mass slope {worst_m:.3e} vs scan, bisection and "
            "Richardson difference of the pole-mass curve (vacuum and beta delta_c = 2)")
 
-    # the Fermi-liquid root against a scan and bisection run here of the pole
-    # mass with the rate written out, on the fermi-liquid preset's couplings
+    # the thermal root, read through the commands' root dispatch, against the
+    # edge of convergence of the Boltzmann sum (1-x) sum x**n Gamma**n of the
+    # bare kernel, x = exp(-beta delta_c): (1-a)(1-x)**2 = 2 c2 (1+x)**2 with
+    # a = f_a gtilde delta_c / T and c2 = f_c (gtilde delta_c / rate)**2
+    (f_a, f_c), g_dc = CONVENTIONS[cfg.convention], p_root.gtilde * p_root.delta_c
+    x = math.exp(-2.0 * p_root.delta_c)
+    c2 = f_c * (g_dc / lt_root.rate) ** 2
+    tc = f_a * g_dc * (1 - x) ** 2 / ((1 - x) ** 2 - 2 * c2 * (1 + x) ** 2)
+    dev = abs(_criticalities(vcfg, [Thermal(2.0)])[0].point.t_c / tc - 1.0)
+    record("thermal_root", dev <= 1e-13,
+           f"rel dev T_c {dev:.3e} of the root the commands solve for thermal:beta=2 vs the "
+           "edge (1-a)(1-x)**2 = 2 c2 (1+x)**2, x = exp(-beta delta_c), of the bare kernel's "
+           "Boltzmann sum")
+
+    # the Fermi-liquid root and mass slope against a scan, bisection and
+    # Richardson difference run here of the pole mass with the rate and the
+    # equilibrium s written out, on the fermi-liquid preset's couplings
     p_fl = ModelParams.with_gtilde(1e-3, 50.0, 0.0, 1e4, 1.0)
-    (f_a, f_c), g_dc, e_f = CONVENTIONS[cfg.convention], p_fl.gtilde * p_fl.delta_c, p_fl.e_f
+    g_dc, dc, e_f = p_fl.gtilde * p_fl.delta_c, p_fl.delta_c, p_fl.e_f
     rate = lambda t: math.pi * t * t / (8.0 * e_f) * math.log(e_f / t)
-    tc = _scan_root(lambda t: f_a * g_dc / t + 2.0 * f_c * (g_dc / rate(t)) ** 2, e_f)
-    dev = abs(critical.find_tc(p_fl, FermiLiquidLifetime(), Vacuum(), cfg.convention).t_c / tc - 1)
-    record("fermi_liquid_root", dev <= 1e-11,
-           f"rel dev T_c {dev:.3e} vs scan and bisection of a_bcs + 2 f_c (gtilde delta_c / "
-           "rate)**2, rate = pi T**2 / (8 E_F) ln(E_F / T) (vacuum, fermi-liquid couplings)")
+    worst_tc = worst_m = 0.0
+    for state, s in ((Vacuum(), lambda t: 1.0),
+                     (Thermal(), lambda t: 1.0 / math.tanh(dc / (2.0 * t)))):
+        mass = lambda t: f_a * g_dc / t + 2.0 * f_c * (g_dc / rate(t) * s(t)) ** 2
+        tc = _scan_root(mass, e_f)
+        crit = critical.criticality(state, p_fl, FermiLiquidLifetime(), cfg.convention)
+        worst_tc = max(worst_tc, abs(crit.point.t_c / tc - 1.0))
+        worst_m = max(worst_m, abs(crit.slope / _richardson_slope(mass, tc) - 1.0))
+    record("fermi_liquid_root", worst_tc <= 1e-11 and worst_m <= 1e-8,
+           f"max rel dev T_c {worst_tc:.3e}, mass slope {worst_m:.3e} vs scan, bisection and "
+           "Richardson difference of a_bcs + 2 f_c (gtilde delta_c s / rate)**2, rate = "
+           "pi T**2 / (8 E_F) ln(E_F / T), s = coth(delta_c / 2T) (vacuum and equilibrium "
+           "thermal, fermi-liquid couplings)")
 
     # closed-form correlations vs the independent contour quadrature on the
     # fit grid, for a simple and a third-order anisotropic pole summed
     mix = DiagonalMixture({0: 0.5, 2: 0.5})
-    crit = critical.criticality(mix, cfg.params(), cfg.lifetime_model(), cfg.convention)
+    crit = _criticalities(vcfg, [mix])[0]
     kw = dict(anisotropy=cfg.anisotropy, fock_form="power")
     T = crit.point.t_c * (1.0 + 1e-4)
     prof = critical.correlation_function(crit, T, **kw)
@@ -688,7 +724,7 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     # against the power form at P = 0, in value and in curvature along theta = 0
     a = cfg.anisotropy
     worst = worst_value = worst_curv = 0.0
-    for crit in _criticalities(cfg, [Fock(2), DiagonalMixture({0: 0.5, 2: 0.5})]):
+    for crit in _criticalities(vcfg, [Fock(2), mix]):
         T = crit.point.t_c * (1.0 + 1e-3)
         gap = crit.slope * (T - crit.point.t_c)
         gamma0 = -crit.params.g0**2 / (2.0 * crit.params.delta_c)
@@ -740,9 +776,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pairing criticality of cavity-coupled electrons, by photon state.",
     )
     ap.add_argument("--config", type=Path, help="config file (section.key = value text)")
-    ap.add_argument("--convention", choices=sorted(CONVENTIONS), help="kernel convention override")
     ap.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    ap.add_argument("--format", choices=("csv", "json"), help="output format override")
     ap.add_argument("--strict", action="store_true", help="fail on rejected fits")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("tc", "exponents", "xi", "vertex", "scan"):
@@ -757,10 +791,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig.parse(args.config.read_text(encoding="utf-8")) if args.config else RunConfig()
-        if args.convention:
-            cfg = replace(cfg, convention=args.convention)
-        if args.format:
-            cfg = replace(cfg, out_format=args.format)
         cfg.params()
         cfg.lifetime_model()
         cfg.state_objects()

@@ -31,15 +31,16 @@ evaluated as log C, with ``scipy.special.kve`` (K times e^x) for K.
 in P_x, adaptive quadrature in P_y) as the reference that ``verify`` checks
 the closed form against.
 
-``find_tc`` and ``mass_slope`` take the photon state and read its pole-mass
-curve ``ladder.mass_curve``, built once per search with the lifetime, the
+``find_tc`` and ``mass_slope`` take the photon state and read its curves
+``ladder.kernel_curves``, built once per call with the lifetime, the
 convention and the dressing resolved.  Where c2 does not depend on T (a
-constant lifetime, and any state but the equilibrium thermal one) the curve
-is M = A/T + B, so T_c = A / (1 - B) and m = A / T_c**2 exactly, with no
-scan; elsewhere a scan brackets the root, bisection refines it and a
-Richardson difference gives m.  ``fit_gamma`` builds ``ladder.kernel_terms``
-once per fit in the same way, and ``momentum_vertex`` the vertex terms once
-per temperature.
+constant lifetime, and any state but the equilibrium thermal one) the pole
+mass is M = A/T + B, so T_c = A / (1 - B) exactly, with no scan; elsewhere
+a scan brackets the root and bisection refines it.  The mass slope
+m = -dM/dT is the curves' analytic ``slope`` for every lifetime and state,
+A / T_c**2 where M = A/T + B.  ``fit_gamma`` builds the kernel terms once
+per fit in the same way, and ``momentum_vertex`` the vertex terms once per
+temperature.
 ``fit_nu`` branches on the number of Lorentzian terms: one term is
 scale-invariant, xi sqrt(mass) being the same at every T, so one correlation
 profile serves the whole window.  Nothing here branches on the kind of state.
@@ -158,8 +159,6 @@ class Criticality:
 SCAN_RANGE = (1e-8, 0.99)
 N_SCAN = 512
 RTOL = 1e-12
-# Central-difference step of ``mass_slope``, relative to T_c.
-SLOPE_STEP = 1e-6
 
 
 def _geometric_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -217,7 +216,8 @@ def find_tc(
     """
     lo_f, hi_f = SCAN_RANGE
     lo, hi = lo_f * p.e_f, hi_f * p.e_f
-    _, mass, split = ladder._kernel_curves(p, lt, convention, state)
+    curves = ladder.kernel_curves(p, lt, convention, state)
+    mass, split = curves.mass, curves.split
     if split is not None and split[1] < 1:
         a, b = split
         tc = a / (1.0 - b)
@@ -250,18 +250,11 @@ def mass_slope(
     *,
     tc: float,
 ) -> float:
-    """m = -dM/dT at T_c: A / T_c**2 where M = A/T + B, else a Richardson-extrapolated difference.
+    """m = -dM/dT at T_c, from the state's pole-mass curve ``ladder.kernel_curves``.
 
     The linear Taylor term then reads 1 - M(T) ~ m (T - T_c) with m > 0.
     """
-    _, mass, split = ladder._kernel_curves(p, lt, convention, state)
-    if split is not None:
-        m = split[0] / (tc * tc)
-    else:
-        h = SLOPE_STEP * tc
-        d1 = (mass(tc + h) - mass(tc - h)) / (2 * h)
-        d2 = (mass(tc + h / 2) - mass(tc - h / 2)) / h
-        m = -(4 * d2 - d1) / 3
+    m = ladder.kernel_curves(p, lt, convention, state).slope(tc)
     if not m > 0:
         raise SlopeError(f"mass slope {m} is not positive at T_c={tc}")
     return m
@@ -354,7 +347,7 @@ def fit_gamma(
         raise ValueError(f"need {MIN_GAMMA_POINTS} to {MAX_GAMMA_POINTS} window points")
 
     gamma0 = ladder.bare_vertex(crit.params)
-    terms = ladder.kernel_terms(crit.params, crit.lifetime, crit.convention, crit.state)
+    terms = ladder.kernel_curves(crit.params, crit.lifetime, crit.convention, crit.state).terms
 
     def log_gamma_at(T):
         return log_vertex(KernelScalars(gamma0, *terms(T), crit.state))

@@ -22,21 +22,22 @@ weighted sum as two running sums, s0 = sum_{j<m} Gamma^j and
 s1 = sum_{j<m} (m-j) Gamma^j, with s1 += s0 before each step.  Its negative
 control ``mutate_f`` turns the weights (m-j) into (m-j+1), so the drive's sum
 becomes s1 + s0.  A thermal (Gaussian) photon state only renormalises the
-kernel: ``kernel_terms`` dresses c2 by s**2 at its statistical factor
+kernel: ``kernel_curves`` dresses c2 by s**2 at its statistical factor
 s = coth(beta*delta_c/2), and the vertex is then the vacuum sector of the
 dressed kernel, gamma0 / (1 - a_bcs - 2*c2*s**2).  Every other state averages
-the bare hierarchy over its Fock-sector weights.  ``kernel_terms`` is the one
-place a photon state shapes a kernel, and it returns the terms as a function
-of T on plain floats.  It resolves the convention, the lifetime model and the
-state's dressing once, when it is built: f_a*gtilde*delta_c always, delta_c*tau
-and c2 for a constant lifetime, and s for a thermal state of fixed beta.  A
-call then computes a_bcs = (f_a*gtilde*delta_c)/T and only what still depends
-on T: the Fermi-liquid rate and the equilibrium s.  ``mass_curve`` closes over
-the same factors and returns the pole mass a_bcs + 2*c2 alone, with no tuple,
-for the root scans that evaluate it hundreds of times.  With a constant
-lifetime and no equilibrium dressing the mass is A/T + B with
+the bare hierarchy over its Fock-sector weights.  ``kernel_curves`` is the one
+place a photon state shapes a kernel.  It returns the kernel terms, the pole
+mass M = a_bcs + 2*c2 and its slope -dM/dT as functions of T on plain floats,
+resolving the convention, the lifetime model and the state's dressing once,
+when it is built: f_a*gtilde*delta_c always, delta_c*tau and c2 for a
+constant lifetime, and s for a thermal state of fixed beta.  A call then
+computes a_bcs = (f_a*gtilde*delta_c)/T and only what still depends on T:
+the Fermi-liquid rate and the equilibrium s.  The mass curve returns the
+float alone, for the root scans that evaluate it hundreds of times, and the
+slope is analytic, from the log-derivatives of the rate and of s.  With a
+constant lifetime and no equilibrium dressing the mass is A/T + B with
 A = f_a*gtilde*delta_c and B = 2*c2 fixed, which ``critical`` solves in
-closed form with no scan.
+closed form with no scan, and the slope is A/T**2.
 ``KernelScalars.from_model`` freezes the terms at one T, keeping the state so
 that ``pole_mass`` and ``log_vertex`` need no argument.
 
@@ -64,7 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .model import (
     ConstantLifetime,
@@ -82,15 +83,15 @@ from .useries import RationalFunction, taylor
 __all__ = [
     "CONVENTIONS",
     "CriticalityError",
+    "KernelCurves",
     "KernelScalars",
     "OracleReport",
     "ResummationReport",
     "bare_vertex",
     "intermediate_vertex_closed_form",
-    "kernel_terms",
+    "kernel_curves",
     "log_sum_exp",
     "log_vertex",
-    "mass_curve",
     "oracle_check",
     "physical_vertex_series",
     "signed_exp",
@@ -128,13 +129,43 @@ def bare_vertex(p: ModelParams) -> float:
     return -p.g0**2 / (2.0 * p.delta_c)
 
 
-def _kernel_curves(
-    p: ModelParams, lt: LifetimeModel, convention: str, state: InitialPhotonState
-) -> tuple[Callable[[float], tuple], Callable[[float], float], tuple[float, float] | None]:
-    """``kernel_terms`` and ``mass_curve`` of one model and state, over factors resolved once.
+class KernelCurves(NamedTuple):
+    """One model and photon state's kernel as functions of T, built by ``kernel_curves``."""
 
-    The third item is (A, B) when c2 does not depend on T, so that the pole
-    mass is exactly the float A / T + B; it is None otherwise.
+    terms: Callable[[float], tuple]
+    mass: Callable[[float], float]
+    slope: Callable[[float], float]
+    split: tuple[float, float] | None
+
+
+def kernel_curves(
+    p: ModelParams,
+    lt: LifetimeModel,
+    convention: str = "canonical",
+    state: InitialPhotonState = Vacuum(),
+) -> KernelCurves:
+    """The state's kernel terms, pole mass and mass slope as functions of T.
+
+    Built once per model and state: f_a gtilde delta_c, and for a constant
+    lifetime delta_c tau and c2, dressed when the state is thermal with a fixed
+    beta, are computed here.  A call computes a_bcs = f_a gtilde delta_c / T
+    and what still depends on T, the Fermi-liquid rate and the equilibrium
+    s = coth(delta_c / 2T).  A thermal state dresses c2 by s**2; this is the one
+    place a photon state shapes a kernel.
+
+    - ``terms``: T -> (a_bcs, c2, gtilde, dct), the fields of ``KernelScalars``.
+    - ``mass``: T -> a_bcs + 2 c2 as a float alone, for the root scans.
+    - ``slope``: T -> m = -dM/dT = A / T**2 + 4 c2 (d ln rate/dT - d ln s/dT),
+      with d ln rate/dT = (2 - 1 / ln(E_F / T)) / T for the Fermi-liquid rate
+      and d ln s/dT = (delta_c / T**2) / sinh(delta_c / T) for the equilibrium
+      s, written 2x / -expm1(-2 delta_c / T) with x = exp(-delta_c / T) so that
+      it underflows to 0 far below delta_c.  Each is 0 where it is fixed, so
+      the slope is exactly the float A / T**2 where c2 does not depend on T.
+    - ``split``: (A, B) when c2 does not depend on T, so that the pole mass is
+      exactly the float A / T + B; None otherwise.
+
+    An overflow of c2 or of s**2 names T, so it is raised by each call; an
+    unknown convention or lifetime model is raised here.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -184,6 +215,7 @@ def _kernel_curves(
         dct = dc / _fermi_liquid_rate(e_f, temperature) if fixed_dct is None else fixed_dct
         return a / temperature, c2_at(temperature, dct) if fixed_c2 is None else fixed_c2, g, dct
 
+    # repeats the check and dct of ``terms`` so that a root scan builds no tuple per T
     def mass(temperature: float) -> float:
         if temperature <= 0:
             raise ValueError("temperature must be > 0")
@@ -192,43 +224,17 @@ def _kernel_curves(
         dct = dc / _fermi_liquid_rate(e_f, temperature) if fixed_dct is None else fixed_dct
         return a / temperature + 2 * c2_at(temperature, dct)
 
-    return terms, mass, None if fixed_c2 is None else (a, 2 * fixed_c2)
+    def slope(temperature: float) -> float:
+        c2 = terms(temperature)[1]
+        dlog = 0.0  # d ln rate/dT - d ln s/dT
+        if fixed_dct is None:
+            dlog += (2.0 - 1.0 / math.log(e_f / temperature)) / temperature
+        if thermal and fixed_s is None:
+            z = dc / temperature
+            dlog -= z / temperature * 2.0 * math.exp(-z) / -math.expm1(-2.0 * z)
+        return a / (temperature * temperature) + 4 * c2 * dlog
 
-
-def kernel_terms(
-    p: ModelParams,
-    lt: LifetimeModel,
-    convention: str = "canonical",
-    state: InitialPhotonState = Vacuum(),
-) -> Callable[[float], tuple]:
-    """The photon state's kernel terms as a function T -> (a_bcs, c2, gtilde, dct).
-
-    Built once per model and state: f_a gtilde delta_c, and for a constant
-    lifetime delta_c tau and c2, dressed when the state is thermal with a fixed
-    beta, are computed here.  A call computes a_bcs = f_a gtilde delta_c / T
-    and what still depends on T, the Fermi-liquid rate and the equilibrium
-    s = coth(delta_c / 2T).  A thermal state dresses c2 by s**2; this is the one
-    place a photon state shapes a kernel.  An overflow of c2 or of s**2 names
-    T, so it is raised by each call; an unknown convention or lifetime model is
-    raised here.
-    """
-    return _kernel_curves(p, lt, convention, state)[0]
-
-
-def mass_curve(
-    p: ModelParams,
-    lt: LifetimeModel,
-    convention: str = "canonical",
-    state: InitialPhotonState = Vacuum(),
-) -> Callable[[float], float]:
-    """T -> pole mass a_bcs + 2 c2 of the state's kernel, equal to ``from_model(...).pole_mass``.
-
-    It closes over the factors ``kernel_terms`` resolves once, with the same
-    arithmetic, checks and errors, and builds no tuple per call.  Where c2 does
-    not depend on T (a constant lifetime, no equilibrium dressing) a call is
-    a_bcs + 2 c2 with c2 computed once.
-    """
-    return _kernel_curves(p, lt, convention, state)[1]
+    return KernelCurves(terms, mass, slope, None if fixed_c2 is None else (a, 2 * fixed_c2))
 
 
 @dataclass(frozen=True)
@@ -274,7 +280,7 @@ class KernelScalars:
         state: InitialPhotonState = Vacuum(),
     ) -> "KernelScalars":
         """Kernels at one temperature for the photon state: a thermal one dresses c2 by s**2."""
-        return cls(bare_vertex(p), *kernel_terms(p, lt, convention, state)(temperature), state)
+        return cls(bare_vertex(p), *kernel_curves(p, lt, convention, state).terms(temperature), state)
 
     def exact(self) -> "KernelScalars":
         """Lift every numeric field to exact rationals (floats are dyadic)."""

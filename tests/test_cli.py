@@ -345,7 +345,8 @@ def test_verify_passes_and_reports(tmp_path, capsys):
     assert {"oracle_equivalence", "thermal_resummation", "sector_chain",
             "bcs_quadrature", "offshell_cancellation", "gaussian_collapse",
             "correlation_bessel", "thermal_dressing", "vertex_closed_form",
-            "tc_closed_form", "momentum_vertex", "line_fit", "fermi_liquid_root"} <= names
+            "tc_closed_form", "momentum_vertex", "line_fit", "fermi_liquid_root",
+            "thermal_root"} <= names
     bessel = next(c for c in report["checks"] if c["name"] == "correlation_bessel")
     assert "vs contour quadrature" in bessel["detail"]
     assert "power anisotropic, q=1 and q=3" in bessel["detail"]
@@ -373,34 +374,42 @@ def _mutant(func, old, new):
     return namespace[func.__name__]
 
 
-@pytest.mark.parametrize("module, name, old, new, check", [
+@pytest.mark.parametrize("module, name, old, new, checks", [
     pytest.param(model, "statistical_factor", "1.0 / math.tanh(x)", "math.tanh(x)",
-                 "thermal_dressing", id="tanh-for-coth"),
-    pytest.param(ladder, "_kernel_curves", "c2 = c2 * s**2", "c2 = c2 * s",
-                 "thermal_dressing", id="s-for-s-squared"),
+                 ("thermal_dressing", "thermal_root", "fermi_liquid_root"), id="tanh-for-coth"),
+    pytest.param(ladder, "kernel_curves", "c2 = c2 * s**2", "c2 = c2 * s",
+                 ("thermal_dressing", "thermal_root", "fermi_liquid_root"),
+                 id="s-for-s-squared"),
     pytest.param(ladder, "log_vertex", "u ** (2 * n + 1)", "u ** (2 * n)",
-                 "vertex_closed_form", id="even-power"),
+                 ("vertex_closed_form",), id="even-power"),
     pytest.param(ladder, "log_vertex", "u = gap / (one_m_a * (1 + math.sqrt(2 * c2 / one_m_a)) ** 2)",
                  "u = (1 - math.sqrt(2 * c2 / one_m_a)) / (1 + math.sqrt(2 * c2 / one_m_a))",
-                 "vertex_closed_form", id="cancelling-root"),
+                 ("vertex_closed_form",), id="cancelling-root"),
     pytest.param(critical, "find_tc", "tc = a / (1.0 - b)", "tc = 1.01 * a / (1.0 - b)",
-                 "tc_closed_form", id="t_c-times-1.01"),
-    pytest.param(critical, "mass_slope", "m = split[0] / (tc * tc)",
-                 "m = 2 * split[0] / (tc * tc)", "tc_closed_form", id="slope-times-2"),
+                 ("tc_closed_form", "thermal_root"), id="t_c-times-1.01"),
+    pytest.param(ladder, "kernel_curves", "return a / (temperature * temperature)",
+                 "return 2 * a / (temperature * temperature)",
+                 ("tc_closed_form", "fermi_liquid_root"), id="slope-times-2"),
+    pytest.param(ladder, "kernel_curves", "dlog += (2.0 - ", "dlog += 2 * (2.0 - ",
+                 ("fermi_liquid_root",), id="rate-log-derivative-times-2"),
+    pytest.param(ladder, "kernel_curves", "dlog -= z / temperature", "dlog -= 2 * z / temperature",
+                 ("fermi_liquid_root",), id="thermal-log-derivative-times-2"),
+    pytest.param(cli, "_root_state", "return state if isinstance(state, Thermal) else Vacuum()",
+                 "return Vacuum()", ("thermal_root",), id="vacuum-root-for-every-state"),
     pytest.param(critical, "_vertex_terms", "mass_gap / (n + 1)", "mass_gap",
-                 "momentum_vertex", id="reduced-mass-not-divided"),
+                 ("momentum_vertex",), id="reduced-mass-not-divided"),
     pytest.param(critical, "_vertex_terms", " - math.log(n + 1)", "",
-                 "momentum_vertex", id="reduced-amplitude-not-divided"),
+                 ("momentum_vertex",), id="reduced-amplitude-not-divided"),
     pytest.param(critical, "_vertex_terms", "c_perp = anisotropy", "c_perp = c_par",
-                 "momentum_vertex", id="anisotropy-lost"),
+                 ("momentum_vertex",), id="anisotropy-lost"),
     pytest.param(critical, "_line_fit", "slope = _sum(", "slope = 1.01 * _sum(",
-                 "line_fit", id="line-slope-times-1.01"),
+                 ("line_fit",), id="line-slope-times-1.01"),
     pytest.param(model, "_fermi_liquid_rate", "(math.pi * temperature**2",
-                 "(2 * math.pi * temperature**2", "fermi_liquid_root",
+                 "(2 * math.pi * temperature**2", ("fermi_liquid_root",),
                  id="fermi-liquid-rate-times-2"),
 ])
-def test_verify_check_catches_its_mutant(monkeypatch, module, name, old, new, check):
-    # negative control: a corrupted source function fails exactly the check that guards it
+def test_verify_check_catches_its_mutant(monkeypatch, module, name, old, new, checks):
+    # negative control: a corrupted source function fails exactly the checks that guard it
     original = getattr(module, name)
     mutant = _mutant(original, old, new)
     for mod in (model, ladder, critical, cli):
@@ -408,13 +417,13 @@ def test_verify_check_catches_its_mutant(monkeypatch, module, name, old, new, ch
             monkeypatch.setattr(mod, name, mutant)
     passed, report = cli.run_verify(RunConfig())
     assert not passed
-    assert [c["name"] for c in report["checks"] if not c["passed"]] == [check]
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == list(checks)
 
 
 def test_main_xi_ratios(tmp_path):
     cfgf = tmp_path / "c.cfg"
-    cfgf.write_text("states.list = vacuum, fock:3\n")
-    rc = cli.main(["--config", str(cfgf), "--out", str(tmp_path), "--format", "json", "xi"])
+    cfgf.write_text("states.list = vacuum, fock:3\nout.format = json\n")
+    rc = cli.main(["--config", str(cfgf), "--out", str(tmp_path), "xi"])
     assert rc == cli.EXIT_OK
     payload = json.loads((tmp_path / "xi.json").read_text())
     ratios = {
@@ -682,6 +691,19 @@ def test_verify_on_preset_configs(tmp_path, preset):
     assert cli.main(
         ["--config", str(cfg_path), "--out", str(tmp_path), "verify"]
     ) == cli.EXIT_OK
+
+
+def test_verify_runs_every_check_where_the_config_has_no_root(tmp_path):
+    # the default couplings have no root under subsec-tc (B = 2 c2 = 8), so tc exits 3;
+    # verify reads only the convention and the anisotropy, and runs every check
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("model.convention = subsec-tc\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "tc"]) == cli.EXIT_NUMERIC
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "verify"]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["all_passed"] is True
+    names = [c["name"] for c in cli.run_verify(RunConfig())[1]["checks"]]
+    assert [c["name"] for c in report["checks"]] == names
 
 
 def test_fit_rejection_marks_row_and_strict_fails(tmp_path, monkeypatch):

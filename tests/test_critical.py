@@ -100,12 +100,13 @@ def test_tc_no_root_reports_scan_table():
     assert len(err.value.scan_table) == 512
 
 
-# The generic curve: the pole mass read off the kernel-terms tuple at each T, and
-# the geometric scan plus bisection on it.  The reference for find_tc and
-# mass_slope, which read the curve that resolves its factors once.
+# The generic curve: the pole mass read off the kernel-terms tuple at each T, the
+# geometric scan plus bisection on it, and its Richardson difference.  The
+# reference for find_tc and mass_slope, which read the curves that resolve their
+# factors once and the analytic slope.
 
 def _reference_mass(p, lt, convention, state):
-    terms = ladder.kernel_terms(p, lt, convention, state)
+    terms = ladder.kernel_curves(p, lt, convention, state).terms
     return lambda T: KernelScalars(bare_vertex(p), *terms(T)).pole_mass
 
 
@@ -129,9 +130,13 @@ def _reference_find_tc(p, lt, state, convention):
     return cr.CriticalPoint(tc, (lo, hi), abs(f(tc)), len(brackets))
 
 
+# central-difference step of the reference slope, relative to T_c
+SLOPE_STEP = 1e-6
+
+
 def _reference_slope(p, lt, state, convention, tc):
     f = _reference_mass(p, lt, convention, state)
-    h = cr.SLOPE_STEP * tc
+    h = SLOPE_STEP * tc
     d1 = (f(tc + h) - f(tc - h)) / (2 * h)
     d2 = (f(tc + h / 2) - f(tc - h / 2)) / h
     return -(4 * d2 - d1) / 3
@@ -190,14 +195,19 @@ def _slope(p, lt, state, convention, tc):
 
 def test_root_search_matches_reference_curve_bitwise():
     # where the scan still decides: Fermi-liquid lifetimes, the equilibrium
-    # thermal state, and a closed-form root outside the scan
+    # thermal state, and a closed-form root outside the scan.  The root is the
+    # reference's bit for bit; the analytic slope meets its Richardson difference
     two_crossings = no_root = scanned = 0
     for p, lt, state, convention in _root_cases():
         want = _root_search(_reference_find_tc, _reference_slope, p, lt, state, convention)
         if _linear_mass(lt, state) and want[0] != "no root":
             continue
         got = _root_search(cr.find_tc, _slope, p, lt, state, convention)
-        assert got == want, (p, lt, state, convention)
+        assert got[0] == want[0], (p, lt, state, convention)
+        if got[0] == "no root":
+            assert got[1] == want[1]
+        else:
+            assert got[1] == pytest.approx(want[1], rel=1e-8, abs=0), (p, lt, state, convention)
         scanned += 1
         no_root += got[0] == "no root"
         two_crossings += got[0] != "no root" and got[0].n_brackets == 2
@@ -218,13 +228,15 @@ def test_closed_form_root_matches_reference_scan():
             continue
         (ref, ref_slope), (got, slope) = want, _root_search(
             cr.find_tc, _slope, p, lt, state, convention)
-        a, b = ladder._kernel_curves(p, lt, convention, state)[2]
+        curves = ladder.kernel_curves(p, lt, convention, state)
+        a, b = curves.split
         exact = Fraction(a) / (1 - Fraction(b))
         assert abs(Fraction(got.t_c) - exact) <= 2 * Fraction(math.ulp(got.t_c))
         assert got.t_c == pytest.approx(ref.t_c, rel=cr.RTOL, abs=0)
         assert ref.bracket[0] <= got.t_c <= ref.bracket[1]
         assert (got.bracket, got.n_brackets) == ((got.t_c, got.t_c), ref.n_brackets)
-        assert got.residual == abs(ladder.mass_curve(p, lt, convention, state)(got.t_c) - 1.0)
+        assert got.residual == abs(curves.mass(got.t_c) - 1.0)
+        assert slope == a / (got.t_c * got.t_c)
         assert slope == pytest.approx(ref_slope, rel=1e-8, abs=0)
         closed += 1
     assert closed >= 20
@@ -290,14 +302,56 @@ def test_mass_slope_vs_analytic_derivative(const_params, const_lifetime):
     assert m == pytest.approx(0.02 / crit.t_c**2, rel=1e-8)
 
 
-def test_mass_slope_richardson_stable(fl_params, fl_lifetime, monkeypatch):
-    crit = cr.find_tc(fl_params, fl_lifetime, Vacuum())
-    slopes = []
-    for h in (1e-5, 1e-6, 1e-7):
-        monkeypatch.setattr(cr, "SLOPE_STEP", h)
-        slopes.append(cr.mass_slope(fl_params, fl_lifetime, Vacuum(), tc=crit.t_c))
-    ref = slopes[1]
-    assert all(abs(s / ref - 1) < 1e-6 for s in slopes)
+def _mp_mass(mpmath, p, lt, state, convention):
+    """The pole mass written out in mpmath: f_a g delta_c / T + 2 f_c (g delta_c s / rate)**2."""
+    fa, fc = ladder.CONVENTIONS[convention]
+    g, dc, e_f = (mpmath.mpf(v) for v in (p.gtilde, p.delta_c, p.e_f))
+
+    def mass(T):
+        if isinstance(lt, ConstantLifetime):
+            rate = mpmath.mpf(lt.rate)
+        else:
+            rate = mpmath.pi * T**2 / (8 * e_f) * mpmath.log(e_f / T)
+        c2 = fc * (g * dc / rate) ** 2
+        if isinstance(state, Thermal):
+            beta = 1 / T if state.beta is None else mpmath.mpf(state.beta)
+            c2 *= mpmath.coth(beta * dc / 2) ** 2
+        return fa * g * dc / T + 2 * c2
+
+    return mass
+
+
+def test_mass_slope_matches_mpmath():
+    # the analytic slope against a 50-digit numerical derivative of the written-out
+    # mass at the float T_c, for every lifetime, convention and state of the root cases
+    mpmath = pytest.importorskip("mpmath")
+    cases = _root_cases()
+    cfg = RunConfig.parse((CONFIGS / "fermi-liquid.cfg").read_text())
+    cases += [(cfg.params(), cfg.lifetime_model(), state, cfg.convention) for state in ROOT_STATES]
+    checked = 0
+    with mpmath.workdps(50):
+        for p, lt, state, convention in cases:
+            try:
+                tc = cr.find_tc(p, lt, state, convention).t_c
+            except cr.BracketError:
+                continue
+            got = cr.mass_slope(p, lt, state, convention, tc=tc)
+            want = -mpmath.diff(_mp_mass(mpmath, p, lt, state, convention), mpmath.mpf(tc))
+            assert abs(got / want - 1) <= 1e-15, (p, lt, state, convention)
+            checked += 1
+    assert checked >= 60
+
+
+def test_mass_slope_far_below_the_photon_gap():
+    # an equilibrium thermal root at delta_c / T_c = 1000: the thermal log-derivative
+    # (delta_c / T**2) / sinh(delta_c / T) underflows to 0 and the slope is the vacuum's
+    p = ModelParams.with_gtilde(5e-4, 1.0, 0.0, 100.0, 1.0)
+    lt = ConstantLifetime(1e-3)  # c2 = 0.25, B = 0.5: T_c = 1e-3
+    vac, th = cr.criticality(Vacuum(), p, lt), cr.criticality(Thermal(), p, lt)
+    assert p.delta_c / th.point.t_c > 710
+    assert th.point.t_c == pytest.approx(vac.point.t_c, rel=cr.RTOL)
+    assert math.isfinite(th.slope) and th.slope > 0
+    assert th.slope == pytest.approx(vac.slope, rel=4 * cr.RTOL)
 
 
 # -- susceptibility exponent ----------------------------------------------------

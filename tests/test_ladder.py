@@ -14,9 +14,8 @@ from cavitypairing.ladder import (
     KernelScalars,
     bare_vertex,
     intermediate_vertex_closed_form,
-    kernel_terms,
+    kernel_curves,
     log_vertex,
-    mass_curve,
     oracle_check,
     physical_vertex_series,
     solve_fock_hierarchy,
@@ -77,8 +76,7 @@ def test_kernel_terms_match_from_model(const_params, lifetime, convention):
     states = (Vacuum(), Fock(3), DiagonalMixture({0: 0.5, 2: 0.5}), Thermal(), Thermal(2.0))
     temps = [const_params.e_f * 10.0 ** (k / 4) for k in range(-32, 0)]
     for state in states:
-        terms = kernel_terms(const_params, lifetime, convention, state)
-        mass = mass_curve(const_params, lifetime, convention, state)
+        terms, mass, _, _ = kernel_curves(const_params, lifetime, convention, state)
         for T in temps:
             k = KernelScalars.from_model(const_params, lifetime, T, convention, state)
             assert terms(T) == (k.a_bcs, k.c2, k.gtilde, k.dct)
@@ -99,15 +97,17 @@ def test_kernel_terms_match_from_model(const_params, lifetime, convention):
                   "factor s = coth(beta * delta_c / 2) = 2e+300 at T = 0.5"))
     for lt, state, T, kind, message in cases:
         raised = []
+        curves = lambda: kernel_curves(const_params, lt, convention, state)
         for build in (
-            lambda: kernel_terms(const_params, lt, convention, state)(T),
-            lambda: mass_curve(const_params, lt, convention, state)(T),
+            lambda: curves().terms(T),
+            lambda: curves().mass(T),
+            lambda: curves().slope(T),
             lambda: KernelScalars.from_model(const_params, lt, T, convention, state),
         ):
             with pytest.raises(kind) as err:
                 build()
             raised.append((type(err.value), str(err.value)))
-        assert raised[0] == raised[1] == raised[2], (lt, state, T)
+        assert raised.count(raised[0]) == len(raised), (lt, state, T)
         assert raised[0][1].startswith(message), raised[0][1]
 
 
