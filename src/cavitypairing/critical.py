@@ -35,8 +35,12 @@ the closed form against.
 ``ladder.kernel_curves``, built once per call with the lifetime, the
 convention and the dressing resolved.  Where c2 does not depend on T (a
 constant lifetime, and any state but the equilibrium thermal one) the pole
-mass is M = A/T + B, so T_c = A / (1 - B) exactly, with no scan; elsewhere
-a scan brackets the root and bisection refines it.  The mass slope
+mass is M = A/T + B, so T_c = A / (1 - B) exactly, with no scan.  Elsewhere
+a coarse 64-point scan brackets the crossings, the two cells beside each
+sampled turning point of M are re-scanned on 9 points so that two crossings
+between coarse points still count, and safeguarded Newton on the analytic
+slope refines the chosen crossing to 2 ulp, bisecting where a Newton step
+would leave the bracket or shrink too slowly.  The mass slope
 m = -dM/dT is the curves' analytic ``slope`` for every lifetime and state,
 A / T_c**2 where M = A/T + B.  ``fit_gamma`` builds the kernel terms once
 per fit in the same way, and ``momentum_vertex`` the vertex terms once per
@@ -54,7 +58,7 @@ functions and the momentum-resolved vertex all take it instead of
 re-deriving T_c and m.
 
 The root scan, the fit windows and the correlation grids come from
-``_geometric_grid``, and the bisection, ``_line_fit`` and the correlation
+``_geometric_grid``, and the Newton refine, ``_line_fit`` and the correlation
 logs run on Python floats, with no CPU-dependent array kernels; ``kve``,
 imported lazily, is the one third-party call of the closed form.
 """
@@ -95,7 +99,7 @@ __all__ = [
 
 
 class BracketError(RuntimeError):
-    """No sign change of M(T) - 1 found on the scan grid."""
+    """No sign change of M(T) - 1 found on the scan, or no convergence of its refine."""
 
     def __init__(self, message, scan_table=None):
         super().__init__(message)
@@ -155,10 +159,13 @@ class Criticality:
 # critical temperature
 # ---------------------------------------------------------------------------
 
-# Root scan over [lo, hi] * E_F, and the relative width bisection stops at.
+# Root search over [lo, hi] * E_F: a coarse scan of M on N_COARSE points, the
+# two cells beside each sampled turning point re-scanned on N_RESCAN points,
+# and at most MAX_REFINE safeguarded Newton steps in the chosen bracket.
 SCAN_RANGE = (1e-8, 0.99)
-N_SCAN = 512
-RTOL = 1e-12
+N_COARSE = 64
+N_RESCAN = 9
+MAX_REFINE = 100
 
 
 def _geometric_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -176,19 +183,63 @@ def _geometric_grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo, *inner, hi]
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Midpoint of the sign change of f on [lo, hi], to relative width RTOL."""
-    flo = f(lo)
-    while hi - lo > RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+def _scan(mass, lo: float, hi: float) -> list[tuple[float, float]]:
+    """(T, M(T)) on a coarse ``_geometric_grid``, finer in the two cells beside each turning point.
+
+    A sampled local extremum, (M[i] - M[i-1]) (M[i+1] - M[i]) <= 0, puts a
+    turning point of M in one of the cells beside it, where M may cross 1
+    twice between two coarse points; both cells are re-scanned on
+    ``N_RESCAN`` points.  The table is in increasing T.
+    """
+    ts = _geometric_grid(lo, hi, N_COARSE)
+    ms = [mass(t) for t in ts]
+    fine = set()
+    for i in range(1, N_COARSE - 1):
+        if (ms[i] - ms[i - 1]) * (ms[i + 1] - ms[i]) <= 0:
+            fine.update((i - 1, i))
+    table = []
+    for i in range(N_COARSE - 1):
+        table.append((ts[i], ms[i]))
+        if i in fine:
+            table += [(t, mass(t)) for t in _geometric_grid(ts[i], ts[i + 1], N_RESCAN)[1:-1]]
+    table.append((ts[-1], ms[-1]))
+    return table
+
+
+def _newton(mass, slope, lo: float, hi: float, flo: float) -> tuple[float, float]:
+    """(T, M(T) - 1) at the root of M = 1 in [lo, hi], with flo = M(lo) - 1 and slope = -dM/dT.
+
+    M - 1 changes sign on [lo, hi].  Safeguarded Newton from the midpoint:
+    each evaluation shrinks the bracket to the sign change, and the Newton
+    step T + (M - 1) / slope is taken only where it lands strictly inside the
+    bracket and is at most half the step before the last one; otherwise the
+    bracket is bisected.  Newton on a slope off by a factor 2 then still
+    converges, linearly, with no bisection to undo its one-sided approach.
+    The search stops when a Newton step or the bracket is at most 2 ulp, and
+    raises ``BracketError`` after ``MAX_REFINE`` evaluations: no unconverged
+    root is returned.
+    """
+    if flo == 0.0:
+        return lo, flo
+    t = 0.5 * (lo + hi)
+    last = before = hi - lo
+    for _ in range(MAX_REFINE):
+        ft = mass(t) - 1.0
+        if ft == 0.0:
+            return t, ft
+        if (ft > 0) == (flo > 0):
+            lo, flo = t, ft
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = t
+        d = slope(t)
+        step = ft / d if d else math.inf
+        if abs(step) <= 2 * math.ulp(t) or hi - lo <= 2 * math.ulp(hi):
+            return t, ft
+        if not (lo < t + step < hi and abs(step) <= 0.5 * abs(before)):
+            step = 0.5 * (lo + hi) - t
+        t, last, before = t + step, step, last
+    raise BracketError(f"root search on [{lo:.17g}, {hi:.17g}] did not converge "
+                       f"in {MAX_REFINE} steps")
 
 
 def find_tc(
@@ -204,15 +255,19 @@ def find_tc(
     T_c = A / (1 - B) lies inside the scan range it is returned with no
     scan: a closed-form root brackets itself, so ``bracket`` is (T_c, T_c),
     ``n_brackets = 1``, and ``residual`` is |M(T_c) - 1|, the pole-mass
-    residual (not an error bar on T_c).  Otherwise a geometric scan
-    over ``SCAN_RANGE`` in units of E_F on ``N_SCAN`` points of
-    ``_geometric_grid`` brackets the crossings and bisection refines one.
+    residual (not an error bar on T_c).  Otherwise ``_scan`` brackets the
+    crossings over ``SCAN_RANGE`` in units of E_F: a coarse scan on
+    ``N_COARSE`` points of ``_geometric_grid``, with the cells beside each
+    turning point re-scanned on ``N_RESCAN`` points, so that two crossings
+    between coarse points still count.  ``_newton`` refines one crossing by
+    safeguarded Newton on the curves' analytic slope, to 2 ulp.
     The upper end stays strictly below E_F: the Fermi-liquid lifetime
     formula degenerates (log -> 0) at the band edge, which would manufacture
     a spurious high-temperature crossing.  The instability root is a
     downward crossing (M > 1 below T_c: the vertex diverges on cooling); if
     the scan finds several crossings, the largest downward one is refined,
-    and ``CriticalPoint.n_brackets`` counts them.
+    and ``CriticalPoint.n_brackets`` counts them.  A scan with no crossing
+    raises ``BracketError`` with the points it evaluated as its scan table.
     """
     lo_f, hi_f = SCAN_RANGE
     lo, hi = lo_f * p.e_f, hi_f * p.e_f
@@ -223,23 +278,21 @@ def find_tc(
         tc = a / (1.0 - b)
         if lo < tc < hi:
             return CriticalPoint(tc, (tc, tc), abs(mass(tc) - 1.0), 1)
-    ts = _geometric_grid(lo, hi, N_SCAN)
-    vals = [mass(t) - 1.0 for t in ts]
+    table = _scan(mass, lo, hi)
     brackets = [
-        (t0, t1, v0 > v1)
-        for t0, t1, v0, v1 in zip(ts, ts[1:], vals, vals[1:])
-        if v0 == 0.0 or (v0 > 0) != (v1 > 0)
+        (t0, t1, m0, m1)
+        for (t0, m0), (t1, m1) in zip(table, table[1:])
+        if m0 == 1.0 or (m0 > 1.0) != (m1 > 1.0)
     ]
     if not brackets:
         raise BracketError(
-            f"M(T) - 1 has no sign change on [{ts[0]:.3e}, {ts[-1]:.3e}] ({state})",
-            scan_table=[(t, v + 1.0) for t, v in zip(ts, vals)],
+            f"M(T) - 1 has no sign change on [{lo:.3e}, {hi:.3e}] ({state})",
+            scan_table=table,
         )
-    downward = [b for b in brackets if b[2]]
-    lo, hi, _ = downward[-1] if downward else brackets[-1]
-    f = lambda T: mass(T) - 1.0
-    tc = _bisect(f, lo, hi)
-    return CriticalPoint(tc, (lo, hi), abs(f(tc)), len(brackets))
+    downward = [b for b in brackets if b[2] > b[3]]
+    lo, hi, m_lo, _ = downward[-1] if downward else brackets[-1]
+    tc, ftc = _newton(mass, curves.slope, lo, hi, m_lo - 1.0)
+    return CriticalPoint(tc, (lo, hi), abs(ftc), len(brackets))
 
 
 def mass_slope(

@@ -1,8 +1,28 @@
 import pytest
 
-from cavitypairing.critical import _bisect
 from cavitypairing.ladder import CriticalityError, KernelScalars, solve_fock_hierarchy
 from cavitypairing.model import ConstantLifetime, FermiLiquidLifetime, ModelParams
+
+
+# The reference root search of the tests: a geometric scan on N_SCAN points,
+# then bisection to the relative width RTOL.
+N_SCAN = 512
+RTOL = 1e-12
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Midpoint of the sign change of f on [lo, hi], to relative width RTOL."""
+    flo = f(lo)
+    while hi - lo > RTOL * hi:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @pytest.fixture(scope="session")

@@ -387,6 +387,8 @@ def _mutant(func, old, new):
                  ("vertex_closed_form",), id="cancelling-root"),
     pytest.param(critical, "find_tc", "tc = a / (1.0 - b)", "tc = 1.01 * a / (1.0 - b)",
                  ("tc_closed_form", "thermal_root"), id="t_c-times-1.01"),
+    pytest.param(critical, "_newton", "    last = before = hi - lo", "    return t, mass(t) - 1.0",
+                 ("fermi_liquid_root",), id="newton-start-unrefined"),
     pytest.param(ladder, "kernel_curves", "return a / (temperature * temperature)",
                  "return 2 * a / (temperature * temperature)",
                  ("tc_closed_form", "fermi_liquid_root"), id="slope-times-2"),
@@ -558,22 +560,27 @@ def test_exponents_past_the_float_range_of_the_vertex(tmp_path, state, gamma):
     assert float(rows["nu"]["value"]) == pytest.approx(0.5, abs=1e-9)
 
 
-@pytest.mark.parametrize("state, code", [("thermal", cli.EXIT_OK), ("vacuum", cli.EXIT_NUMERIC)])
+@pytest.mark.parametrize("state, code", [("thermal", cli.EXIT_NUMERIC),
+                                         ("vacuum", cli.EXIT_NUMERIC)])
 def test_window_rounding_to_t_c_gives_no_unflagged_gamma(tmp_path, capsys, state, code):
-    # every temperature of this window rounds to T_c: the thermal vertex is then
-    # constant, which no line explains (REJECTED, r^2 = nan), and the vacuum
-    # kernel there sits on its root, T_c = A / (1 - B) read in closed form, where
-    # 1 - M rounds to exactly 0, which the vertex refuses
+    # every temperature of this window rounds to T_c, where the kernel sits on
+    # its root, which the vertex refuses: the vacuum root T_c = A / (1 - B) read
+    # in closed form and the thermal root refined by Newton to 2 ulp, where
+    # 1 - M rounds to exactly 0 on this preset
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"states.list = {state}\nfit.gamma_window = 1e-300,1e-299\n")
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "exponents"]) == code
-    if code == cli.EXIT_OK:
-        rows = list(csv.DictReader(io.StringIO((tmp_path / "exponents.csv").read_text())))
-        gamma = next(r for r in rows if r["quantity"] == "gamma")
-        assert gamma["note"].startswith("REJECTED") and gamma["r_squared"] == "nan"
-    else:
-        assert "|1 - pole_mass| = 0.000e+00 < 1e-14" in capsys.readouterr().err
-        assert not (tmp_path / "exponents.csv").exists()
+    assert "|1 - pole_mass| = 0.000e+00 < 1e-14" in capsys.readouterr().err
+    assert not (tmp_path / "exponents.csv").exists()
+
+
+def test_unconverged_root_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a root refine that reaches its cap raises instead of returning an unconverged T_c
+    monkeypatch.setattr(critical, "MAX_REFINE", 2)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "fermi-liquid.cfg"
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "tc"]) == cli.EXIT_NUMERIC
+    assert "did not converge in 2 steps" in capsys.readouterr().err
+    assert not (tmp_path / "tc.csv").exists()
 
 
 @pytest.mark.parametrize("command, state, row, fock_form", [

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import N_SCAN, RTOL, _bisect
 
 from cavitypairing import critical as cr
 from cavitypairing import ladder, model
@@ -92,18 +93,20 @@ def test_tc_fermi_liquid_vs_dense_scan(fl_params, fl_lifetime):
 
 
 def test_tc_no_root_reports_scan_table():
+    # M = A/T + B has no turning point, so the table is the coarse scan alone
     p = ModelParams.with_gtilde(1e-12, 1.0, 0.0, 100.0, 1.0)
     lt = ConstantLifetime(1.0)
     with pytest.raises(cr.BracketError) as err:
         cr.find_tc(p, lt, Vacuum())
-    assert err.value.scan_table is not None
-    assert len(err.value.scan_table) == 512
+    mass = ladder.kernel_curves(p, lt).mass
+    grid = cr._geometric_grid(1e-8 * p.e_f, 0.99 * p.e_f, cr.N_COARSE)
+    assert err.value.scan_table == [(t, mass(t)) for t in grid]
 
 
 # The generic curve: the pole mass read off the kernel-terms tuple at each T, the
-# geometric scan plus bisection on it, and its Richardson difference.  The
-# reference for find_tc and mass_slope, which read the curves that resolve their
-# factors once and the analytic slope.
+# N_SCAN-point geometric scan plus bisection on it, and its Richardson
+# difference.  The reference for find_tc and mass_slope, which read the curves
+# that resolve their factors once, a coarse scan, Newton and the analytic slope.
 
 def _reference_mass(p, lt, convention, state):
     terms = ladder.kernel_curves(p, lt, convention, state).terms
@@ -112,7 +115,7 @@ def _reference_mass(p, lt, convention, state):
 
 def _reference_find_tc(p, lt, state, convention):
     lo_f, hi_f = cr.SCAN_RANGE
-    ts = cr._geometric_grid(lo_f * p.e_f, hi_f * p.e_f, cr.N_SCAN)
+    ts = cr._geometric_grid(lo_f * p.e_f, hi_f * p.e_f, N_SCAN)
     mass = _reference_mass(p, lt, convention, state)
     f = lambda T: mass(T) - 1.0
     vals = [f(t) for t in ts]
@@ -126,7 +129,7 @@ def _reference_find_tc(p, lt, state, convention):
         raise cr.BracketError("no sign change", scan_table=table)
     downward = [b for b in brackets if b[2]]
     lo, hi, _ = downward[-1] if downward else brackets[-1]
-    tc = cr._bisect(f, lo, hi)
+    tc = _bisect(f, lo, hi)
     return cr.CriticalPoint(tc, (lo, hi), abs(f(tc)), len(brackets))
 
 
@@ -193,21 +196,34 @@ def _slope(p, lt, state, convention, tc):
     return cr.mass_slope(p, lt, state, convention, tc=tc)
 
 
-def test_root_search_matches_reference_curve_bitwise():
+def test_root_search_matches_reference_scan_and_bisection():
     # where the scan still decides: Fermi-liquid lifetimes, the equilibrium
-    # thermal state, and a closed-form root outside the scan.  The root is the
-    # reference's bit for bit; the analytic slope meets its Richardson difference
+    # thermal state, and a closed-form root outside the scan.  The coarse scan
+    # counts the crossings the reference's 512 points count, Newton's root lies
+    # in the reference's bracket within its bisection width, and the analytic
+    # slope meets the Richardson difference
     two_crossings = no_root = scanned = 0
-    for p, lt, state, convention in _root_cases():
-        want = _root_search(_reference_find_tc, _reference_slope, p, lt, state, convention)
-        if _linear_mass(lt, state) and want[0] != "no root":
+    for case in _root_cases():
+        want = _root_search(_reference_find_tc, _reference_slope, *case)
+        if _linear_mass(case[1], case[2]) and want[0] != "no root":
             continue
-        got = _root_search(cr.find_tc, _slope, p, lt, state, convention)
-        assert got[0] == want[0], (p, lt, state, convention)
+        got = _root_search(cr.find_tc, _slope, *case)
+        assert (got[0] == "no root") == (want[0] == "no root"), case
         if got[0] == "no root":
-            assert got[1] == want[1]
+            # the table holds the points the search evaluated, in increasing T
+            p, lt, state, convention = case
+            mass = ladder.kernel_curves(p, lt, convention, state).mass
+            ts = [t for t, _ in got[1]]
+            assert ts == sorted(set(ts))
+            assert (ts[0], ts[-1]) == (cr.SCAN_RANGE[0] * p.e_f, cr.SCAN_RANGE[1] * p.e_f)
+            assert all(m == mass(t) for t, m in got[1])
         else:
-            assert got[1] == pytest.approx(want[1], rel=1e-8, abs=0), (p, lt, state, convention)
+            (ref, ref_slope), (point, slope) = want, got
+            assert point.n_brackets == ref.n_brackets, case
+            assert ref.bracket[0] <= point.t_c <= ref.bracket[1], case
+            assert point.t_c == pytest.approx(ref.t_c, rel=RTOL, abs=0), case
+            assert point.residual <= 1e-14, case
+            assert slope == pytest.approx(ref_slope, rel=1e-8, abs=0), case
         scanned += 1
         no_root += got[0] == "no root"
         two_crossings += got[0] != "no root" and got[0].n_brackets == 2
@@ -215,6 +231,51 @@ def test_root_search_matches_reference_curve_bitwise():
     assert two_crossings >= 2
     assert no_root >= 1
     assert scanned >= 40
+
+
+def test_root_search_counts_the_reference_crossings_on_a_seeded_sweep(monkeypatch):
+    # 300 seeded points x {vacuum, equilibrium thermal, beta = 3}, where the scan
+    # decides: the crossing count and the no-root cases of the reference's 512
+    # points, and no refine past its cap of mass calls
+    refine_calls = []
+    newton = cr._newton
+
+    def counting(mass, *args):
+        calls = []
+        root = newton(lambda T: calls.append(T) or mass(T), *args)
+        refine_calls.append(len(calls))
+        return root
+
+    monkeypatch.setattr(cr, "_newton", counting)
+    multi = no_root = 0
+    for p, lt, convention in _seeded_points(300):
+        for state in (Vacuum(), Thermal(), Thermal(3.0)):
+            case = (p, lt, state, convention)
+            want = _root_search(_reference_find_tc, _reference_slope, *case)[0]
+            if _linear_mass(lt, state) and want != "no root":
+                continue
+            got = _root_search(cr.find_tc, _slope, *case)[0]
+            if got == "no root" or want == "no root":
+                assert got == want, case
+                no_root += 1
+            else:
+                assert got.n_brackets == want.n_brackets, case
+                multi += got.n_brackets > 1
+    assert multi >= 100 and no_root >= 100
+    assert max(refine_calls) <= cr.MAX_REFINE
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.55, 2.0])
+def test_newton_safeguard_converges_on_a_wrong_slope(fl_params, fl_lifetime, factor):
+    # a slope off by a constant factor makes Newton overshoot or creep: the
+    # safeguard's bisection still reaches the same root within the cap
+    curves = ladder.kernel_curves(fl_params, fl_lifetime)
+    point = cr.find_tc(fl_params, fl_lifetime, Vacuum())
+    lo, hi = point.bracket
+    t, f = cr._newton(curves.mass, lambda T: factor * curves.slope(T), lo, hi,
+                      curves.mass(lo) - 1.0)
+    assert t == pytest.approx(point.t_c, rel=4 * 2.0**-52, abs=0)
+    assert abs(f) <= 1e-14
 
 
 def test_closed_form_root_matches_reference_scan():
@@ -232,7 +293,7 @@ def test_closed_form_root_matches_reference_scan():
         a, b = curves.split
         exact = Fraction(a) / (1 - Fraction(b))
         assert abs(Fraction(got.t_c) - exact) <= 2 * Fraction(math.ulp(got.t_c))
-        assert got.t_c == pytest.approx(ref.t_c, rel=cr.RTOL, abs=0)
+        assert got.t_c == pytest.approx(ref.t_c, rel=RTOL, abs=0)
         assert ref.bracket[0] <= got.t_c <= ref.bracket[1]
         assert (got.bracket, got.n_brackets) == ((got.t_c, got.t_c), ref.n_brackets)
         assert got.residual == abs(curves.mass(got.t_c) - 1.0)
@@ -255,11 +316,14 @@ def test_constant_lifetime_search_resolves_the_rate_once(const_params, const_lif
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
     counts = []
-    for n_scan in (cr.N_SCAN, 4 * cr.N_SCAN):
-        monkeypatch.setattr(cr, "N_SCAN", n_scan)
+    for n_scan in (cr.N_COARSE, 4 * cr.N_COARSE):
+        monkeypatch.setattr(cr, "N_COARSE", n_scan)
         calls.clear()
         for state in (Vacuum(), Thermal(2.0)):
             cr.criticality(state, const_params, const_lifetime)
+        with pytest.raises(cr.BracketError):  # no root: the scan runs
+            cr.find_tc(ModelParams.with_gtilde(1e-12, 1.0, 0.0, 100.0, 1.0), const_lifetime,
+                       Vacuum())
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2
 
@@ -349,9 +413,9 @@ def test_mass_slope_far_below_the_photon_gap():
     lt = ConstantLifetime(1e-3)  # c2 = 0.25, B = 0.5: T_c = 1e-3
     vac, th = cr.criticality(Vacuum(), p, lt), cr.criticality(Thermal(), p, lt)
     assert p.delta_c / th.point.t_c > 710
-    assert th.point.t_c == pytest.approx(vac.point.t_c, rel=cr.RTOL)
+    assert th.point.t_c == pytest.approx(vac.point.t_c, rel=RTOL)
     assert math.isfinite(th.slope) and th.slope > 0
-    assert th.slope == pytest.approx(vac.slope, rel=4 * cr.RTOL)
+    assert th.slope == pytest.approx(vac.slope, rel=4 * RTOL)
 
 
 # -- susceptibility exponent ----------------------------------------------------
@@ -647,12 +711,18 @@ def test_high_pole_order_fits_are_finite(const_params, const_lifetime, fit, expo
 
 
 def test_constant_fit_data_are_rejected(const_params, const_lifetime):
-    # constant data, as from a window whose temperatures all round to T_c, are
-    # explained by no line: r^2 is NaN, not 1, and the fit gate rejects them
+    # constant data are explained by no line: r^2 is NaN, not 1, and the fit
+    # gate rejects them.  A window whose temperatures all round to T_c reads
+    # the kernel on its root, |M(T_c) - 1| at the rounding level after Newton,
+    # which the vertex refuses; read from a T_c above the root, the same window
+    # gives constant vertex data
     assert math.isnan(cr._line_fit(np.log(np.geomspace(1e-6, 1e-3, 24)), np.full(24, 3.0))[1])
     crit = cr.criticality(Thermal(), const_params, const_lifetime)
-    with pytest.raises(cr.FitRejected, match=r"r\^2 = nan"):
+    with pytest.raises(ladder.CriticalityError, match=r"\|1 - pole_mass\| = .* < 1e-14"):
         cr.fit_gamma(crit, window=(1e-300, 1e-299))
+    above = replace(crit, point=replace(crit.point, t_c=crit.point.t_c * (1 + 1e-9)))
+    with pytest.raises(cr.FitRejected, match=r"r\^2 = nan"):
+        cr.fit_gamma(above, window=(1e-300, 1e-299))
 
 
 # -- the float fit layer -----------------------------------------------------------
