@@ -638,13 +638,17 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
            f"max |dlog|Gamma|| = {worst:.2f} eps (n+1+|log|Gamma||) vs exact recursion, "
            "n <= 60 and mix:{0,7,60}, 1 - M = 2**-20")
 
-    qr = sectors.bcs_kernel_quadrature(p, lt, T)
-    record(
-        "bcs_quadrature",
-        abs(qr.value.real - 1.0) < 1e-3,
-        f"ratio-1 = {qr.value.real - 1.0:.3e} at dc*tau={_VERIFY_DCTAU:g}, "
-        f"{qr.evaluations} evaluations",
-    )
+    # a loop quadrature that misses its own tolerance fails the check, named
+    try:
+        qr = sectors.bcs_kernel_quadrature(p, lt, T)
+        record(
+            "bcs_quadrature",
+            abs(qr.value.real - 1.0) < 1e-3,
+            f"ratio-1 = {qr.value.real - 1.0:.3e} at dc*tau={_VERIFY_DCTAU:g}, "
+            f"{qr.evaluations} evaluations",
+        )
+    except sectors.QuadratureError as exc:
+        record("bcs_quadrature", False, f"QuadratureError: {exc}")
 
     off = sectors.offshell_bcs_cancellation(p, lt, T)
     record(

@@ -26,10 +26,11 @@ closed form (DLMF 10.32.10-11; Gradshteyn-Ryzhik 6.565.4):
     C(r) = amp / (2 pi sqrt(c_par c_perp)) (r' / (2 sqrt(m)))^(q-1)
            K_{q-1}(sqrt(m) r') / (q-1)!,        r' = r / sqrt(c_par),
 
-evaluated as log C, with ``scipy.special.kve`` (K times e^x) for K.
+evaluated as log C, with e^x sqrt(x) K_0 and K_1 from literal tables for
+x >= 2 and the orders above from the recurrence of DLMF 10.29.1.
 ``correlation_quadrature`` keeps an independent numerical transform (residue
-in P_x, adaptive quadrature in P_y) as the reference that ``verify`` checks
-the closed form against.
+in P_x, adaptive Gauss-Kronrod quadrature ``sectors.quad`` in P_y) as the
+reference that ``verify`` checks the closed form against.
 
 ``find_tc`` and ``mass_slope`` take the photon state and read its curves
 ``ladder.kernel_curves``, built once per call with the lifetime, the
@@ -59,8 +60,8 @@ re-deriving T_c and m.
 
 The root scan, the fit windows and the correlation grids come from
 ``_geometric_grid``, and the Newton refine, ``_line_fit`` and the correlation
-logs run on Python floats, with no CPU-dependent array kernels; ``kve``,
-imported lazily, is the one third-party call of the closed form.
+logs, K and the quadrature run on Python floats, with no CPU-dependent
+array kernels and no third-party call.
 """
 
 from __future__ import annotations
@@ -491,20 +492,102 @@ def momentum_vertex(
     return vertex
 
 
+# e^x sqrt(x) K_0(x) and e^x sqrt(x) K_1(x) for x >= 2, as polynomials in
+# s = w - mid on 8 equal pieces of w = 2/x in [0, 1]: each row is (mid, c_0, ..., c_9),
+# the truncated Chebyshev series of the piece in monomial form, within 1.7e-16
+# relative of mpmath.  The tier-1 tests derive them again from mpmath ``besselk``.
+_K0E = (
+    (0.0625, 1.2485017620221532, -0.07570477707577962, 0.02006591130170408, -0.009578566400759582,
+     0.006543754205812598, -0.005761423082179109, 0.006158446269717037, -0.007693679279734567,
+     0.011248870345760017, -0.018013964914619394),
+    (0.1875, 1.239334928758195, -0.07109224790908684, 0.016993456536182446, -0.0070176203804621145,
+     0.003998364613123776, -0.002841839553853055, 0.00238176944258852, -0.0022720667085050186,
+     0.0024427656187397313, -0.002837741669548747),
+    (0.3125, 1.2307011118035205, -0.06714468317822322, 0.014688674551803768, -0.005385464564194669,
+     0.0026577894688730027, -0.0016028592820958448, 0.001120104353007435, -0.0008775480524658316,
+     0.0007606563530108668, -0.0007066992997265523),
+    (0.4375, 1.2225276223144117, -0.06370596661351705, 0.012890596995372363, -0.004269662534015764,
+     0.0018691969144054024, -0.0009854801429210573, 0.0005948442245757977, -0.00039847607168624574,
+     0.0002919852703437072, -0.00022804213232104618),
+    (0.5625, 1.2147578812485007, -0.06066995839617232, 0.011447413678233409, -0.003468781345998055,
+     0.001369666318300396, -0.0006441217985198128, 0.0003437141118309729, -0.00020204464590435349,
+     0.00012889540631326831, -8.727591053863965e-05),
+    (0.6875, 1.2073465432801709, -0.057960731877503856, 0.010263587989728254,
+     -0.0028726977011844707, 0.0010357388935512727, -0.0004408627923538364, 0.00021144263305824832,
+     -0.00011107334040448186, 6.295463199084992e-05, -3.774584478866592e-05),
+    (0.8125, 1.200256449789108, -0.055521903066125165, 0.009275525528749249,
+     -0.0024163063083132855, 0.0008031079647046393, -0.00031286397929334664,
+     0.00013655533631086952, -6.498103770817722e-05, 3.321128552213262e-05,
+     -1.7907289189010585e-05),
+    (0.9375, 1.1934566096591825, -0.0533103702888656, 0.008439053102813614, -0.002058806981909697,
+     0.0006356356468016323, -0.00022862815104519177, 9.170039938726633e-05,
+     -3.9946711866475225e-05, 1.862147187630554e-05, -9.137035123358182e-06),
+)
+_K1E = (
+    (0.0625, 1.2678617411610231, 0.23058461018673979, -0.03394702713922636, 0.013609299488373944,
+     -0.008536819645737579, 0.007143745753676472, -0.007382403865526783, 0.009003032883953873,
+     -0.012918093263998648, 0.020396668535496362),
+    (0.1875, 1.2961790851234585, 0.22267666488312277, -0.029526684743987352, 0.01022897287014037,
+     -0.005346045761493564, 0.0036082603863053795, -0.002921356401761479, 0.0027184662941989574,
+     -0.0028673582914026958, 0.003282402635680886),
+    (0.3125, 1.3235710871798587, 0.21573664378036458, -0.026130749948357138, 0.008024865676737701,
+     -0.0036282200478505926, 0.0020756385358263072, -0.001399912516941784, 0.0010690122492318427,
+     -0.0009085444733114339, 0.0008312683352810552),
+    (0.4375, 1.3501447209189912, 0.20955407930446507, -0.023425556689036724, 0.006488209235059007,
+     -0.0025987421837302817, 0.001298262559282597, -0.0007556205291469801, 0.0004929811617367598,
+     -0.0003539711170140844, 0.0002720896257871341),
+    (0.5625, 1.3759850312871766, 0.20398298065277315, -0.021213238329013673, 0.00536586181884859,
+     -0.0019358529126917016, 0.0008617170926341104, -0.00044298986847626326,
+     0.00025342275237395475, -0.0001583261258400881, 0.00010545243418991297),
+    (0.6875, 1.4011614793182119, 0.19891704899607923, -0.01936717103102548, 0.004517200281653272,
+     -0.0014861238937736991, 0.000598130751124869, -0.0002761316878553692, 0.00014106745311593215,
+     -7.825466406903267e-05, 4.612869463294361e-05),
+    (0.8125, 1.4257319754920221, 0.194276072729457, -0.01780179123062043, 0.003857895241259837,
+     -0.0011685436645155855, 0.0004300127756250685, -0.00018051538691888716, 8.348208743622595e-05,
+     -4.1736706882662744e-05, 2.2114032019623286e-05),
+    (0.9375, 1.4497455937297044, 0.18999782845981056, -0.016456844461003924, 0.0033344101586107477,
+     -0.0009370225694762967, 0.0003180614487054447, -0.0001226019971289711, 5.1871783371353766e-05,
+     -2.3640766852925365e-05, 1.1393486832566782e-05),
+)
+# x = 2 lands on index 8, the end of the last piece
+_K0E += _K0E[-1:]
+_K1E += _K1E[-1:]
+
+
+def _k_scaled(table, w: float) -> float:
+    """e^x sqrt(x) K(x) at w = 2/x in [0, 1], from one of the tables above."""
+    mid, c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = table[int(8.0 * w)]
+    s = w - mid
+    return c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * (c5 + s * (c6 + s * (
+        c7 + s * (c8 + s * c9))))))))
+
+
 def _log_bessel_transform(term: _LorentzianTerm, r: Sequence[float]) -> list[float]:
     """log C of one Lorentzian term's exact 2D Fourier transform, per point of the grid r.
 
     log C = log amp - log(2 pi sqrt(c_par c_perp)) - lgamma(nu + 1) + nu log(x / 2m)
-    + log kve(nu, x) - x, with x = sqrt(m / c_par) r and nu = q - 1, for every order.
+    + log(k / sqrt(x)) - x, with x = sqrt(m / c_par) r, nu = q - 1 and
+    k = e^x sqrt(x) K_nu(x): k_0 and k_1 from the tables, and the orders above
+    by k_{j+1} = k_{j-1} + (2j/x) k_j (DLMF 10.29.1) on plain floats, which
+    reach inf where K_nu leaves the float range.  x < 2 is below the tables.
     """
-    from scipy.special import kve  # only the correlation commands pay this import
-
     nu, m, scale = term.order - 1, term.mass, math.sqrt(term.mass / term.c_par)
-    xs = [scale * v for v in r]
     head = (term.log_amp - math.log(2.0 * math.pi * math.sqrt(term.c_par * term.c_perp))
             - math.lgamma(nu + 1))
-    logs = [head + nu * math.log(x / (2.0 * m)) + math.log(k) - x
-            for x, k in zip(xs, kve(nu, xs).tolist())]
+    logs = []
+    for v in r:
+        x = scale * v
+        if not x >= 2.0:
+            raise QuadratureError(f"Bessel transform at x = {x:.6g} < 2, below its tables")
+        w = 2.0 / x
+        k = _k_scaled(_K0E, w)
+        if nu:
+            prev, k = k, _k_scaled(_K1E, w)
+            for j in range(1, nu):
+                prev, k = k, prev + 2.0 * j / x * k
+            logs.append(head + nu * math.log(x / (2.0 * m)) + math.log(k / math.sqrt(x)) - x)
+        else:  # q = 1, every term of the reduced form: no power of x / 2m to take
+            logs.append(head + math.log(k / math.sqrt(x)) - x)
     if not all(map(math.isfinite, logs)):
         raise QuadratureError(f"transform of a pole of order {term.order} leaves the float range")
     return logs
@@ -534,12 +617,16 @@ def _contour_transform(term: _LorentzianTerm, r: float) -> tuple[float, float]:
 
     def inner(py: float) -> float:
         mu = math.sqrt((c_perp * py * py + mass) / c_par)
-        return math.exp(-mu * r) * sum(c * mu ** -(q + j) for j, c in enumerate(coefs))
+        inv = 1.0 / mu
+        acc = 0.0
+        for c in reversed(coefs):
+            acc = acc * inv + c
+        return math.exp(-mu * r) * acc * inv**q
 
     mu0 = math.sqrt(mass / c_par)
     decay = r * math.sqrt(c_perp / c_par)
     y_max = (60.0 + mu0 * r) / max(decay, 1e-300)
-    v, e = quad(inner, 0.0, y_max, epsabs=0.0, epsrel=1e-2 * _QUAD_REL_TOL, limit=400)
+    v, e, _ = quad(inner, 0.0, y_max, epsabs=0.0, epsrel=1e-2 * _QUAD_REL_TOL)
     scale = 2.0 / (2.0 * math.pi) ** 2 * math.exp(term.log_amp)
     return scale * v, scale * e
 

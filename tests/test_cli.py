@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavitypairing import cli, critical, ladder, model
+from cavitypairing import cli, critical, ladder, model, sectors
 from cavitypairing.cli import ConfigError, RunConfig, parse_state, state_label
 from cavitypairing.model import DiagonalMixture, Fock, Thermal, Vacuum
 
@@ -409,12 +409,16 @@ def _mutant(func, old, new):
     pytest.param(model, "_fermi_liquid_rate", "(math.pi * temperature**2",
                  "(2 * math.pi * temperature**2", ("fermi_liquid_root",),
                  id="fermi-liquid-rate-times-2"),
+    pytest.param(critical, "_log_bessel_transform", "2.0 * j / x", "2.0 * (j + 1) / x",
+                 ("correlation_bessel",), id="bessel-recurrence-order-plus-1"),
+    pytest.param(sectors, "bcs_kernel_quadrature", "psi(dc + s) - psi(dc - s)",
+                 "psi(dc + s) + psi(dc - s)", ("bcs_quadrature",), id="cauchy-fold-sum"),
 ])
 def test_verify_check_catches_its_mutant(monkeypatch, module, name, old, new, checks):
     # negative control: a corrupted source function fails exactly the checks that guard it
     original = getattr(module, name)
     mutant = _mutant(original, old, new)
-    for mod in (model, ladder, critical, cli):
+    for mod in (model, ladder, sectors, critical, cli):
         if getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, mutant)
     passed, report = cli.run_verify(RunConfig())
@@ -612,16 +616,16 @@ def test_xi_of_a_pole_past_the_float_range(tmp_path):
 
 @pytest.mark.parametrize("command", ["xi", "exponents"])
 def test_power_form_past_float_factorials_names_the_pole_order(tmp_path, capsys, command):
-    # 184! is far past the largest float, and the transform of the order-185
-    # pole is the first whose log leaves the float range: kve(184, x) is inf at
-    # x = 3, the first point of the fit grid in units of the decay length
+    # 186! is far past the largest float, and the transform of the order-187
+    # pole is the first whose log leaves the float range: e^x sqrt(x) K_186(x)
+    # overflows at x = 3, the first point of the fit grid in units of the decay length
     cfgf = tmp_path / "c.cfg"
-    cfgf.write_text("states.list = fock:184\nfit.fock_form = power\n")
+    cfgf.write_text("states.list = fock:186\nfit.fock_form = power\n")
     assert cli.main(["--config", str(cfgf), "--out", str(tmp_path), command]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert "pole of order 185" in err
+    assert "pole of order 187" in err
     assert "Traceback" not in err
-    cfgf.write_text("states.list = fock:183\nfit.fock_form = power\n")
+    cfgf.write_text("states.list = fock:185\nfit.fock_form = power\n")
     assert cli.main(["--config", str(cfgf), "--out", str(tmp_path), command]) == cli.EXIT_OK
 
 

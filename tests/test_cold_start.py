@@ -1,13 +1,10 @@
-"""numpy and scipy stay out of commands that never call them.
+"""No command loads numpy or scipy.
 
 Importing numpy costs about as much as the rest of a ``tc``, ``vertex`` or
-``scan`` run, and ``scipy.integrate`` several times that, so
-``cavitypairing`` imports scipy only where it is called, and numpy only
-through it: ``scipy.special`` inside the closed-form correlations
-(``exponents``, ``xi``, ``verify``), ``scipy.integrate`` for the quadrature
-checks (``verify``).  ``tc``, ``vertex`` and ``scan`` run on Python floats alone.
-The check runs in a fresh interpreter, because any earlier test in this
-process may already have loaded numpy or scipy.
+``scan`` run, and ``scipy.integrate`` several times that.  ``cavitypairing``
+computes its Bessel K and its quadrature itself, on Python floats, so every
+command runs with neither loaded.  The check runs in a fresh interpreter,
+because any earlier test in this process may already have loaded numpy or scipy.
 """
 
 import ast
@@ -28,16 +25,17 @@ def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 
 cfg = cli.RunConfig.parse(Path(sys.argv[1]).read_text(encoding="utf-8"))
-cli.cmd_tc(cfg)
-cli.cmd_vertex(cfg)
-cli.cmd_scan(cfg)
-before = loaded()
-cli.cmd_xi(cfg)
-print(json.dumps({"before_xi": before, "after_xi": loaded()}))
+after = {}
+for name in ("tc", "vertex", "scan", "xi", "exponents"):
+    getattr(cli, "cmd_" + name)(cfg)
+    after[name] = loaded()
+cli.run_verify(cfg)
+after["verify"] = loaded()
+print(json.dumps(after))
 """
 
 
-def test_tc_vertex_scan_load_no_scipy_and_xi_loads_only_special():
+def test_no_command_loads_numpy_or_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -47,18 +45,15 @@ def test_tc_vertex_scan_load_no_scipy_and_xi_loads_only_special():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    mods = json.loads(proc.stdout.splitlines()[-1])
-    assert mods["before_xi"] == []
-    assert "numpy" in mods["after_xi"]
-    assert "scipy.special" in mods["after_xi"]
-    assert "scipy.integrate" not in mods["after_xi"]
+    after = json.loads(proc.stdout.splitlines()[-1])
+    assert after == {name: [] for name in ("tc", "vertex", "scan", "xi", "exponents", "verify")}
 
 
-def test_package_imports_no_numpy():
-    # the correlations take only K from scipy.special.kve and compute the rest
-    # on Python floats, so no result runs through numpy's CPU-dependent kernels
+def test_package_imports_no_numpy_or_scipy():
+    # K and the quadrature are the package's own, so no result runs through
+    # numpy's CPU-dependent kernels or scipy's compiled routines
     for path in sorted((ROOT / "src" / "cavitypairing").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
         modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
-        assert not [m for m in modules if m.split(".")[0] == "numpy"], path.name
+        assert not [m for m in modules if m.split(".")[0] in ("numpy", "scipy")], path.name

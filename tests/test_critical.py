@@ -650,7 +650,7 @@ def test_single_term_nu_matches_per_temperature_route(preset, fock_form, state):
     got = cr.fit_nu(crit, fock_form=fock_form)
     want = _per_t_fit_nu(crit, fock_form=fock_form)
     # the per-T route rounds a fresh transform at each T; at pole order 61 the
-    # logs of kve carry ~1e-13, which reaches nu as up to 2e-14
+    # logs of K carry ~1e-13, which reaches nu as up to 2e-14
     order_61 = state == Fock(60) and fock_form == "power"
     assert abs(got.exponent - want.exponent) <= (1e-13 if order_61 else 1e-15)
     assert abs(got.exponent - 0.5) <= 1e-9
@@ -815,8 +815,6 @@ def test_fit_layer_calls_no_polyfit_or_geomspace(const_params, const_lifetime, m
                                                  fock_form):
     # the root scan, `scan`'s grid, the fits and the correlation logs run on
     # Python floats: nothing in the package calls numpy
-    import scipy.special  # noqa: F401  (loaded before numpy is patched)
-
     def refuse(*args, **kwargs):
         raise AssertionError("called numpy's polyfit, geomspace or log")
 

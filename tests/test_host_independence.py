@@ -3,8 +3,8 @@
 numpy picks its kernels for ``geomspace``, ``log`` and ``power`` at run
 time, and its AVX-512 kernels round differently from libm.  The commands
 compute on Python floats and call no numpy function: the Bessel-K transform
-takes its logs, powers and factorials with ``math`` and only K itself from
-``scipy.special.kve``.  So the CSVs of ``tc``, ``vertex``, ``scan``,
+takes its logs, powers and factorials with ``math`` and K from its own
+tables and recurrence.  So the CSVs of ``tc``, ``vertex``, ``scan``,
 ``exponents`` and ``xi`` on every preset, in both Fock forms, come out
 byte-identical with numpy's AVX-512 kernels on and off.  That includes the
 power form's high pole orders (``fock:1`` to ``fock:20``, ``fock:40``,
