@@ -370,7 +370,7 @@ def _root_state(state):
 def _criticalities(cfg: RunConfig, states) -> list[critical.Criticality]:
     """One ``Criticality`` per state, with one root search per distinct pole mass."""
     p, lt = cfg.params(), cfg.lifetime_model()
-    roots = {root: critical.criticality(root, p, lt, cfg.convention)
+    roots = {root: critical.find_tc(p, lt, root, cfg.convention)
              for root in dict.fromkeys(map(_root_state, states))}
     return [replace(roots[_root_state(state)], state=state) for state in states]
 
@@ -383,15 +383,15 @@ def cmd_tc(cfg: RunConfig) -> ResultTable:
         note = ""
         if mode == "vacuum":
             note = "vacuum-kernel root (occupation-independent)"
-        if crit.point.n_brackets > 1:
+        if crit.n_brackets > 1:
             note = (note + "; " if note else "") + (
-                f"{crit.point.n_brackets} crossings, refined largest downward"
+                f"{crit.n_brackets} crossings, refined largest downward"
             )
         table.add(
             state=state_label(crit.state),
             quantity="t_c",
-            value=crit.point.t_c / unit,
-            uncertainty=crit.point.residual,
+            value=crit.t_c / unit,
+            uncertainty=crit.residual,
             provenance=f"critical.find_tc[{mode}]",
             note=note,
         )
@@ -440,7 +440,7 @@ def cmd_xi(cfg: RunConfig) -> ResultTable:
 
     def xi_of(crit):
         return critical.correlation_function(
-            crit, crit.point.t_c * (1.0 + t_red),
+            crit, crit.t_c * (1.0 + t_red),
             anisotropy=cfg.anisotropy, fock_form=cfg.fock_form,
         )
 
@@ -464,13 +464,12 @@ def cmd_xi(cfg: RunConfig) -> ResultTable:
 
 def cmd_vertex(cfg: RunConfig) -> ResultTable:
     """On-shell hierarchy values and the P-resolved vertex on a small grid."""
-    p, lt = cfg.params(), cfg.lifetime_model()
     table = ResultTable()
     unit = _scale(cfg)
     t_red = cfg.xi_reduced_t
     for crit in _criticalities(cfg, cfg.state_objects()):
-        state, T = crit.state, crit.point.t_c * (1.0 + t_red)
-        k = KernelScalars.from_model(p, lt, T, cfg.convention, state)
+        state, T = crit.state, crit.t_c * (1.0 + t_red)
+        k = KernelScalars(ladder.bare_vertex(crit.params), *crit.curves.terms(T), state)
         table.add(
             state=state_label(state), quantity="gamma_on_shell",
             value=ladder.signed_exp(ladder.log_vertex(k), k.gamma0) * unit,
@@ -667,10 +666,10 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     p_root, lt_root = vcfg.params(), vcfg.lifetime_model()
     worst_tc = worst_m = 0.0
     for state in (Vacuum(), Thermal(2.0)):
-        mass = ladder.kernel_curves(p_root, lt_root, cfg.convention, state).mass
+        crit = critical.find_tc(p_root, lt_root, state, cfg.convention)
+        mass = crit.curves.mass
         tc = _scan_root(mass, p_root.e_f)
-        crit = critical.criticality(state, p_root, lt_root, cfg.convention)
-        worst_tc = max(worst_tc, abs(crit.point.t_c / tc - 1.0))
+        worst_tc = max(worst_tc, abs(crit.t_c / tc - 1.0))
         worst_m = max(worst_m, abs(crit.slope / _richardson_slope(mass, tc) - 1.0))
     record("tc_closed_form", worst_tc <= 1e-11 and worst_m <= 1e-7,
            f"max rel dev T_c {worst_tc:.3e}, mass slope {worst_m:.3e} vs scan, bisection and "
@@ -684,7 +683,7 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     x = math.exp(-2.0 * p_root.delta_c)
     c2 = f_c * (g_dc / lt_root.rate) ** 2
     tc = f_a * g_dc * (1 - x) ** 2 / ((1 - x) ** 2 - 2 * c2 * (1 + x) ** 2)
-    dev = abs(_criticalities(vcfg, [Thermal(2.0)])[0].point.t_c / tc - 1.0)
+    dev = abs(_criticalities(vcfg, [Thermal(2.0)])[0].t_c / tc - 1.0)
     record("thermal_root", dev <= 1e-13,
            f"rel dev T_c {dev:.3e} of the root the commands solve for thermal:beta=2 vs the "
            "edge (1-a)(1-x)**2 = 2 c2 (1+x)**2, x = exp(-beta delta_c), of the bare kernel's "
@@ -701,8 +700,8 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
                      (Thermal(), lambda t: 1.0 / math.tanh(dc / (2.0 * t)))):
         mass = lambda t: f_a * g_dc / t + 2.0 * f_c * (g_dc / rate(t) * s(t)) ** 2
         tc = _scan_root(mass, e_f)
-        crit = critical.criticality(state, p_fl, FermiLiquidLifetime(), cfg.convention)
-        worst_tc = max(worst_tc, abs(crit.point.t_c / tc - 1.0))
+        crit = critical.find_tc(p_fl, FermiLiquidLifetime(), state, cfg.convention)
+        worst_tc = max(worst_tc, abs(crit.t_c / tc - 1.0))
         worst_m = max(worst_m, abs(crit.slope / _richardson_slope(mass, tc) - 1.0))
     record("fermi_liquid_root", worst_tc <= 1e-11 and worst_m <= 1e-8,
            f"max rel dev T_c {worst_tc:.3e}, mass slope {worst_m:.3e} vs scan, bisection and "
@@ -715,7 +714,7 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     mix = DiagonalMixture({0: 0.5, 2: 0.5})
     crit = _criticalities(vcfg, [mix])[0]
     kw = dict(anisotropy=cfg.anisotropy, fock_form="power")
-    T = crit.point.t_c * (1.0 + 1e-4)
+    T = crit.t_c * (1.0 + 1e-4)
     prof = critical.correlation_function(crit, T, **kw)
     ref = critical.correlation_quadrature(crit, T, prof.r_grid[::4], **kw)
     devs = [abs(math.exp(v) / q - 1.0) for v, q in zip(prof.log_values[::4], ref)]
@@ -729,8 +728,8 @@ def run_verify(cfg: RunConfig, inject_fault: bool = False) -> tuple[bool, dict]:
     a = cfg.anisotropy
     worst = worst_value = worst_curv = 0.0
     for crit in _criticalities(vcfg, [Fock(2), mix]):
-        T = crit.point.t_c * (1.0 + 1e-3)
-        gap = crit.slope * (T - crit.point.t_c)
+        T = crit.t_c * (1.0 + 1e-3)
+        gap = crit.slope * (T - crit.t_c)
         gamma0 = -crit.params.g0**2 / (2.0 * crit.params.delta_c)
         power = critical.momentum_vertex(crit, T, a, "power")
         reduced = critical.momentum_vertex(crit, T, a, "reduced")

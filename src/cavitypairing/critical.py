@@ -32,19 +32,23 @@ x >= 2 and the orders above from the recurrence of DLMF 10.29.1.
 in P_x, adaptive Gauss-Kronrod quadrature ``sectors.quad`` in P_y) as the
 reference that ``verify`` checks the closed form against.
 
-``find_tc`` and ``mass_slope`` take the photon state and read its curves
-``ladder.kernel_curves``, built once per call with the lifetime, the
-convention and the dressing resolved.  Where c2 does not depend on T (a
-constant lifetime, and any state but the equilibrium thermal one) the pole
-mass is M = A/T + B, so T_c = A / (1 - B) exactly, with no scan.  Elsewhere
-a coarse 64-point scan brackets the crossings, the two cells beside each
-sampled turning point of M are re-scanned on 9 points so that two crossings
-between coarse points still count, and safeguarded Newton on the analytic
-slope refines the chosen crossing to 2 ulp, bisecting where a Newton step
-would leave the bracket or shrink too slowly.  The mass slope
-m = -dM/dT is the curves' analytic ``slope`` for every lifetime and state,
-A / T_c**2 where M = A/T + B.  ``fit_gamma`` builds the kernel terms once
-per fit in the same way, and ``momentum_vertex`` the vertex terms once per
+``find_tc`` takes the photon state and builds its curves
+``ladder.kernel_curves`` once, with the lifetime, the convention and the
+dressing resolved, and reads both the root and the mass slope from them.
+Where c2 does not depend on T (a constant lifetime, and any state but the
+equilibrium thermal one) the pole mass is M = A/T + B, so T_c = A / (1 - B)
+exactly, with no scan.  Elsewhere a coarse 64-point scan brackets the
+crossings, the two cells beside each sampled turning point of M are
+re-scanned on 9 points so that two crossings between coarse points still
+count, and safeguarded Newton on the analytic slope refines the chosen
+crossing to 2 ulp, bisecting where a Newton step would leave the bracket or
+shrink too slowly.  The mass slope m = -dM/dT is the curves' analytic
+``slope`` at the root for every lifetime and state, A / T_c**2 where
+M = A/T + B.  ``find_tc`` returns a frozen ``Criticality`` holding the state,
+the model, the curves, the root and the mass slope; the fits, the
+correlation functions and the momentum-resolved vertex all take it instead of
+re-deriving T_c and m.  ``fit_gamma`` reads its kernel terms from the
+curves it carries, and ``momentum_vertex`` builds the vertex terms once per
 temperature.
 ``fit_nu`` branches on the number of Lorentzian terms: one term is
 scale-invariant, xi sqrt(mass) being the same at every T, so one correlation
@@ -53,10 +57,6 @@ Everything that can leave the float range near T_c is carried as a log:
 ``fit_gamma`` fits ``ladder.log_vertex``, the vertex terms keep their
 amplitudes as logs relative to the largest, ``momentum_vertex``
 exponentiates once, through ``ladder.signed_exp``, and C(r) is fitted as log C.
-``criticality`` returns a frozen ``Criticality`` holding the state, the
-model, the root and the mass slope, computed once; the fits, the correlation
-functions and the momentum-resolved vertex all take it instead of
-re-deriving T_c and m.
 
 The root scan, the fit windows and the correlation grids come from
 ``_geometric_grid``, and the Newton refine, ``_line_fit`` and the correlation
@@ -83,18 +83,15 @@ from .sectors import QuadratureError, quad
 __all__ = [
     "BracketError",
     "CorrelationProfile",
-    "CriticalPoint",
     "Criticality",
     "ExponentFit",
     "FitRejected",
     "SlopeError",
     "correlation_function",
     "correlation_quadrature",
-    "criticality",
     "find_tc",
     "fit_gamma",
     "fit_nu",
-    "mass_slope",
     "momentum_vertex",
 ]
 
@@ -120,14 +117,6 @@ class FitRejected(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CriticalPoint:
-    t_c: float
-    bracket: tuple[float, float]
-    residual: float
-    n_brackets: int
-
-
-@dataclass(frozen=True)
 class ExponentFit:
     exponent: float
     window: tuple[float, float]
@@ -146,13 +135,20 @@ class CorrelationProfile:
 
 @dataclass(frozen=True)
 class Criticality:
-    """The root a photon state orders at and the mass slope there, built by ``criticality``."""
+    """The root a photon state orders at and the mass slope there, built by ``find_tc``.
+
+    ``curves`` are the kernel curves both were read from, those of the
+    kernel the state orders at; ``bracket``, ``residual`` and ``n_brackets``
+    describe the root search (``find_tc``).
+    """
 
     state: InitialPhotonState
     params: ModelParams
-    lifetime: LifetimeModel
-    convention: str
-    point: CriticalPoint
+    curves: ladder.KernelCurves
+    t_c: float
+    bracket: tuple[float, float]
+    residual: float
+    n_brackets: int
     slope: float
 
 
@@ -248,13 +244,13 @@ def find_tc(
     lt: LifetimeModel,
     state: InitialPhotonState,
     convention: str = "canonical",
-) -> CriticalPoint:
-    """Locate the root of the state's M(T) = 1: in closed form where it is exact, else by scan.
+) -> Criticality:
+    """Root of the state's M(T) = 1 and the mass slope there, from one build of its curves.
 
     Where c2 does not depend on T (a constant lifetime, and any state but
     the equilibrium thermal one) the pole mass is A/T + B, and if B < 1 and
-    T_c = A / (1 - B) lies inside the scan range it is returned with no
-    scan: a closed-form root brackets itself, so ``bracket`` is (T_c, T_c),
+    T_c = A / (1 - B) lies inside the scan range it is taken with no scan: a
+    closed-form root brackets itself, so ``bracket`` is (T_c, T_c),
     ``n_brackets = 1``, and ``residual`` is |M(T_c) - 1|, the pole-mass
     residual (not an error bar on T_c).  Otherwise ``_scan`` brackets the
     crossings over ``SCAN_RANGE`` in units of E_F: a coarse scan on
@@ -267,63 +263,42 @@ def find_tc(
     a spurious high-temperature crossing.  The instability root is a
     downward crossing (M > 1 below T_c: the vertex diverges on cooling); if
     the scan finds several crossings, the largest downward one is refined,
-    and ``CriticalPoint.n_brackets`` counts them.  A scan with no crossing
-    raises ``BracketError`` with the points it evaluated as its scan table.
+    and ``n_brackets`` counts them.  A scan with no crossing raises
+    ``BracketError`` with the points it evaluated as its scan table.
+
+    The mass slope m = -dM/dT is the curves' ``slope`` at T_c, so that
+    1 - M(T) ~ m (T - T_c); a root where m is not positive (only upward
+    crossings) raises ``SlopeError``.
     """
     lo_f, hi_f = SCAN_RANGE
     lo, hi = lo_f * p.e_f, hi_f * p.e_f
     curves = ladder.kernel_curves(p, lt, convention, state)
     mass, split = curves.mass, curves.split
+    tc = None
     if split is not None and split[1] < 1:
         a, b = split
         tc = a / (1.0 - b)
-        if lo < tc < hi:
-            return CriticalPoint(tc, (tc, tc), abs(mass(tc) - 1.0), 1)
-    table = _scan(mass, lo, hi)
-    brackets = [
-        (t0, t1, m0, m1)
-        for (t0, m0), (t1, m1) in zip(table, table[1:])
-        if m0 == 1.0 or (m0 > 1.0) != (m1 > 1.0)
-    ]
-    if not brackets:
-        raise BracketError(
-            f"M(T) - 1 has no sign change on [{lo:.3e}, {hi:.3e}] ({state})",
-            scan_table=table,
-        )
-    downward = [b for b in brackets if b[2] > b[3]]
-    lo, hi, m_lo, _ = downward[-1] if downward else brackets[-1]
-    tc, ftc = _newton(mass, curves.slope, lo, hi, m_lo - 1.0)
-    return CriticalPoint(tc, (lo, hi), abs(ftc), len(brackets))
-
-
-def mass_slope(
-    p: ModelParams,
-    lt: LifetimeModel,
-    state: InitialPhotonState,
-    convention: str = "canonical",
-    *,
-    tc: float,
-) -> float:
-    """m = -dM/dT at T_c, from the state's pole-mass curve ``ladder.kernel_curves``.
-
-    The linear Taylor term then reads 1 - M(T) ~ m (T - T_c) with m > 0.
-    """
-    m = ladder.kernel_curves(p, lt, convention, state).slope(tc)
-    if not m > 0:
-        raise SlopeError(f"mass slope {m} is not positive at T_c={tc}")
-    return m
-
-
-def criticality(
-    state: InitialPhotonState,
-    p: ModelParams,
-    lt: LifetimeModel,
-    convention: str = "canonical",
-) -> Criticality:
-    """Root and mass slope of the pole mass the photon state orders at."""
-    point = find_tc(p, lt, state, convention)
-    slope = mass_slope(p, lt, state, convention, tc=point.t_c)
-    return Criticality(state, p, lt, convention, point, slope)
+        bracket, residual, n_brackets = (tc, tc), abs(mass(tc) - 1.0), 1
+    if tc is None or not lo < tc < hi:
+        table = _scan(mass, lo, hi)
+        brackets = [
+            (t0, t1, m0, m1)
+            for (t0, m0), (t1, m1) in zip(table, table[1:])
+            if m0 == 1.0 or (m0 > 1.0) != (m1 > 1.0)
+        ]
+        if not brackets:
+            raise BracketError(
+                f"M(T) - 1 has no sign change on [{lo:.3e}, {hi:.3e}] ({state})",
+                scan_table=table,
+            )
+        downward = [b for b in brackets if b[2] > b[3]]
+        lo, hi, m_lo, _ = downward[-1] if downward else brackets[-1]
+        tc, ftc = _newton(mass, curves.slope, lo, hi, m_lo - 1.0)
+        bracket, residual, n_brackets = (lo, hi), abs(ftc), len(brackets)
+    slope = curves.slope(tc)
+    if not slope > 0:
+        raise SlopeError(f"mass slope {slope} is not positive at T_c={tc}")
+    return Criticality(state, p, curves, tc, bracket, residual, n_brackets, slope)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +349,7 @@ def _line_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, flo
 def _fit_exponent(name, crit: Criticality, window, points: int, log_value_at) -> ExponentFit:
     """Exponent -d log value / d log t of ``log_value_at(T_c (1 + t))`` on a geometric window of t."""
     red = _geometric_grid(window[0], window[1], points)
-    logs = [log_value_at(crit.point.t_c * (1.0 + t)) for t in red]
+    logs = [log_value_at(crit.t_c * (1.0 + t)) for t in red]
     slope, r2, resid = _line_fit([math.log(t) for t in red], logs)
     if not r2 > R2_MIN:
         raise FitRejected(
@@ -400,8 +375,7 @@ def fit_gamma(
     if not MIN_GAMMA_POINTS <= points <= MAX_GAMMA_POINTS:
         raise ValueError(f"need {MIN_GAMMA_POINTS} to {MAX_GAMMA_POINTS} window points")
 
-    gamma0 = ladder.bare_vertex(crit.params)
-    terms = ladder.kernel_curves(crit.params, crit.lifetime, crit.convention, crit.state).terms
+    gamma0, terms = ladder.bare_vertex(crit.params), crit.curves.terms
 
     def log_gamma_at(T):
         return log_vertex(KernelScalars(gamma0, *terms(T), crit.state))
@@ -444,7 +418,7 @@ def _vertex_terms(
     """
     if anisotropy <= 0:
         raise ValueError("anisotropy must be > 0")
-    mass_gap = crit.slope * (T - crit.point.t_c)
+    mass_gap = crit.slope * (T - crit.t_c)
     if not mass_gap > 0:
         raise DomainError("the momentum-resolved vertex needs T > T_c")
     c_par = 1.0 + anisotropy
@@ -731,7 +705,7 @@ def fit_nu(
     def log_mass(T):
         return math.log(_vertex_terms(crit, T, anisotropy, fock_form)[1][0].mass)
 
-    t_ref = crit.point.t_c * (1.0 + window[0])
+    t_ref = crit.t_c * (1.0 + window[0])
     _, terms = _vertex_terms(crit, t_ref, anisotropy, fock_form)
     if len(terms) == 1:
         log_xi_ref, log_mass_ref = log_xi(t_ref), math.log(terms[0].mass)

@@ -33,11 +33,13 @@ when it is built: f_a*gtilde*delta_c always, delta_c*tau and c2 for a
 constant lifetime, and s for a thermal state of fixed beta.  A call then
 computes a_bcs = (f_a*gtilde*delta_c)/T and only what still depends on T:
 the Fermi-liquid rate and the equilibrium s.  The mass curve returns the
-float alone, for the root scans that evaluate it hundreds of times, and the
-slope is analytic, from the log-derivatives of the rate and of s.  With a
+float alone, for the root scan that calls it at every point, and the slope
+is analytic, from the log-derivatives of the rate and of s.  With a
 constant lifetime and no equilibrium dressing the mass is A/T + B with
 A = f_a*gtilde*delta_c and B = 2*c2 fixed, which ``critical`` solves in
-closed form with no scan, and the slope is A/T**2.
+closed form with no scan, and the slope is A/T**2.  ``critical.find_tc``
+builds the curves once per root, and the ``Criticality`` it returns carries
+them to the fits and the on-shell vertex.
 ``KernelScalars.from_model`` freezes the terms at one T, keeping the state so
 that ``pole_mass`` and ``log_vertex`` need no argument.
 

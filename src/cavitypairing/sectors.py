@@ -246,6 +246,8 @@ def _static_loop_weight(omega, p, lt, temperature):
 # Relative tolerance of the loop quadrature and its frequency cut in units of delta_c.
 _TOL = 1e-9
 _OMEGA_CUT = 50.0
+# the largest delta_c * tau at which the loop quadrature was measured to meet the analytic kernel
+_MAX_DCTAU = 3e9
 
 
 def bcs_kernel_quadrature(
@@ -264,13 +266,19 @@ def bcs_kernel_quadrature(
     ``offshell_bcs_cancellation`` below 1e-2, for 1e2 <= delta_c * tau <= 3e9
     with delta_c * tau * T / delta_c >= 600 and T / delta_c below about 0.96
     delta_c * tau, above which the tail estimate exceeds tolerance and
-    ``QuadratureError`` is raised.  Past 3e9 the ratio misses, by up to
-    -1.02e-2 and with no error raised, at the low-temperature edge: where
-    T * rate / delta_c**2 is below about 3e-17 up to delta_c * tau = 1e12
-    (T / delta_c = 600 / (delta_c * tau) at 5e9), and at every T from 1e13.
+    ``QuadratureError`` is raised.  Past 3e9 the ratio misses by up to
+    -1.02e-2 while its error estimate stays below 1e-9: at the low-temperature
+    edge up to delta_c * tau = 1e12 (T / delta_c = 600 / (delta_c * tau) at
+    5e9), and at every T from 1e13.  So a delta_c * tau above 3e9 raises
+    ``QuadratureError`` before any quadrature runs.
     """
     dc = p.delta_c
     rate = tau_inv(lt, p, temperature)
+    if dc / rate > _MAX_DCTAU:
+        raise QuadratureError(
+            f"delta_c * tau = {dc / rate:.6g} is above {_MAX_DCTAU:g}, past which the loop "
+            "quadrature misses the analytic kernel with no error estimate showing it"
+        )
     psi = lambda w: _static_loop_weight(w, p, lt, temperature)
     analytic = 1.0 / (4.0 * dc * dc * temperature)
 

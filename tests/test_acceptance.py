@@ -109,11 +109,11 @@ def test_criterion_4_susceptibility_exponents(const_params, const_lifetime):
     devs = []
     ok = True
     for n in range(6):
-        fit = cr.fit_gamma(cr.criticality(Fock(n), const_params, const_lifetime))
+        fit = cr.fit_gamma(cr.find_tc(const_params, const_lifetime, Fock(n)))
         dev = abs(fit.exponent - (n + 1))
         devs.append(f"n={n}: {dev:.1e}")
         ok = ok and dev <= 0.05
-    th = cr.fit_gamma(cr.criticality(Thermal(), const_params, const_lifetime))
+    th = cr.fit_gamma(cr.find_tc(const_params, const_lifetime, Thermal()))
     ok = ok and abs(th.exponent - 1.0) <= 0.02
     dt = time.perf_counter() - t0
     _report(4, ok and dt < 30.0, dt,
@@ -123,19 +123,19 @@ def test_criterion_4_susceptibility_exponents(const_params, const_lifetime):
 
 def test_criterion_5_correlation_length(const_params, const_lifetime):
     t0 = time.perf_counter()
-    crit = cr.criticality(Vacuum(), const_params, const_lifetime)
-    T = crit.point.t_c * (1.0 + 1e-4)
+    crit = cr.find_tc(const_params, const_lifetime, Vacuum())
+    T = crit.t_c * (1.0 + 1e-4)
     xi0 = cr.correlation_function(crit, T).xi
     ratio_devs = []
     ok = True
     for n in (1, 3, 8):
         xin = cr.correlation_function(
-            cr.criticality(Fock(n), const_params, const_lifetime), T).xi
+            cr.find_tc(const_params, const_lifetime, Fock(n)), T).xi
         dev = abs(xin / xi0 / math.sqrt(n + 1) - 1.0)
         ratio_devs.append(f"n={n}: {dev:.1e}")
         ok = ok and dev < 0.02
-    nu_th = cr.fit_nu(cr.criticality(Thermal(), const_params, const_lifetime))
-    nu_f4 = cr.fit_nu(cr.criticality(Fock(4), const_params, const_lifetime))
+    nu_th = cr.fit_nu(cr.find_tc(const_params, const_lifetime, Thermal()))
+    nu_f4 = cr.fit_nu(cr.find_tc(const_params, const_lifetime, Fock(4)))
     ok = ok and abs(nu_th.exponent - 0.5) <= 0.02 and abs(nu_f4.exponent - 0.5) <= 0.02
     dt = time.perf_counter() - t0
     _report(5, ok and dt < 120.0, dt,
@@ -209,10 +209,10 @@ def test_criterion_9_thermal_regularisation(const_params, const_lifetime):
     for n_top in (5, 60):
         z = sum(x**n for n in range(n_top + 1))
         mix = DiagonalMixture({n: x**n / z for n in range(n_top + 1)})
-        crit = cr.criticality(mix, const_params, const_lifetime)
+        crit = cr.find_tc(const_params, const_lifetime, mix)
         gamma = cr.fit_gamma(crit).exponent
         devs.append(f"N={n_top}: gamma {gamma:.4f}")
-        ok = ok and crit.point.t_c == vac and abs(gamma - (n_top + 1)) <= 0.05
+        ok = ok and crit.t_c == vac and abs(gamma - (n_top + 1)) <= 0.05
     dt = time.perf_counter() - t0
     _report(9, ok and dt < 10.0, dt,
             f"truncated Boltzmann mixtures order at the vacuum T_c with gamma = N + 1 "

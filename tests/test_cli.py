@@ -387,6 +387,8 @@ def _mutant(func, old, new):
                  ("vertex_closed_form",), id="cancelling-root"),
     pytest.param(critical, "find_tc", "tc = a / (1.0 - b)", "tc = 1.01 * a / (1.0 - b)",
                  ("tc_closed_form", "thermal_root"), id="t_c-times-1.01"),
+    pytest.param(critical, "find_tc", "slope = curves.slope(tc)", "slope = curves.slope(1.01 * tc)",
+                 ("tc_closed_form", "fermi_liquid_root"), id="slope-off-the-root"),
     pytest.param(critical, "_newton", "    last = before = hi - lo", "    return t, mass(t) - 1.0",
                  ("fermi_liquid_root",), id="newton-start-unrefined"),
     pytest.param(ladder, "kernel_curves", "return a / (temperature * temperature)",
@@ -471,6 +473,20 @@ def test_each_command_solves_each_pole_mass_once(monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("command", ["tc", "vertex", "exponents", "xi", "scan"])
+def test_each_command_builds_the_kernel_curves_once_per_pole_mass(monkeypatch, command):
+    # reference.cfg's states order at two pole masses, the vacuum and the
+    # equilibrium thermal one: each command builds each one's curves once, and
+    # the root, the slope, the fits and the on-shell vertex all read those
+    calls = []
+    kernel_curves = ladder.kernel_curves
+    monkeypatch.setattr(ladder, "kernel_curves",
+                        lambda *a, **kw: calls.append(a) or kernel_curves(*a, **kw))
+    text = (Path(__file__).resolve().parents[1] / "configs" / "reference.cfg").read_text()
+    getattr(cli, "cmd_" + command)(RunConfig.parse(text))
+    assert len(calls) == 2
+
+
 def test_vertex_builds_each_states_terms_once(monkeypatch):
     calls = []
     vertex_terms = critical._vertex_terms
@@ -487,7 +503,7 @@ def test_vertex_builds_each_states_terms_once(monkeypatch):
         if row.quantity.startswith("vertex_P["):
             P, theta = (float(x) for x in row.quantity[len("vertex_P["):-1].split(","))
             crit = crits[row.state]
-            T = crit.point.t_c * (1.0 + cfg.xi_reduced_t)
+            T = crit.t_c * (1.0 + cfg.xi_reduced_t)
             vertex = critical.momentum_vertex(crit, T, cfg.anisotropy, cfg.fock_form)
             assert row.value == vertex(P, theta) * unit
             checked += 1
@@ -576,6 +592,22 @@ def test_window_rounding_to_t_c_gives_no_unflagged_gamma(tmp_path, capsys, state
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "exponents"]) == code
     assert "|1 - pole_mass| = 0.000e+00 < 1e-14" in capsys.readouterr().err
     assert not (tmp_path / "exponents.csv").exists()
+
+
+# gtilde = 1e-12 with a rate of 1e-10: the equilibrium thermal mass crosses 1 upward only
+UPWARD_ONLY_ROOT = ("model.g0 = 1.2566370614359172e-05\nmodel.lifetime = constant:1e-10\n"
+                    "states.list = thermal\n")
+
+
+@pytest.mark.parametrize("command", ["tc", "exponents", "vertex"])
+def test_upward_only_root_is_a_numerical_failure(tmp_path, capsys, command):
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text(UPWARD_ONLY_ROOT)
+    assert cli.main(["--config", str(cfgf), "--out", str(tmp_path), command]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: mass slope -0.056564770906732155 is not positive at "
+                   "T_c=35.35298191100189\n")
+    assert not (tmp_path / f"{command}.csv").exists()
 
 
 def test_unconverged_root_is_a_numerical_failure(tmp_path, capsys, monkeypatch):

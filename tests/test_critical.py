@@ -56,8 +56,8 @@ def test_tc_closed_form_vacuum_and_fixed_beta(convention, f_a, f_c, beta):
         state, s = Vacuum(), 1.0
     else:
         state, s = Thermal(beta), 1.0 / math.tanh(beta * p.delta_c / 2.0)
-    point = cr.find_tc(p, lt, state, convention)
-    assert point.t_c == pytest.approx(a / (1.0 - 2.0 * c2 * s**2), rel=1e-12)
+    crit = cr.find_tc(p, lt, state, convention)
+    assert crit.t_c == pytest.approx(a / (1.0 - 2.0 * c2 * s**2), rel=1e-12)
 
 
 def test_tc_thermal_strictly_larger(const_params, const_lifetime, fl_params, fl_lifetime):
@@ -105,15 +105,15 @@ def test_tc_no_root_reports_scan_table():
 
 # The generic curve: the pole mass read off the kernel-terms tuple at each T, the
 # N_SCAN-point geometric scan plus bisection on it, and its Richardson
-# difference.  The reference for find_tc and mass_slope, which read the curves
-# that resolve their factors once, a coarse scan, Newton and the analytic slope.
+# difference.  The reference for find_tc, which reads the curves that resolve
+# their factors once, a coarse scan, Newton and the analytic slope.
 
 def _reference_mass(p, lt, convention, state):
     terms = ladder.kernel_curves(p, lt, convention, state).terms
     return lambda T: KernelScalars(bare_vertex(p), *terms(T)).pole_mass
 
 
-def _reference_find_tc(p, lt, state, convention):
+def _reference_criticality(p, lt, state, convention):
     lo_f, hi_f = cr.SCAN_RANGE
     ts = cr._geometric_grid(lo_f * p.e_f, hi_f * p.e_f, N_SCAN)
     mass = _reference_mass(p, lt, convention, state)
@@ -130,7 +130,9 @@ def _reference_find_tc(p, lt, state, convention):
     downward = [b for b in brackets if b[2]]
     lo, hi, _ = downward[-1] if downward else brackets[-1]
     tc = _bisect(f, lo, hi)
-    return cr.CriticalPoint(tc, (lo, hi), abs(f(tc)), len(brackets))
+    slope = _reference_slope(p, lt, state, convention, tc)
+    # the reference carries no curves: it reads them as kernel terms per T
+    return cr.Criticality(state, p, None, tc, (lo, hi), abs(f(tc)), len(brackets), slope)
 
 
 # central-difference step of the reference slope, relative to T_c
@@ -145,13 +147,12 @@ def _reference_slope(p, lt, state, convention, tc):
     return -(4 * d2 - d1) / 3
 
 
-def _root_search(find, slope, p, lt, state, convention):
-    """(point, slope) of one search, or the scan table of its BracketError."""
+def _root_search(find, p, lt, state, convention):
+    """The ``Criticality`` of one search, or the ``BracketError`` it raised."""
     try:
-        point = find(p, lt, state, convention)
+        return find(p, lt, state, convention)
     except cr.BracketError as err:
-        return "no root", err.scan_table
-    return point, slope(p, lt, state, convention, point.t_c)
+        return err
 
 
 def _seeded_points(n):
@@ -192,10 +193,6 @@ def _linear_mass(lt, state):
                                                      and state.beta is None)
 
 
-def _slope(p, lt, state, convention, tc):
-    return cr.mass_slope(p, lt, state, convention, tc=tc)
-
-
 def test_root_search_matches_reference_scan_and_bisection():
     # where the scan still decides: Fermi-liquid lifetimes, the equilibrium
     # thermal state, and a closed-form root outside the scan.  The coarse scan
@@ -204,29 +201,29 @@ def test_root_search_matches_reference_scan_and_bisection():
     # slope meets the Richardson difference
     two_crossings = no_root = scanned = 0
     for case in _root_cases():
-        want = _root_search(_reference_find_tc, _reference_slope, *case)
-        if _linear_mass(case[1], case[2]) and want[0] != "no root":
+        want = _root_search(_reference_criticality, *case)
+        no_ref_root = isinstance(want, cr.BracketError)
+        if _linear_mass(case[1], case[2]) and not no_ref_root:
             continue
-        got = _root_search(cr.find_tc, _slope, *case)
-        assert (got[0] == "no root") == (want[0] == "no root"), case
-        if got[0] == "no root":
+        got = _root_search(cr.find_tc, *case)
+        assert isinstance(got, cr.BracketError) == no_ref_root, case
+        if no_ref_root:
             # the table holds the points the search evaluated, in increasing T
             p, lt, state, convention = case
             mass = ladder.kernel_curves(p, lt, convention, state).mass
-            ts = [t for t, _ in got[1]]
+            ts = [t for t, _ in got.scan_table]
             assert ts == sorted(set(ts))
             assert (ts[0], ts[-1]) == (cr.SCAN_RANGE[0] * p.e_f, cr.SCAN_RANGE[1] * p.e_f)
-            assert all(m == mass(t) for t, m in got[1])
+            assert all(m == mass(t) for t, m in got.scan_table)
         else:
-            (ref, ref_slope), (point, slope) = want, got
-            assert point.n_brackets == ref.n_brackets, case
-            assert ref.bracket[0] <= point.t_c <= ref.bracket[1], case
-            assert point.t_c == pytest.approx(ref.t_c, rel=RTOL, abs=0), case
-            assert point.residual <= 1e-14, case
-            assert slope == pytest.approx(ref_slope, rel=1e-8, abs=0), case
+            assert got.n_brackets == want.n_brackets, case
+            assert want.bracket[0] <= got.t_c <= want.bracket[1], case
+            assert got.t_c == pytest.approx(want.t_c, rel=RTOL, abs=0), case
+            assert got.residual <= 1e-14, case
+            assert got.slope == pytest.approx(want.slope, rel=1e-8, abs=0), case
         scanned += 1
-        no_root += got[0] == "no root"
-        two_crossings += got[0] != "no root" and got[0].n_brackets == 2
+        no_root += no_ref_root
+        two_crossings += not no_ref_root and got.n_brackets == 2
     # the reference and convention-heavy presets' equilibrium thermal roots cross twice
     assert two_crossings >= 2
     assert no_root >= 1
@@ -251,12 +248,13 @@ def test_root_search_counts_the_reference_crossings_on_a_seeded_sweep(monkeypatc
     for p, lt, convention in _seeded_points(300):
         for state in (Vacuum(), Thermal(), Thermal(3.0)):
             case = (p, lt, state, convention)
-            want = _root_search(_reference_find_tc, _reference_slope, *case)[0]
-            if _linear_mass(lt, state) and want != "no root":
+            want = _root_search(_reference_criticality, *case)
+            no_ref_root = isinstance(want, cr.BracketError)
+            if _linear_mass(lt, state) and not no_ref_root:
                 continue
-            got = _root_search(cr.find_tc, _slope, *case)[0]
-            if got == "no root" or want == "no root":
-                assert got == want, case
+            got = _root_search(cr.find_tc, *case)
+            if no_ref_root or isinstance(got, cr.BracketError):
+                assert isinstance(got, cr.BracketError) == no_ref_root, case
                 no_root += 1
             else:
                 assert got.n_brackets == want.n_brackets, case
@@ -269,12 +267,12 @@ def test_root_search_counts_the_reference_crossings_on_a_seeded_sweep(monkeypatc
 def test_newton_safeguard_converges_on_a_wrong_slope(fl_params, fl_lifetime, factor):
     # a slope off by a constant factor makes Newton overshoot or creep: the
     # safeguard's bisection still reaches the same root within the cap
-    curves = ladder.kernel_curves(fl_params, fl_lifetime)
-    point = cr.find_tc(fl_params, fl_lifetime, Vacuum())
-    lo, hi = point.bracket
+    crit = cr.find_tc(fl_params, fl_lifetime, Vacuum())
+    curves = crit.curves
+    lo, hi = crit.bracket
     t, f = cr._newton(curves.mass, lambda T: factor * curves.slope(T), lo, hi,
                       curves.mass(lo) - 1.0)
-    assert t == pytest.approx(point.t_c, rel=4 * 2.0**-52, abs=0)
+    assert t == pytest.approx(crit.t_c, rel=4 * 2.0**-52, abs=0)
     assert abs(f) <= 1e-14
 
 
@@ -284,21 +282,19 @@ def test_closed_form_root_matches_reference_scan():
     # difference of the generic curve
     closed = 0
     for p, lt, state, convention in _root_cases():
-        want = _root_search(_reference_find_tc, _reference_slope, p, lt, state, convention)
-        if not _linear_mass(lt, state) or want[0] == "no root":
+        ref = _root_search(_reference_criticality, p, lt, state, convention)
+        if not _linear_mass(lt, state) or isinstance(ref, cr.BracketError):
             continue
-        (ref, ref_slope), (got, slope) = want, _root_search(
-            cr.find_tc, _slope, p, lt, state, convention)
-        curves = ladder.kernel_curves(p, lt, convention, state)
-        a, b = curves.split
+        got = cr.find_tc(p, lt, state, convention)
+        a, b = got.curves.split
         exact = Fraction(a) / (1 - Fraction(b))
         assert abs(Fraction(got.t_c) - exact) <= 2 * Fraction(math.ulp(got.t_c))
         assert got.t_c == pytest.approx(ref.t_c, rel=RTOL, abs=0)
         assert ref.bracket[0] <= got.t_c <= ref.bracket[1]
         assert (got.bracket, got.n_brackets) == ((got.t_c, got.t_c), ref.n_brackets)
-        assert got.residual == abs(curves.mass(got.t_c) - 1.0)
-        assert slope == a / (got.t_c * got.t_c)
-        assert slope == pytest.approx(ref_slope, rel=1e-8, abs=0)
+        assert got.residual == abs(got.curves.mass(got.t_c) - 1.0)
+        assert got.slope == a / (got.t_c * got.t_c)
+        assert got.slope == pytest.approx(ref.slope, rel=1e-8, abs=0)
         closed += 1
     assert closed >= 20
 
@@ -320,12 +316,20 @@ def test_constant_lifetime_search_resolves_the_rate_once(const_params, const_lif
         monkeypatch.setattr(cr, "N_COARSE", n_scan)
         calls.clear()
         for state in (Vacuum(), Thermal(2.0)):
-            cr.criticality(state, const_params, const_lifetime)
+            cr.find_tc(const_params, const_lifetime, state)
         with pytest.raises(cr.BracketError):  # no root: the scan runs
             cr.find_tc(ModelParams.with_gtilde(1e-12, 1.0, 0.0, 100.0, 1.0), const_lifetime,
                        Vacuum())
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2
+
+
+def test_find_tc_refuses_a_root_with_no_positive_slope():
+    # the equilibrium thermal mass of gtilde = 1e-12 with a rate of 1e-10
+    # crosses 1 upward only, so it has no instability root
+    cfg = RunConfig.parse("model.g0 = 1.2566370614359172e-05\nmodel.lifetime = constant:1e-10\n")
+    with pytest.raises(cr.SlopeError, match=r"^mass slope -0\.0565\d* is not positive at T_c=35\.35"):
+        cr.find_tc(cfg.params(), cfg.lifetime_model(), Thermal(), cfg.convention)
 
 
 def test_fitted_pole_matches_kernel_root(const_params, const_lifetime, fitted_pole_location):
@@ -343,27 +347,24 @@ def test_criticality_builds_no_kernel_scalars(const_params, const_lifetime, fl_p
     from_model = KernelScalars.from_model.__func__
     monkeypatch.setattr(KernelScalars, "from_model", classmethod(
         lambda cls, *a, **kw: calls.append(a) or from_model(cls, *a, **kw)))
-    crits = [cr.criticality(state, p, lt)
+    crits = [cr.find_tc(p, lt, state)
              for p, lt in ((const_params, const_lifetime), (fl_params, fl_lifetime))
              for state in (Vacuum(), Thermal(), Thermal(2.0))]
     assert calls == []
     # the scan runs on Python floats, so T_c is one too
-    assert all(type(c.point.t_c) is float for c in crits)
+    assert all(type(c.t_c) is float for c in crits)
 
 
 def test_mass_slope_analytic():
     # pure static channel M = A/T: T_c = A and m = A/T_c^2 = 1/A
     p = ModelParams.with_gtilde(0.5, 1.0, 0.0, 100.0, 1.0)
     lt = ConstantLifetime(1e6)  # c2 ~ 2.5e-13, negligible
-    crit = cr.find_tc(p, lt, Vacuum())
-    m = cr.mass_slope(p, lt, Vacuum(), tc=crit.t_c)
-    assert m == pytest.approx(1.0 / 0.5, rel=1e-8)
+    assert cr.find_tc(p, lt, Vacuum()).slope == pytest.approx(1.0 / 0.5, rel=1e-8)
 
 
 def test_mass_slope_vs_analytic_derivative(const_params, const_lifetime):
     crit = cr.find_tc(const_params, const_lifetime, Vacuum())
-    m = cr.mass_slope(const_params, const_lifetime, Vacuum(), tc=crit.t_c)
-    assert m == pytest.approx(0.02 / crit.t_c**2, rel=1e-8)
+    assert crit.slope == pytest.approx(0.02 / crit.t_c**2, rel=1e-8)
 
 
 def _mp_mass(mpmath, p, lt, state, convention):
@@ -396,12 +397,12 @@ def test_mass_slope_matches_mpmath():
     with mpmath.workdps(50):
         for p, lt, state, convention in cases:
             try:
-                tc = cr.find_tc(p, lt, state, convention).t_c
+                crit = cr.find_tc(p, lt, state, convention)
             except cr.BracketError:
                 continue
-            got = cr.mass_slope(p, lt, state, convention, tc=tc)
-            want = -mpmath.diff(_mp_mass(mpmath, p, lt, state, convention), mpmath.mpf(tc))
-            assert abs(got / want - 1) <= 1e-15, (p, lt, state, convention)
+            mass = _mp_mass(mpmath, p, lt, state, convention)
+            want = -mpmath.diff(mass, mpmath.mpf(crit.t_c))
+            assert abs(crit.slope / want - 1) <= 1e-15, (p, lt, state, convention)
             checked += 1
     assert checked >= 60
 
@@ -411,9 +412,9 @@ def test_mass_slope_far_below_the_photon_gap():
     # (delta_c / T**2) / sinh(delta_c / T) underflows to 0 and the slope is the vacuum's
     p = ModelParams.with_gtilde(5e-4, 1.0, 0.0, 100.0, 1.0)
     lt = ConstantLifetime(1e-3)  # c2 = 0.25, B = 0.5: T_c = 1e-3
-    vac, th = cr.criticality(Vacuum(), p, lt), cr.criticality(Thermal(), p, lt)
-    assert p.delta_c / th.point.t_c > 710
-    assert th.point.t_c == pytest.approx(vac.point.t_c, rel=RTOL)
+    vac, th = cr.find_tc(p, lt, Vacuum()), cr.find_tc(p, lt, Thermal())
+    assert p.delta_c / th.t_c > 710
+    assert th.t_c == pytest.approx(vac.t_c, rel=RTOL)
     assert math.isfinite(th.slope) and th.slope > 0
     assert th.slope == pytest.approx(vac.slope, rel=4 * RTOL)
 
@@ -421,31 +422,31 @@ def test_mass_slope_far_below_the_photon_gap():
 # -- susceptibility exponent ----------------------------------------------------
 
 def test_gamma_thermal(const_params, const_lifetime):
-    fit = cr.fit_gamma(cr.criticality(Thermal(), const_params, const_lifetime))
+    fit = cr.fit_gamma(cr.find_tc(const_params, const_lifetime, Thermal()))
     assert abs(fit.exponent - 1.0) <= 0.02
     assert fit.r_squared > 0.999
 
 
 def test_gamma_vacuum(const_params, const_lifetime):
-    fit = cr.fit_gamma(cr.criticality(Fock(0), const_params, const_lifetime))
+    fit = cr.fit_gamma(cr.find_tc(const_params, const_lifetime, Fock(0)))
     assert abs(fit.exponent - 1.0) <= 0.02
 
 
 def test_gamma_fock3(const_params, const_lifetime):
-    fit = cr.fit_gamma(cr.criticality(Fock(3), const_params, const_lifetime))
+    fit = cr.fit_gamma(cr.find_tc(const_params, const_lifetime, Fock(3)))
     assert abs(fit.exponent - 4.0) <= 0.05
 
 
 def test_gamma_mixture_pole_order(const_params, const_lifetime):
     mix = DiagonalMixture({0: 0.5, 2: 0.5})
-    fit = cr.fit_gamma(cr.criticality(mix, const_params, const_lifetime))
+    fit = cr.fit_gamma(cr.find_tc(const_params, const_lifetime, mix))
     assert abs(fit.exponent - 3.0) <= 0.05
 
 
 def test_gamma_invariant_under_vertex_rescale_and_convention():
     base = ModelParams.with_gtilde(0.02, 1.0, 0.0, 100.0, 1.0)
     lt = ConstantLifetime(0.2)  # c2 small enough that every convention is subcritical
-    fits = [cr.fit_gamma(cr.criticality(Fock(2), base, lt, convention=c))
+    fits = [cr.fit_gamma(cr.find_tc(base, lt, Fock(2), convention=c))
             for c in ("canonical", "eq-bs-u-freq", "subsec-tc")]
     assert all(abs(f.exponent - 3.0) <= 0.05 for f in fits)
     # gamma0 -> lambda gamma0 shifts the log intercept only: the fitted slope
@@ -467,9 +468,9 @@ def test_gamma_invariant_under_vertex_rescale_and_convention():
 
 def test_gamma_needs_enough_points(const_params, const_lifetime):
     with pytest.raises(ValueError):
-        cr.fit_gamma(cr.criticality(Vacuum(), const_params, const_lifetime), points=5)
+        cr.fit_gamma(cr.find_tc(const_params, const_lifetime, Vacuum()), points=5)
     with pytest.raises(ValueError):
-        cr.fit_gamma(cr.criticality(Vacuum(), const_params, const_lifetime),
+        cr.fit_gamma(cr.find_tc(const_params, const_lifetime, Vacuum()),
                      points=cr.MAX_GAMMA_POINTS + 1)
 
 
@@ -477,31 +478,26 @@ def test_gamma_needs_enough_points(const_params, const_lifetime):
 
 def test_vertex_p_reduces_to_on_shell_pole(const_params, const_lifetime):
     crit = cr.find_tc(const_params, const_lifetime, Vacuum())
-    m = cr.mass_slope(const_params, const_lifetime, Vacuum(), tc=crit.t_c)
     T = crit.t_c * 1.001
     for n in (0, 2):
-        v = cr.momentum_vertex(cr.criticality(Fock(n), const_params, const_lifetime), T)(0.0, 0.3)
-        expect = bare_vertex(const_params) / (m * (T - crit.t_c)) ** (n + 1)
+        v = cr.momentum_vertex(cr.find_tc(const_params, const_lifetime, Fock(n)), T)(0.0, 0.3)
+        expect = bare_vertex(const_params) / (crit.slope * (T - crit.t_c)) ** (n + 1)
         assert v == pytest.approx(expect, rel=1e-12)
 
 
 def test_vertex_p_angular_factor(const_params, const_lifetime):
     crit = cr.find_tc(const_params, const_lifetime, Vacuum())
-    m = cr.mass_slope(const_params, const_lifetime, Vacuum(), tc=crit.t_c)
     T = crit.t_c * 1.001
     a = 0.7
-    c = cr.Criticality(Vacuum(), const_params, const_lifetime, "canonical", crit, m)
-    v = cr.momentum_vertex(c, T, anisotropy=a)(2.0, math.pi / 2)
-    expect = bare_vertex(const_params) / (4.0 * a + m * (T - crit.t_c))
+    v = cr.momentum_vertex(crit, T, anisotropy=a)(2.0, math.pi / 2)
+    expect = bare_vertex(const_params) / (4.0 * a + crit.slope * (T - crit.t_c))
     assert v == pytest.approx(expect, rel=1e-12)
 
 
 def test_vertex_p_inversion_symmetry(const_params, const_lifetime):
-    crit = cr.find_tc(const_params, const_lifetime, Vacuum())
-    m = cr.mass_slope(const_params, const_lifetime, Vacuum(), tc=crit.t_c)
+    crit = cr.find_tc(const_params, const_lifetime, Fock(1))
     T = crit.t_c * 1.0005
-    c = cr.Criticality(Fock(1), const_params, const_lifetime, "canonical", crit, m)
-    vertex = cr.momentum_vertex(c, T)
+    vertex = cr.momentum_vertex(crit, T)
     rng = np.random.default_rng(7)
     for _ in range(12):
         P, th = rng.uniform(0, 3), rng.uniform(0, 2 * math.pi)
@@ -514,12 +510,11 @@ def test_vertex_p_inversion_symmetry(const_params, const_lifetime):
 
 def test_vertex_p_forms_agree_at_small_momentum(const_params, const_lifetime):
     crit = cr.find_tc(const_params, const_lifetime, Vacuum())
-    m = cr.mass_slope(const_params, const_lifetime, Vacuum(), tc=crit.t_c)
     T = crit.t_c * 1.001
-    mass = m * (T - crit.t_c)
+    mass = crit.slope * (T - crit.t_c)
     p_small = 1e-3 * math.sqrt(mass)
     for n in (1, 4):
-        c = cr.Criticality(Fock(n), const_params, const_lifetime, "canonical", crit, m)
+        c = replace(crit, state=Fock(n))
         full = cr.momentum_vertex(c, T, fock_form="power")
         red = cr.momentum_vertex(c, T, fock_form="reduced")
         assert red(p_small, 0.9) == pytest.approx(full(p_small, 0.9), rel=1e-5)
@@ -531,18 +526,17 @@ def test_vertex_p_high_order_saturates_without_raising(const_params, const_lifet
                                                        fock_form):
     # on plain floats mass_gap**200 underflows to 0.0 near T_c and overflows far above
     # it; the vertex then saturates to -inf and to 0.0 instead of raising
-    base = cr.criticality(Vacuum(), const_params, const_lifetime)
-    crit = replace(base, state=Fock(200), slope=float(base.slope),
-                   point=replace(base.point, t_c=float(base.point.t_c)))
-    t_c = crit.point.t_c
+    base = cr.find_tc(const_params, const_lifetime, Vacuum())
+    crit = replace(base, state=Fock(200), slope=float(base.slope), t_c=float(base.t_c))
+    t_c = crit.t_c
     assert cr.momentum_vertex(crit, t_c * (1 + 1e-4), fock_form=fock_form)(0.0, 0.0) == -math.inf
     assert cr.momentum_vertex(crit, t_c * 101.0, fock_form=fock_form)(0.0, 0.0) == 0.0
 
 
 def test_vertex_p_requires_supercritical_temperature(const_params, const_lifetime):
-    c = cr.criticality(Vacuum(), const_params, const_lifetime)
+    c = cr.find_tc(const_params, const_lifetime, Vacuum())
     with pytest.raises(DomainError):
-        cr.momentum_vertex(c, c.point.t_c * 0.5)
+        cr.momentum_vertex(c, c.t_c * 0.5)
 
 
 # -- correlation function ---------------------------------------------------------
@@ -552,8 +546,8 @@ def test_vertex_p_requires_supercritical_temperature(const_params, const_lifetim
 def test_correlation_closed_form_matches_quadrature(const_params, const_lifetime, n,
                                                    anisotropy):
     # power form of Fock(n) is a single pole of order q = n + 1
-    crit = cr.criticality(Fock(n), const_params, const_lifetime)
-    T = crit.point.t_c * (1 + 1e-4)
+    crit = cr.find_tc(const_params, const_lifetime, Fock(n))
+    T = crit.t_c * (1 + 1e-4)
     kw = dict(anisotropy=anisotropy, fock_form="power")
     prof = cr.correlation_function(crit, T, **kw)  # its own 20-point grid on [3 xi, 10 xi]
     ref = cr.correlation_quadrature(crit, T, prof.r_grid, **kw)
@@ -561,26 +555,26 @@ def test_correlation_closed_form_matches_quadrature(const_params, const_lifetime
 
 
 def test_correlation_xi_ratio_sqrt_n_plus_one(const_params, const_lifetime):
-    crit = cr.criticality(Vacuum(), const_params, const_lifetime)
-    T = crit.point.t_c * (1 + 1e-4)
+    crit = cr.find_tc(const_params, const_lifetime, Vacuum())
+    T = crit.t_c * (1 + 1e-4)
     xi0 = cr.correlation_function(crit, T).xi
     for n in (1, 3, 8):
         xin = cr.correlation_function(
-            cr.criticality(Fock(n), const_params, const_lifetime), T).xi
+            cr.find_tc(const_params, const_lifetime, Fock(n)), T).xi
         assert abs(xin / xi0 / math.sqrt(n + 1) - 1.0) < 0.02
 
 
 def test_correlation_xi_shrinks_sqrt2_on_doubling(const_params, const_lifetime):
-    crit = cr.criticality(Vacuum(), const_params, const_lifetime)
+    crit = cr.find_tc(const_params, const_lifetime, Vacuum())
     t = 1e-4
-    x1 = cr.correlation_function(crit, crit.point.t_c * (1 + t)).xi
-    x2 = cr.correlation_function(crit, crit.point.t_c * (1 + 2 * t)).xi
+    x1 = cr.correlation_function(crit, crit.t_c * (1 + t)).xi
+    x2 = cr.correlation_function(crit, crit.t_c * (1 + 2 * t)).xi
     assert abs(x1 / x2 / math.sqrt(2.0) - 1.0) < 0.01
 
 
 def test_correlation_profile_positive_logconvex_tail(const_params, const_lifetime):
-    crit = cr.criticality(Fock(2), const_params, const_lifetime)
-    prof = cr.correlation_function(crit, crit.point.t_c * (1 + 1e-4))
+    crit = cr.find_tc(const_params, const_lifetime, Fock(2))
+    prof = cr.correlation_function(crit, crit.t_c * (1 + 1e-4))
     lr = np.asarray(prof.log_values)
     assert np.all(np.isfinite(lr))
     # log-convexity via divided differences (geometric grid)
@@ -592,9 +586,9 @@ def test_correlation_profile_positive_logconvex_tail(const_params, const_lifetim
 
 
 def test_correlation_needs_supercritical_temperature(const_params, const_lifetime):
-    crit = cr.criticality(Vacuum(), const_params, const_lifetime)
+    crit = cr.find_tc(const_params, const_lifetime, Vacuum())
     with pytest.raises(DomainError):
-        cr.correlation_function(crit, crit.point.t_c)
+        cr.correlation_function(crit, crit.t_c)
 
 
 # -- correlation-length exponent ---------------------------------------------------
@@ -609,17 +603,17 @@ def test_nu_closed_form_is_half():
 
 
 def test_nu_thermal(const_params, const_lifetime):
-    fit = cr.fit_nu(cr.criticality(Thermal(), const_params, const_lifetime))
+    fit = cr.fit_nu(cr.find_tc(const_params, const_lifetime, Thermal()))
     assert abs(fit.exponent - 0.5) <= 0.02
 
 
 def test_nu_fock4(const_params, const_lifetime):
-    fit = cr.fit_nu(cr.criticality(Fock(4), const_params, const_lifetime))
+    fit = cr.fit_nu(cr.find_tc(const_params, const_lifetime, Fock(4)))
     assert abs(fit.exponent - 0.5) <= 0.02
 
 
 def test_nu_window_validation(const_params, const_lifetime):
-    crit = cr.criticality(Vacuum(), const_params, const_lifetime)
+    crit = cr.find_tc(const_params, const_lifetime, Vacuum())
     with pytest.raises(ValueError):
         cr.fit_nu(crit, window=(1e-4, 1e-3))
     with pytest.raises(ValueError):
@@ -636,7 +630,7 @@ def _per_t_fit_nu(crit, window=(1e-5, 1e-3), n_temps=8, **kw):
 
 def _preset_crit(name, state):
     cfg = RunConfig.parse((CONFIGS / f"{name}.cfg").read_text())
-    return cr.criticality(state, cfg.params(), cfg.lifetime_model(), cfg.convention)
+    return cr.find_tc(cfg.params(), cfg.lifetime_model(), state, cfg.convention)
 
 
 @pytest.mark.parametrize("preset", ["reference", "fermi-liquid"])
@@ -659,7 +653,7 @@ def test_single_term_nu_matches_per_temperature_route(preset, fock_form, state):
 
 @pytest.mark.parametrize("fock_form", ["reduced", "power"])
 def test_mixture_nu_keeps_the_per_temperature_route(const_params, const_lifetime, fock_form):
-    crit = cr.criticality(DiagonalMixture({0: 0.5, 2: 0.5}), const_params, const_lifetime)
+    crit = cr.find_tc(const_params, const_lifetime, DiagonalMixture({0: 0.5, 2: 0.5}))
     assert cr.fit_nu(crit, fock_form=fock_form) == _per_t_fit_nu(crit, fock_form=fock_form)
 
 
@@ -669,7 +663,7 @@ def test_single_term_nu_runs_one_profile(const_params, const_lifetime, monkeypat
     transform = cr._log_bessel_transform
     monkeypatch.setattr(cr, "_log_bessel_transform",
                         lambda *a: calls.append(a) or transform(*a))
-    crit = cr.criticality(state, const_params, const_lifetime)
+    crit = cr.find_tc(const_params, const_lifetime, state)
     for fock_form in ("reduced", "power"):
         calls.clear()
         cr.fit_nu(crit, fock_form=fock_form)
@@ -679,7 +673,7 @@ def test_single_term_nu_runs_one_profile(const_params, const_lifetime, monkeypat
 @pytest.mark.parametrize("state", [Vacuum(), Thermal(2.0), DiagonalMixture({0: 0.5, 2: 0.5})])
 def test_nu_window_touching_t_c_raises_as_per_temperature(const_params, const_lifetime, state):
     # every temperature of the window rounds to T_c, where no vertex exists
-    crit = cr.criticality(state, const_params, const_lifetime)
+    crit = cr.find_tc(const_params, const_lifetime, state)
     window = (1e-300, 1e-297)
     with pytest.raises(DomainError) as want:
         _per_t_fit_nu(crit, window)
@@ -704,7 +698,7 @@ def test_high_pole_order_fits_are_finite(const_params, const_lifetime, fit, expo
     # range on the fit window; the fits read both as logs, so gamma = n + 1
     # (less the (n+1) t drift at the top of the window) and nu = 1/2 in either
     # form pass the unchanged r^2 gate
-    crit = cr.criticality(Fock(60), const_params, const_lifetime)
+    crit = cr.find_tc(const_params, const_lifetime, Fock(60))
     f = fit(crit)
     assert abs(f.exponent - exponent) <= 0.05
     assert f.r_squared > 0.9999999
@@ -717,10 +711,10 @@ def test_constant_fit_data_are_rejected(const_params, const_lifetime):
     # which the vertex refuses; read from a T_c above the root, the same window
     # gives constant vertex data
     assert math.isnan(cr._line_fit(np.log(np.geomspace(1e-6, 1e-3, 24)), np.full(24, 3.0))[1])
-    crit = cr.criticality(Thermal(), const_params, const_lifetime)
+    crit = cr.find_tc(const_params, const_lifetime, Thermal())
     with pytest.raises(ladder.CriticalityError, match=r"\|1 - pole_mass\| = .* < 1e-14"):
         cr.fit_gamma(crit, window=(1e-300, 1e-299))
-    above = replace(crit, point=replace(crit.point, t_c=crit.point.t_c * (1 + 1e-9)))
+    above = replace(crit, t_c=crit.t_c * (1 + 1e-9))
     with pytest.raises(cr.FitRejected, match=r"r\^2 = nan"):
         cr.fit_gamma(above, window=(1e-300, 1e-299))
 
@@ -773,9 +767,9 @@ def test_flat_or_nan_correlation_tail_gives_nan_xi(const_params, const_lifetime,
                                                    slope):
     # no decay length and no ZeroDivisionError: xi = NaN, which the nu fit rejects
     # and the CLI's non-finite row check turns into exit 3
-    crit = cr.criticality(Fock(1), const_params, const_lifetime)
+    crit = cr.find_tc(const_params, const_lifetime, Fock(1))
     monkeypatch.setattr(cr, "_line_fit", lambda x, y: (slope, math.nan, math.nan))
-    assert math.isnan(cr.correlation_function(crit, crit.point.t_c * 1.01).xi)
+    assert math.isnan(cr.correlation_function(crit, crit.t_c * 1.01).xi)
     with pytest.raises(cr.FitRejected, match=r"r\^2 = nan"):
         cr.fit_nu(crit)
 
@@ -820,8 +814,8 @@ def test_fit_layer_calls_no_polyfit_or_geomspace(const_params, const_lifetime, m
 
     for name in ("polyfit", "geomspace", "log"):
         monkeypatch.setattr(np, name, refuse)
-    crit = cr.criticality(DiagonalMixture({0: 0.5, 2: 0.5}), const_params, const_lifetime)
+    crit = cr.find_tc(const_params, const_lifetime, DiagonalMixture({0: 0.5, 2: 0.5}))
     assert len(cmd_scan(RunConfig()).rows) == 2 * 60
     assert abs(cr.fit_gamma(crit).exponent - 3.0) <= 0.05
     assert abs(cr.fit_nu(crit, fock_form=fock_form).exponent - 0.5) <= 0.02
-    assert cr.correlation_function(crit, crit.point.t_c * 1.001, fock_form=fock_form).xi > 0
+    assert cr.correlation_function(crit, crit.t_c * 1.001, fock_form=fock_form).xi > 0

@@ -1,16 +1,22 @@
-"""Outputs do not depend on which SIMD kernels numpy picks for the CPU.
+"""Outputs do not depend on the process or on which SIMD kernels numpy picks for the CPU.
+
+Every output is a digest of its bytes: the CSVs of ``tc``, ``vertex``,
+``scan``, ``exponents`` and ``xi`` on every preset, in both Fock forms, and
+each preset's ``verify`` report, plain and with ``--inject-fault``.  Two
+fresh processes with different ``PYTHONHASHSEED`` give the same digests, so
+no output follows the order of a set or of a hashed key; this runs on every
+host.
 
 numpy picks its kernels for ``geomspace``, ``log`` and ``power`` at run
 time, and its AVX-512 kernels round differently from libm.  The commands
 compute on Python floats and call no numpy function: the Bessel-K transform
 takes its logs, powers and factorials with ``math`` and K from its own
-tables and recurrence.  So the CSVs of ``tc``, ``vertex``, ``scan``,
-``exponents`` and ``xi`` on every preset, in both Fock forms, come out
-byte-identical with numpy's AVX-512 kernels on and off.  That includes the
-power form's high pole orders (``fock:1`` to ``fock:20``, ``fock:40``,
-``fock:59`` and two mixtures), where (r'/2 sqrt(m))**(q-1) taken by numpy's
-``power`` differs in the last bit between kernels.  The check needs a CPU
-that numpy runs AVX-512 kernels on, and skips elsewhere.
+tables and recurrence.  So the digests come out the same with numpy's
+AVX-512 kernels on and off.  That includes the power form's high pole orders
+(``fock:1`` to ``fock:20``, ``fock:40``, ``fock:59`` and two mixtures), where
+(r'/2 sqrt(m))**(q-1) taken by numpy's ``power`` differs in the last bit
+between kernels.  That check needs a CPU that numpy runs AVX-512 kernels on,
+and skips elsewhere.
 """
 
 import json
@@ -48,6 +54,9 @@ except ImportError:  # numpy < 2
 HIGH = tuple(f"fock:{n}" for n in range(1, 21)) + (
     "fock:40", "fock:59", "mix:{0:0.5,6:0.5}", "mix:{3:0.25,10:0.75}")
 
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
 digests = {}
 for preset in sorted(Path(sys.argv[1]).glob("*.cfg")):
     text = preset.read_text(encoding="utf-8")
@@ -55,22 +64,25 @@ for preset in sorted(Path(sys.argv[1]).glob("*.cfg")):
                         ("power", ("exponents", "xi"))):
         cfg = cli.RunConfig.parse(text + "\\nfit.fock_form = " + form + "\\n")
         for name in names:
-            csv = getattr(cli, "cmd_" + name)(cfg).to_csv()
-            digests[f"{preset.stem}/{form}/{name}"] = hashlib.sha256(csv.encode()).hexdigest()
+            digests[f"{preset.stem}/{form}/{name}"] = digest(getattr(cli, "cmd_" + name)(cfg).to_csv())
     high = replace(cli.RunConfig.parse(text + "\\nfit.fock_form = power\\n"), states=HIGH)
     for name in ("exponents", "xi"):
-        csv = getattr(cli, "cmd_" + name)(high).to_csv()
-        digests[f"{preset.stem}/power-high/{name}"] = hashlib.sha256(csv.encode()).hexdigest()
+        digests[f"{preset.stem}/power-high/{name}"] = digest(getattr(cli, "cmd_" + name)(high).to_csv())
+    # the report as ``verify`` writes it
+    for name, fault in (("verify", False), ("verify-fault", True)):
+        _, report = cli.run_verify(cli.RunConfig.parse(text), inject_fault=fault)
+        digests[f"{preset.stem}/{name}"] = digest(json.dumps(report, indent=2, sort_keys=True) + "\\n")
 on = sorted(k for k, v in __cpu_features__.items() if v)
 print(json.dumps({"features": on, "digests": digests}))
 """
 
 
-def _run(disable: str | None) -> dict:
+def _run(disable: str | None = None, hash_seed: str = "0") -> dict:
     env = dict(os.environ)
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     if disable:
         env["NPY_DISABLE_CPU_FEATURES"] = disable
+    env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
@@ -82,11 +94,19 @@ def _run(disable: str | None) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@pytest.fixture(scope="module")
+def default():
+    return _run()
+
+
+def test_outputs_identical_across_hash_seeds(default):
+    assert len(default["digests"]) == 3 * 11
+    assert _run(hash_seed="20261020")["digests"] == default["digests"]
+
+
 @pytest.mark.skipif(not AVX512, reason="numpy runs no AVX-512 kernel on this CPU")
-def test_outputs_identical_with_avx512_kernels_on_and_off():
-    default = _run(None)
+def test_outputs_identical_with_avx512_kernels_on_and_off(default):
     off = _run(" ".join(AVX512))
     assert set(AVX512) <= set(default["features"])
     assert not set(AVX512) & set(off["features"])
-    assert len(default["digests"]) == 3 * 9
     assert off["digests"] == default["digests"]

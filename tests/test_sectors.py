@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -110,6 +111,16 @@ def test_bcs_quadrature_kernel_vanishes_at_high_temperature():
 def test_bcs_quadrature_misses_tolerance_at_short_lifetime():
     with pytest.raises(sec.QuadratureError, match=r"error estimate \S+ above tolerance"):
         sec.bcs_kernel_quadrature(P, ConstantLifetime(1e10), T_CHECK)  # dc * tau = 1e-10
+
+
+@pytest.mark.parametrize("dctau, T", [(5e9, 1.2e-7), (7e9, 8.6e-8), (1e11, 1e-6), (1e13, 1.0),
+                                       (1e13, 1e-3)])
+def test_bcs_quadrature_refuses_lifetimes_past_its_measured_regime(dctau, T):
+    # each of these misses the analytic kernel by 5e-3 to 1e-2 with an error
+    # estimate below 1e-9, so delta_c * tau past 3e9 is refused before it runs
+    with pytest.raises(sec.QuadratureError,
+                       match=re.escape(f"delta_c * tau = {dctau:.6g} is above 3e+09")):
+        sec.bcs_kernel_quadrature(P, ConstantLifetime(1.0 / dctau), T)
 
 
 def test_offshell_cancellation_names_inputs_when_rate_over_2t_overflows():
