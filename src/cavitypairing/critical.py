@@ -27,10 +27,14 @@ closed form (DLMF 10.32.10-11; Gradshteyn-Ryzhik 6.565.4):
            K_{q-1}(sqrt(m) r') / (q-1)!,        r' = r / sqrt(c_par),
 
 evaluated as log C, with e^x sqrt(x) K_0 and K_1 from literal tables for
-x >= 2 and the orders above from the recurrence of DLMF 10.29.1.
+x >= 2 and from their power series (DLMF 10.31.1-2) below, and the orders
+above from the recurrence of DLMF 10.29.1.
 ``correlation_quadrature`` keeps an independent numerical transform (residue
-in P_x, adaptive Gauss-Kronrod quadrature ``sectors.quad`` in P_y) as the
-reference that ``verify`` checks the closed form against.
+in P_x, adaptive Gauss-Kronrod quadrature in P_y) as the reference that
+``verify`` checks the closed form against.  The integrator ``quad`` (G10/K21
+panels, QUADPACK's QAG scheme) and its ``QuadratureError`` live here;
+``sectors`` imports them for its loop quadrature, and this module imports
+nothing from ``sectors``.
 
 ``find_tc`` takes the photon state and builds its curves
 ``ladder.kernel_curves`` once, with the lifetime, the convention and the
@@ -66,6 +70,7 @@ array kernels and no third-party call.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -78,7 +83,6 @@ from .model import (
     LifetimeModel,
     ModelParams,
 )
-from .sectors import QuadratureError, quad
 
 __all__ = [
     "BracketError",
@@ -86,6 +90,7 @@ __all__ = [
     "Criticality",
     "ExponentFit",
     "FitRejected",
+    "QuadratureError",
     "SlopeError",
     "correlation_function",
     "correlation_quadrature",
@@ -94,6 +99,10 @@ __all__ = [
     "fit_nu",
     "momentum_vertex",
 ]
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 class BracketError(RuntimeError):
@@ -536,14 +545,41 @@ def _k_scaled(table, w: float) -> float:
         c7 + s * (c8 + s * c9))))))))
 
 
+# Euler's constant, psi(1) = -gamma, of the series below
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _k_series(x: float) -> tuple[float, float]:
+    """e^x sqrt(x) K_0(x) and e^x sqrt(x) K_1(x) for 0 < x < 2, from their power series.
+
+    In t = x**2 / 4, with H_k = 1 + 1/2 + ... + 1/k and L = log(x / 2) + gamma
+    (DLMF 10.31.2 and 10.31.1 at n = 1):
+    K_0 = sum (H_k - L) t**k / k!**2 and
+    K_1 = 1/x + (x/2) sum (L - (H_k + H_{k+1}) / 2) t**k / (k! (k+1)!).
+    As t < 1, the 16 terms k <= 15 leave a tail below 1e-24.
+    """
+    t, log_half = 0.25 * x * x, math.log(0.5 * x) + _EULER_GAMMA
+    k0 = k1 = h = 0.0
+    term = 1.0  # t**k / k!**2
+    for k in range(1, 17):
+        h_next = h + 1.0 / k
+        k0 += (h - log_half) * term
+        k1 += (log_half - 0.5 * (h + h_next)) * term / k
+        term *= t / (k * k)
+        h = h_next
+    scale = math.exp(x) * math.sqrt(x)
+    return scale * k0, scale * (1.0 / x + 0.5 * x * k1)
+
+
 def _log_bessel_transform(term: _LorentzianTerm, r: Sequence[float]) -> list[float]:
     """log C of one Lorentzian term's exact 2D Fourier transform, per point of the grid r.
 
     log C = log amp - log(2 pi sqrt(c_par c_perp)) - lgamma(nu + 1) + nu log(x / 2m)
     + log(k / sqrt(x)) - x, with x = sqrt(m / c_par) r, nu = q - 1 and
-    k = e^x sqrt(x) K_nu(x): k_0 and k_1 from the tables, and the orders above
-    by k_{j+1} = k_{j-1} + (2j/x) k_j (DLMF 10.29.1) on plain floats, which
-    reach inf where K_nu leaves the float range.  x < 2 is below the tables.
+    k = e^x sqrt(x) K_nu(x): k_0 and k_1 from the tables for x >= 2 and from
+    ``_k_series`` below, and the orders above by k_{j+1} = k_{j-1} + (2j/x) k_j
+    (DLMF 10.29.1) on plain floats, which reach inf where K_nu leaves the
+    float range.  An x that is not positive raises ``QuadratureError``.
     """
     nu, m, scale = term.order - 1, term.mass, math.sqrt(term.mass / term.c_par)
     head = (term.log_amp - math.log(2.0 * math.pi * math.sqrt(term.c_par * term.c_perp))
@@ -551,20 +587,110 @@ def _log_bessel_transform(term: _LorentzianTerm, r: Sequence[float]) -> list[flo
     logs = []
     for v in r:
         x = scale * v
-        if not x >= 2.0:
-            raise QuadratureError(f"Bessel transform at x = {x:.6g} < 2, below its tables")
-        w = 2.0 / x
-        k = _k_scaled(_K0E, w)
+        if x >= 2.0:
+            w = 2.0 / x
+            k0 = _k_scaled(_K0E, w)
+            k1 = _k_scaled(_K1E, w) if nu else 0.0
+        elif x > 0.0:
+            k0, k1 = _k_series(x)
+        else:
+            raise QuadratureError(f"Bessel transform at x = {x:.6g}, which is not positive")
         if nu:
-            prev, k = k, _k_scaled(_K1E, w)
+            prev, k = k0, k1
             for j in range(1, nu):
                 prev, k = k, prev + 2.0 * j / x * k
             logs.append(head + nu * math.log(x / (2.0 * m)) + math.log(k / math.sqrt(x)) - x)
         else:  # q = 1, every term of the reduced form: no power of x / 2m to take
-            logs.append(head + math.log(k / math.sqrt(x)) - x)
+            logs.append(head + math.log(k0 / math.sqrt(x)) - x)
     if not all(map(math.isfinite, logs)):
         raise QuadratureError(f"transform of a pole of order {term.order} leaves the float range")
     return logs
+
+
+# The 21-point Gauss-Kronrod rule on [-1, 1]: its nodes x > 0 in decreasing
+# order, the 10-point Gauss nodes at the odd positions, their Kronrod weights,
+# the Kronrod weight of x = 0, and the Gauss weights of the odd positions.  The
+# tier-1 tests derive them again from the Stieltjes polynomial and mpmath.
+_GK_NODES = (
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+    0.2943928627014602, 0.14887433898163122,
+)
+_GK_WEIGHTS = (
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+    0.14277593857706009, 0.14773910490133849,
+)
+_GK_CENTRE = 0.1494455540029169
+_G_WEIGHTS = (
+    0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+    0.29552422471475287,
+)
+
+
+def _gk21(func, a: float, b: float) -> tuple[float, float]:
+    """The 21-point Kronrod value of func on [a, b] and QUADPACK's estimate of its error.
+
+    The estimate is |K - G| of the embedded 10-point Gauss rule, scaled as
+    asc min(1, (200 |K - G| / asc)**1.5) with asc the integral of |f - mean|,
+    and at least 50 eps times the integral of |f|.
+    """
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fc = func(c)
+    pairs = [(func(c - h * x), func(c + h * x)) for x in _GK_NODES]
+    kron = _GK_CENTRE * fc
+    for w, (f1, f2) in zip(_GK_WEIGHTS, pairs):
+        kron += w * (f1 + f2)
+    gauss = 0.0
+    for w, (f1, f2) in zip(_G_WEIGHTS, pairs[1::2]):
+        gauss += w * (f1 + f2)
+    mean = 0.5 * kron
+    asc, size = _GK_CENTRE * abs(fc - mean), _GK_CENTRE * abs(fc)
+    for w, (f1, f2) in zip(_GK_WEIGHTS, pairs):
+        asc += w * (abs(f1 - mean) + abs(f2 - mean))
+        size += w * (abs(f1) + abs(f2))
+    h_abs = abs(h)
+    err, asc = abs(kron - gauss) * h_abs, asc * h_abs
+    if asc and err:
+        err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
+    return kron * h, max(err, 50.0 * math.ulp(1.0) * size * h_abs)
+
+
+def quad(func, a: float, b: float, epsabs: float = 0.0, epsrel: float = 1e-10,
+         limit: int = 400, points: Sequence[float] = ()) -> tuple[float, float, int]:
+    """Integral of func over the finite [a, b] by adaptive Gauss-Kronrod: (value, error, evaluations).
+
+    The global scheme of QUADPACK's QAG: ``_gk21`` on each panel between a,
+    the sorted breakpoints ``points`` inside (a, b) and b, then the panel of
+    the largest error estimate bisected until the summed estimate is at most
+    max(epsabs, epsrel |value|) or ``limit`` panels exist.  The value and the
+    error are summed over the panels by ``math.fsum``; the caller judges the
+    error, and a value or error that is not finite raises ``QuadratureError``.
+    Call sites look this name up at call time, so it can be rebound from outside.
+    """
+    edges = [a, *points, b]
+    panels = []
+    for lo, hi in zip(edges, edges[1:]):
+        v, e = _gk21(func, lo, hi)
+        panels.append((-e, lo, hi, v))
+    heapq.heapify(panels)
+    value = math.fsum(p[3] for p in panels)
+    err = -math.fsum(p[0] for p in panels)
+    while err > max(epsabs, epsrel * abs(value)) and len(panels) < limit:
+        neg_err, lo, hi, v = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = _gk21(func, lo, mid)
+        v2, e2 = _gk21(func, mid, hi)
+        heapq.heappush(panels, (-e1, lo, mid, v1))
+        heapq.heappush(panels, (-e2, mid, hi, v2))
+        value += v1 + v2 - v
+        err += e1 + e2 + neg_err
+    value = math.fsum(p[3] for p in panels)
+    err = -math.fsum(p[0] for p in panels)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise QuadratureError(f"quadrature on [{a:.6g}, {b:.6g}] is not finite: "
+                              f"{value!r} +- {err!r}")
+    return value, err, 21 * (2 * len(panels) - len(edges) + 1)
 
 
 # quad's error estimate must stay below this fraction of the reference value

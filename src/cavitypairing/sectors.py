@@ -17,17 +17,20 @@ scalar kernels:
 * ``offshell_bcs_cancellation`` evaluates the two leading off-shell kernel
   terms, whose resonant denominators ~ 1/(+-2i delta_c / tau) cancel
   pairwise; the residual sum is smaller by another factor 1/(delta_c * tau).
+
+The loop is integrated by ``critical.quad``, the package's adaptive
+Gauss-Kronrod rule, and a missed tolerance raises ``critical.QuadratureError``;
+both names are bound here too.  Of the commands only ``verify`` loads this
+module.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import model
+from .critical import QuadratureError, quad
 from .ladder import CriticalityError, KernelScalars
 from .model import LifetimeModel, ModelParams, tau_inv
 from .useries import RationalFunction, f_factor
@@ -42,9 +45,6 @@ __all__ = [
     "offshell_bcs_cancellation",
     "solve_sector_system",
 ]
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -145,93 +145,6 @@ def solve_sector_system(system: SectorSystem) -> RationalFunction:
 # ---------------------------------------------------------------------------
 # quadrature validation of the contour reductions
 # ---------------------------------------------------------------------------
-
-# The 21-point Gauss-Kronrod rule on [-1, 1]: its nodes x > 0 in decreasing
-# order, the 10-point Gauss nodes at the odd positions, their Kronrod weights,
-# the Kronrod weight of x = 0, and the Gauss weights of the odd positions.  The
-# tier-1 tests derive them again from the Stieltjes polynomial and mpmath.
-_GK_NODES = (
-    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
-    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
-    0.2943928627014602, 0.14887433898163122,
-)
-_GK_WEIGHTS = (
-    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
-    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
-    0.14277593857706009, 0.14773910490133849,
-)
-_GK_CENTRE = 0.1494455540029169
-_G_WEIGHTS = (
-    0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
-    0.29552422471475287,
-)
-_EPS = sys.float_info.epsilon
-
-
-def _gk21(func, a: float, b: float) -> tuple[float, float]:
-    """The 21-point Kronrod value of func on [a, b] and QUADPACK's estimate of its error.
-
-    The estimate is |K - G| of the embedded 10-point Gauss rule, scaled as
-    asc min(1, (200 |K - G| / asc)**1.5) with asc the integral of |f - mean|,
-    and at least 50 eps times the integral of |f|.
-    """
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    fc = func(c)
-    pairs = [(func(c - h * x), func(c + h * x)) for x in _GK_NODES]
-    kron = _GK_CENTRE * fc
-    for w, (f1, f2) in zip(_GK_WEIGHTS, pairs):
-        kron += w * (f1 + f2)
-    gauss = 0.0
-    for w, (f1, f2) in zip(_G_WEIGHTS, pairs[1::2]):
-        gauss += w * (f1 + f2)
-    mean = 0.5 * kron
-    asc, size = _GK_CENTRE * abs(fc - mean), _GK_CENTRE * abs(fc)
-    for w, (f1, f2) in zip(_GK_WEIGHTS, pairs):
-        asc += w * (abs(f1 - mean) + abs(f2 - mean))
-        size += w * (abs(f1) + abs(f2))
-    h_abs = abs(h)
-    err, asc = abs(kron - gauss) * h_abs, asc * h_abs
-    if asc and err:
-        err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
-    return kron * h, max(err, 50.0 * _EPS * size * h_abs)
-
-
-def quad(func, a: float, b: float, epsabs: float = 0.0, epsrel: float = 1e-10,
-         limit: int = 400, points: Sequence[float] = ()) -> tuple[float, float, int]:
-    """Integral of func over the finite [a, b] by adaptive Gauss-Kronrod: (value, error, evaluations).
-
-    The global scheme of QUADPACK's QAG: ``_gk21`` on each panel between a,
-    the sorted breakpoints ``points`` inside (a, b) and b, then the panel of
-    the largest error estimate bisected until the summed estimate is at most
-    max(epsabs, epsrel |value|) or ``limit`` panels exist.  The value and the
-    error are summed over the panels by ``math.fsum``; the caller judges the
-    error, and a value or error that is not finite raises ``QuadratureError``.
-    Call sites look this name up at call time, so it can be rebound from outside.
-    """
-    edges = [a, *points, b]
-    panels = []
-    for lo, hi in zip(edges, edges[1:]):
-        v, e = _gk21(func, lo, hi)
-        panels.append((-e, lo, hi, v))
-    heapq.heapify(panels)
-    value = math.fsum(p[3] for p in panels)
-    err = -math.fsum(p[0] for p in panels)
-    while err > max(epsabs, epsrel * abs(value)) and len(panels) < limit:
-        neg_err, lo, hi, v = heapq.heappop(panels)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk21(func, lo, mid)
-        v2, e2 = _gk21(func, mid, hi)
-        heapq.heappush(panels, (-e1, lo, mid, v1))
-        heapq.heappush(panels, (-e2, mid, hi, v2))
-        value += v1 + v2 - v
-        err += e1 + e2 + neg_err
-    value = math.fsum(p[3] for p in panels)
-    err = -math.fsum(p[0] for p in panels)
-    if not (math.isfinite(value) and math.isfinite(err)):
-        raise QuadratureError(f"quadrature on [{a:.6g}, {b:.6g}] is not finite: "
-                              f"{value!r} +- {err!r}")
-    return value, err, 21 * (2 * len(panels) - len(edges) + 1)
-
 
 def _static_loop_weight(omega, p, lt, temperature):
     """i/(2pi) * [G_K(w) G_R(-w) + G_R(w) G_K(-w)] at the Fermi surface; real."""

@@ -415,6 +415,13 @@ def _mutant(func, old, new):
                  ("correlation_bessel",), id="bessel-recurrence-order-plus-1"),
     pytest.param(sectors, "bcs_kernel_quadrature", "psi(dc + s) - psi(dc - s)",
                  "psi(dc + s) + psi(dc - s)", ("bcs_quadrature",), id="cauchy-fold-sum"),
+    pytest.param(sectors, "build_sector_system", "c_off = k.c2 / k.gtilde",
+                 "c_off = 2 * k.c2 / k.gtilde", ("sector_chain",), id="off-shell-coupling-times-2"),
+    pytest.param(sectors, "build_sector_system", "if zero_dk:", "if False:",
+                 ("gaussian_collapse",), id="keldysh-kept-at-zero-dk"),
+    pytest.param(sectors, "offshell_bcs_cancellation", "total = piece_a + piece_b",
+                 "total = piece_a - piece_b", ("offshell_cancellation",),
+                 id="offshell-pieces-subtracted"),
 ])
 def test_verify_check_catches_its_mutant(monkeypatch, module, name, old, new, checks):
     # negative control: a corrupted source function fails exactly the checks that guard it
@@ -448,6 +455,21 @@ ROOT_STATES = ("vacuum", "fock:1", "fock:3", "mix:{0:0.5,3:0.5}", "thermal", "th
 def _reference_cfg(states) -> RunConfig:
     text = (Path(__file__).resolve().parents[1] / "configs" / "reference.cfg").read_text()
     return replace(RunConfig.parse(text), states=states)
+
+
+def test_mixture_whose_fit_grid_reaches_below_x_2_writes_xi(tmp_path):
+    # a mixture's grid is set by its summed profile, and here it takes the
+    # slowest term's Bessel argument down to x = 1.05, below the K tables; the
+    # reference values were written when the transform ran on scipy.special.kve
+    cfg = replace(_reference_cfg(("mix:{0:0.5,23:0.5}", "mix:{0:0.5,53:0.5}")), xi_reduced_t=5.0)
+    path = tmp_path / "c.cfg"
+    path.write_text(cfg.emit())
+    assert cli.main(["--config", str(path), "--out", str(tmp_path), "xi"]) == cli.EXIT_OK
+    with open(tmp_path / "xi.csv", newline="", encoding="utf-8") as fh:
+        xi = [float(row["value"]) for row in csv.DictReader(fh) if row["quantity"] == "xi"]
+    assert len(xi) == 2
+    for got, want in zip(xi, (0.85281865756710762, 0.83464689230774247)):
+        assert abs(got - want) <= 1e-13
 
 
 def test_each_command_solves_each_pole_mass_once(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavitypairing.cli import RunConfig, _log_abs
+from cavitypairing.cli import RunConfig
 from cavitypairing.critical import find_tc
 from cavitypairing.ladder import (
     CriticalityError,
@@ -33,6 +33,7 @@ from cavitypairing.model import (
     statistical_factor,
 )
 from cavitypairing.useries import RationalFunction as RF
+from cavitypairing.verify import _log_abs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

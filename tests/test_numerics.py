@@ -1,11 +1,12 @@
 """The package's own Bessel K and Gauss-Kronrod quadrature, against independent references.
 
 ``critical._log_bessel_transform`` takes e^x sqrt(x) K_0 and e^x sqrt(x) K_1
-for x >= 2 from literal tables and goes up in order by the recurrence
-K_{j+1} = K_{j-1} + (2j/x) K_j; ``sectors.quad`` is an adaptive 21-point
-Gauss-Kronrod integrator with a literal table of nodes and weights.  Here both
-tables are derived again from mpmath and exact Fractions, the transform is
-checked against mpmath ``besselk`` and ``scipy.special.kve``, and the
+for x >= 2 from literal tables and below from their power series, and goes up
+in order by the recurrence K_{j+1} = K_{j-1} + (2j/x) K_j; ``critical.quad``
+is an adaptive 21-point Gauss-Kronrod integrator with a literal table of nodes
+and weights.  Here both tables are derived again from mpmath and exact
+Fractions, the series and the transform are checked against mpmath
+``besselk``, the transform also against ``scipy.special.kve``, and the
 quadratures of ``bcs_kernel_quadrature`` and ``_contour_transform`` against
 ``scipy.integrate.quad``.
 """
@@ -134,10 +135,10 @@ def test_bessel_tables_derive_from_mpmath():
 
 def test_kronrod_table_derives_from_the_stieltjes_polynomial():
     nodes, weights, centre, gauss = _gauss_kronrod()
-    assert _ulps(sec._GK_NODES, nodes) <= 1
-    assert _ulps(sec._GK_WEIGHTS, weights) <= 1
-    assert _ulps([sec._GK_CENTRE], [centre]) <= 1
-    assert _ulps(sec._G_WEIGHTS, gauss) <= 1
+    assert _ulps(cr._GK_NODES, nodes) <= 1
+    assert _ulps(cr._GK_WEIGHTS, weights) <= 1
+    assert _ulps([cr._GK_CENTRE], [centre]) <= 1
+    assert _ulps(cr._G_WEIGHTS, gauss) <= 1
     # the Gauss nodes are every other Kronrod node
     assert [round(x, 15) for x in nodes[1::2]] == [
         0.973906528517172, 0.865063366688985, 0.679409568299024, 0.433395394129247,
@@ -224,18 +225,47 @@ def test_log_c_at_pole_orders_185_and_186_matches_mpmath():
         cr._log_bessel_transform(_unit_term(187), xs)
 
 
-def test_bessel_transform_below_its_tables_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
-    for order in (1, 3):
-        with pytest.raises(sec.QuadratureError, match=r"x = 1\.999 < 2, below its tables"):
-            cr._log_bessel_transform(_unit_term(order), [3.0, 1.999])
-    # a fit grid moved below x = 2 gives exit 3 and no table, not a value
+def test_bessel_series_below_x_2_matches_mpmath_and_meets_the_tables_at_2():
+    xs = cr._geometric_grid(1e-6, 1.999, 60) + [1e-300, math.nextafter(2.0, 0.0)]
+    with mpmath.workdps(30):
+        for x in xs:
+            for nu, got in enumerate(cr._k_series(x)):
+                want = mpmath.exp(x) * mpmath.sqrt(x) * mpmath.besselk(nu, x)
+                assert abs(got / want - 1) <= 8 * sys.float_info.epsilon, (nu, x)
+    # continuous at x = 2, where the tables take over
+    below = cr._k_series(math.nextafter(2.0, 0.0))
+    for table, k in zip((cr._K0E, cr._K1E), below):
+        assert abs(k / cr._k_scaled(table, 1.0) - 1) <= 4 * sys.float_info.epsilon
+
+
+def test_bessel_transform_below_x_2_matches_mpmath():
+    xs = cr._geometric_grid(1e-3, 1.999, 13)
+    with mpmath.workdps(30):
+        for nu in (0, 1, 2, 3, 7, 20):
+            for x in xs:
+                got = _transform(nu, x)
+                if got is None:
+                    assert _overflows(nu, x)
+                    continue
+                assert abs(got - _mp_log_c(nu, x)) <= 4 * sys.float_info.epsilon * _scale(nu, x)
+
+
+def test_bessel_transform_below_its_tables_gives_values_and_x_0_fails(
+        tmp_path, capsys, monkeypatch):
+    with mpmath.workdps(30):
+        for order in (1, 3):
+            got = cr._log_bessel_transform(_unit_term(order), [3.0, 1.999])
+            for x, v in zip((3.0, 1.999), got):
+                assert abs(v - _mp_log_c(order - 1, x)) <= 4 * sys.float_info.epsilon * _scale(
+                    order - 1, x)
+    # a fit grid moved to x = 0 gives exit 3 and no table, not a value
     transform = cr._log_bessel_transform
     monkeypatch.setattr(cr, "_log_bessel_transform",
-                        lambda term, r: transform(term, [0.1 * v for v in r]))
+                        lambda term, r: transform(term, [0.0 * v for v in r]))
     cfg = tmp_path / "c.cfg"
     cfg.write_text("states.list = vacuum\n")
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "xi"]) == cli.EXIT_NUMERIC
-    assert "below its tables" in capsys.readouterr().err
+    assert "Bessel transform at x = 0, which is not positive" in capsys.readouterr().err
     assert not (tmp_path / "xi.csv").exists()
 
 
