@@ -8,47 +8,4 @@ critical temperature, the susceptibility exponent, and the pair correlation
 length with its exponent.  See the README for the command-line interface.
 """
 
-from .ladder import (
-    CriticalityError,
-    KernelScalars,
-    bare_vertex,
-    intermediate_vertex_closed_form,
-    log_vertex,
-    oracle_check,
-    solve_fock_hierarchy,
-    thermal_resummation_check,
-)
-from .model import (
-    ConstantLifetime,
-    DiagonalMixture,
-    FermiLiquidLifetime,
-    Fock,
-    ModelParams,
-    Thermal,
-    Vacuum,
-)
-from .useries import RationalFunction, f_factor, taylor
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConstantLifetime",
-    "CriticalityError",
-    "DiagonalMixture",
-    "FermiLiquidLifetime",
-    "Fock",
-    "KernelScalars",
-    "ModelParams",
-    "RationalFunction",
-    "Thermal",
-    "Vacuum",
-    "bare_vertex",
-    "f_factor",
-    "intermediate_vertex_closed_form",
-    "log_vertex",
-    "oracle_check",
-    "solve_fock_hierarchy",
-    "taylor",
-    "thermal_resummation_check",
-    "__version__",
-]

@@ -20,8 +20,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import critical, ladder
 from .ladder import CONVENTIONS, KernelScalars
@@ -278,8 +279,7 @@ def state_label(state) -> str:
 # result table and emitters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     state: str
     quantity: str
     value: float
@@ -295,18 +295,13 @@ class Row:
 class ResultTable:
     rows: list = field(default_factory=list)
 
-    COLUMNS = (
-        "state", "quantity", "value", "uncertainty",
-        "window_lo", "window_hi", "r_squared", "provenance", "note",
-    )
-
     def add(self, **kw):
         self.rows.append(Row(**kw))
 
     def to_csv(self) -> str:
         """One line per row: the text columns quoted where needed, the numbers as ``.17g``."""
         q = _csv_quote
-        out = [",".join(self.COLUMNS)]
+        out = [",".join(Row._fields)]
         out += [
             f"{q(r.state)},{q(r.quantity)},{r.value:.17g},{r.uncertainty:.17g},"
             f"{r.window_lo:.17g},{r.window_hi:.17g},{r.r_squared:.17g},"
@@ -318,9 +313,7 @@ class ResultTable:
     def to_json(self) -> str:
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "rows": [
-                {col: getattr(r, col) for col in self.COLUMNS} for r in self.rows
-            ],
+            "rows": [r._asdict() for r in self.rows],
         }
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
@@ -370,7 +363,7 @@ def _criticalities(cfg: RunConfig, states) -> list[critical.Criticality]:
     p, lt = cfg.params(), cfg.lifetime_model()
     roots = {root: critical.find_tc(p, lt, root, cfg.convention)
              for root in dict.fromkeys(map(_root_state, states))}
-    return [replace(roots[_root_state(state)], state=state) for state in states]
+    return [roots[_root_state(state)]._replace(state=state) for state in states]
 
 
 def cmd_tc(cfg: RunConfig) -> ResultTable:

@@ -48,7 +48,7 @@ count, and safeguarded Newton on the analytic slope refines the chosen
 crossing to 2 ulp, bisecting where a Newton step would leave the bracket or
 shrink too slowly.  The mass slope m = -dM/dT is the curves' analytic
 ``slope`` at the root for every lifetime and state, A / T_c**2 where
-M = A/T + B.  ``find_tc`` returns a frozen ``Criticality`` holding the state,
+M = A/T + B.  ``find_tc`` returns a ``Criticality``, a named tuple of the state,
 the model, the curves, the root and the mass slope; the fits, the
 correlation functions and the momentum-resolved vertex all take it instead of
 re-deriving T_c and m.  ``fit_gamma`` reads its kernel terms from the
@@ -72,8 +72,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import ladder
 from .ladder import KernelScalars, log_sum_exp, log_vertex, signed_exp
@@ -125,16 +124,14 @@ class FitRejected(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-@dataclass(frozen=True)
-class ExponentFit:
+class ExponentFit(NamedTuple):
     exponent: float
     window: tuple[float, float]
     r_squared: float
     residual_max: float
 
 
-@dataclass(frozen=True)
-class CorrelationProfile:
+class CorrelationProfile(NamedTuple):
     r_grid: tuple
     log_values: tuple
     xi: float
@@ -142,8 +139,7 @@ class CorrelationProfile:
     r_squared: float
 
 
-@dataclass(frozen=True)
-class Criticality:
+class Criticality(NamedTuple):
     """The root a photon state orders at and the mass slope there, built by ``find_tc``.
 
     ``curves`` are the kernel curves both were read from, those of the
@@ -396,8 +392,7 @@ def fit_gamma(
 # momentum-resolved vertex and spatial correlations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _LorentzianTerm:
+class _LorentzianTerm(NamedTuple):
     """One term amp / [c_par P_x^2 + c_perp P_y^2 + mass]^order, amp = exp(log_amp)."""
 
     log_amp: float
@@ -578,8 +573,10 @@ def _log_bessel_transform(term: _LorentzianTerm, r: Sequence[float]) -> list[flo
     + log(k / sqrt(x)) - x, with x = sqrt(m / c_par) r, nu = q - 1 and
     k = e^x sqrt(x) K_nu(x): k_0 and k_1 from the tables for x >= 2 and from
     ``_k_series`` below, and the orders above by k_{j+1} = k_{j-1} + (2j/x) k_j
-    (DLMF 10.29.1) on plain floats, which reach inf where K_nu leaves the
-    float range.  An x that is not positive raises ``QuadratureError``.
+    (DLMF 10.29.1) on plain floats.  A step that would pass the largest float
+    first divides k_j and k_{j-1} by the exact power of two of k_j, whose log
+    is added back to log C, so the transform has no ceiling on the pole order.
+    An x that is not positive raises ``QuadratureError``.
     """
     nu, m, scale = term.order - 1, term.mass, math.sqrt(term.mass / term.c_par)
     head = (term.log_amp - math.log(2.0 * math.pi * math.sqrt(term.c_par * term.c_perp))
@@ -596,10 +593,17 @@ def _log_bessel_transform(term: _LorentzianTerm, r: Sequence[float]) -> list[flo
         else:
             raise QuadratureError(f"Bessel transform at x = {x:.6g}, which is not positive")
         if nu:
-            prev, k = k0, k1
+            prev, k, exp2 = k0, k1, 0
             for j in range(1, nu):
-                prev, k = k, prev + 2.0 * j / x * k
-            logs.append(head + nu * math.log(x / (2.0 * m)) + math.log(k / math.sqrt(x)) - x)
+                ratio = 2.0 * j / x
+                nxt = prev + ratio * k
+                if nxt == math.inf:  # from here on k_j and k_{j-1} are over 2**exp2
+                    e = math.frexp(k)[1]
+                    prev, k, exp2 = math.ldexp(prev, -e), math.ldexp(k, -e), exp2 + e
+                    nxt = prev + ratio * k
+                prev, k = k, nxt
+            logs.append(head + nu * math.log(x / (2.0 * m)) + math.log(k / math.sqrt(x))
+                        + exp2 * math.log(2.0) - x)
         else:  # q = 1, every term of the reduced form: no power of x / 2m to take
             logs.append(head + math.log(k0 / math.sqrt(x)) - x)
     if not all(map(math.isfinite, logs)):

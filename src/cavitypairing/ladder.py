@@ -351,8 +351,7 @@ def physical_vertex_series(kernel: KernelScalars, order: int) -> list[Fraction]:
     return taylor(rf, order)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     ok: bool
     max_abs_discrepancy: Fraction
     hierarchy: tuple
@@ -373,8 +372,7 @@ def oracle_check(n: int, kernel: KernelScalars, mutate_f: bool = False) -> Oracl
     return OracleReport(worst == 0, worst, rec, ser)
 
 
-@dataclass(frozen=True)
-class ResummationReport:
+class ResummationReport(NamedTuple):
     residual: float
     n_used: int
     tail: float

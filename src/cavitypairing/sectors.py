@@ -27,7 +27,7 @@ module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import model
 from .critical import QuadratureError, quad
@@ -47,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: complex
     error_estimate: float
     evaluations: int
@@ -58,8 +57,7 @@ class QuadratureResult:
 # sector linear system over rational functions of u
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectorSystem:
+class SectorSystem(NamedTuple):
     """(1 - M) x = b over the rational-function field.
 
     Unknowns are (Gamma_on-shell(u), Gamma(+delta_c; u), Gamma(-delta_c; u)).
@@ -227,8 +225,7 @@ def bcs_kernel_quadrature(
     return QuadratureResult(complex(ratio), est, nev)
 
 
-@dataclass(frozen=True)
-class OffshellCancellation:
+class OffshellCancellation(NamedTuple):
     """Pairwise cancellation of the leading off-shell static kernels.
 
     ``ratio`` is |sum of the two terms| / max individual magnitude; the

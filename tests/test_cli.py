@@ -4,18 +4,20 @@ import inspect
 import io
 import json
 import math
+import random
 import re
 import tempfile
 import textwrap
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavitypairing import cli, critical, ladder, model, sectors
+from cavitypairing import cli, critical, ladder, model, sectors, verify
 from cavitypairing.cli import ConfigError, RunConfig, parse_state, state_label
 from cavitypairing.model import DiagonalMixture, Fock, Thermal, Vacuum
 
@@ -120,10 +122,10 @@ def _reference_to_csv(table) -> str:
             return '"' + cell.replace('"', '""') + '"'
         return cell
 
-    out = [",".join(table.COLUMNS)]
+    out = [",".join(cli.Row._fields)]
     for r in table.rows:
         cells = []
-        for col in table.COLUMNS:
+        for col in cli.Row._fields:
             v = getattr(r, col)
             cells.append(format(v, ".17g") if isinstance(v, float) else quote(str(v)))
         out.append(",".join(cells))
@@ -363,6 +365,17 @@ def test_verify_fault_injection_fails_loudly(tmp_path, capsys):
     assert report["all_passed"] is False
     # the fault reaches the recursion the oracle checks and nothing else
     assert [c["name"] for c in report["checks"] if not c["passed"]] == ["oracle_equivalence"]
+
+
+def test_oracle_equivalence_reports_the_largest_discrepancy():
+    # under the fault all 5 kernels miss, by 8.9e6 to 4.6e12; the detail names
+    # the largest, kernel 2's, not the last one's
+    rng = random.Random(20240917)
+    worst = max(ladder.oracle_check(12, verify._random_rational_kernel(rng), mutate_f=True)
+                .max_abs_discrepancy for _ in range(5))
+    assert worst == Fraction(357140182469570129259, 78125000)
+    assert verify.oracle_equivalence(RunConfig(), True) == (
+        False, f"n<=12, 5 kernels, max discrepancy {worst}")
 
 
 def _mutant(func, old, new):
@@ -669,29 +682,36 @@ def test_xi_of_a_pole_past_the_float_range(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["xi", "exponents"])
-def test_power_form_past_float_factorials_names_the_pole_order(tmp_path, capsys, command):
-    # 186! is far past the largest float, and the transform of the order-187
-    # pole is the first whose log leaves the float range: e^x sqrt(x) K_186(x)
-    # overflows at x = 3, the first point of the fit grid in units of the decay length
-    cfgf = tmp_path / "c.cfg"
-    cfgf.write_text("states.list = fock:186\nfit.fock_form = power\n")
-    assert cli.main(["--config", str(cfgf), "--out", str(tmp_path), command]) == cli.EXIT_NUMERIC
-    err = capsys.readouterr().err
-    assert "pole of order 187" in err
-    assert "Traceback" not in err
-    cfgf.write_text("states.list = fock:185\nfit.fock_form = power\n")
-    assert cli.main(["--config", str(cfgf), "--out", str(tmp_path), command]) == cli.EXIT_OK
+def test_power_form_past_float_factorials_fits(tmp_path, command):
+    # 186! and e^x sqrt(x) K_186(x) at x = 3, the first point of the fit grid in
+    # units of the decay length, are far past the largest float; pole orders 187
+    # and 301 fit as 186 does, and xi moves smoothly across order 187
+    values = {}
+    for n in (185, 186, 300):
+        cfgf = tmp_path / f"fock{n}.cfg"
+        cfgf.write_text(f"states.list = fock:{n}\nfit.fock_form = power\n")
+        out = tmp_path / f"fock{n}"
+        assert cli.main(["--config", str(cfgf), "--out", str(out), command]) == cli.EXIT_OK
+        values[n] = {r["quantity"]: float(r["value"]) for r in
+                     csv.DictReader(io.StringIO((out / f"{command}.csv").read_text()))}
+    if command == "exponents":
+        for n, rows in values.items():
+            assert rows["nu"] == pytest.approx(0.5, abs=1e-9)
+            assert n + 1 - 0.05 < rows["gamma"] < n + 1  # the drift of fit_gamma's docstring
+    else:
+        assert values[186]["xi"] == pytest.approx(values[185]["xi"], rel=1e-5)
+        assert values[300]["xi"] == pytest.approx(values[185]["xi"], rel=1e-3)
 
 
 @pytest.mark.parametrize("command, state, code", [
     ("exponents", "fock:60", cli.EXIT_OK),
     ("vertex", "fock:200", cli.EXIT_NUMERIC),
-    ("xi", "fock:200", cli.EXIT_NUMERIC),
+    ("xi", "fock:200", cli.EXIT_OK),
 ])
 def test_overflow_warnings_stay_off_stderr(tmp_path, capsys, command, state, code):
-    # the power form of fock:60 fits, and one past the float range ends in an
-    # infinite row (the vertex of fock:200) or a transform whose log leaves the
-    # float range (xi of fock:200), each without numpy or scipy warnings
+    # the power form of fock:60 fits, and so does xi of fock:200, whose Bessel
+    # transform passes the largest float; the vertex of fock:200 ends in an
+    # infinite row; each without numpy or scipy warnings
     cfgf = tmp_path / "c.cfg"
     cfgf.write_text(f"states.list = {state}\nfit.fock_form = power\n")
     with warnings.catch_warnings(record=True) as caught:

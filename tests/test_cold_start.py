@@ -5,19 +5,31 @@ Importing numpy costs about as much as the rest of a ``tc``, ``vertex`` or
 computes its Bessel K and its quadrature itself, on Python floats, so every
 command runs with neither loaded.  The checks of ``verify`` live in
 ``verify`` and ``sectors``, which only ``verify`` loads, and the package's
-modules import each other in one direction only.  The load checks run in a
-fresh interpreter, because any earlier test in this process may already have
-loaded numpy, scipy or the check modules.
+modules import each other in one direction only; the package root imports
+none of them.  The load checks run in a fresh interpreter, because any earlier
+test in this process may already have loaded numpy, scipy or the check
+modules.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python(*args):
+    """Run a fresh interpreter with ``src`` on its path, from the repository root."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120)
 
 PROBE = """
 import json, sys
@@ -42,14 +54,7 @@ print(json.dumps(after))
 
 
 def test_no_command_loads_numpy_or_scipy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(ROOT / "configs" / "reference.cfg")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _python("-c", PROBE, str(ROOT / "configs" / "reference.cfg"))
     assert proc.returncode == 0, proc.stderr
     after = json.loads(proc.stdout.splitlines()[-1])
     assert after == {
@@ -61,15 +66,7 @@ def test_no_command_loads_numpy_or_scipy():
 def test_verify_under_python_m_runs_one_copy_of_cli(tmp_path):
     # ``verify`` imports ``cli``; under ``python -m cavitypairing.cli`` that must
     # find the running module, which -X importtime does not list, not import a second
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "cavitypairing.cli", "--out", str(tmp_path),
-         "verify"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _python("-X", "importtime", "-m", "cavitypairing.cli", "--out", str(tmp_path), "verify")
     assert proc.returncode == 0, proc.stderr
     imported = [ln.rsplit("|", 1)[-1].strip() for ln in proc.stderr.splitlines()
                 if ln.startswith("import time:")]
@@ -88,7 +85,7 @@ def test_package_imports_no_numpy_or_scipy():
 
 # the package modules each module may import at its top level; ``verify`` may import any
 ALLOWED_IMPORTS = {
-    "__init__": {"model", "useries", "ladder"},
+    "__init__": set(),
     "model": set(),
     "useries": set(),
     "ladder": {"model", "useries"},
@@ -119,3 +116,19 @@ def test_modules_import_each_other_in_one_direction():
             continue
         imports = _top_level_package_imports(ast.parse(path.read_text(encoding="utf-8")))
         assert imports <= ALLOWED_IMPORTS[name], (name, sorted(imports - ALLOWED_IMPORTS[name]))
+
+
+def test_package_root_loads_no_module_of_the_package():
+    # every public name lives in the module that defines it
+    proc = _python("-c", "import sys, cavitypairing; "
+                         "print(sorted(m for m in sys.modules if m.startswith('cavitypairing.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
+def test_readme_library_sketch_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.DOTALL)
+    assert len(blocks) == 1
+    proc = _python("-c", blocks[0])
+    assert proc.returncode == 0, proc.stderr

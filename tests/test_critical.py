@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -514,7 +513,7 @@ def test_vertex_p_forms_agree_at_small_momentum(const_params, const_lifetime):
     mass = crit.slope * (T - crit.t_c)
     p_small = 1e-3 * math.sqrt(mass)
     for n in (1, 4):
-        c = replace(crit, state=Fock(n))
+        c = crit._replace(state=Fock(n))
         full = cr.momentum_vertex(c, T, fock_form="power")
         red = cr.momentum_vertex(c, T, fock_form="reduced")
         assert red(p_small, 0.9) == pytest.approx(full(p_small, 0.9), rel=1e-5)
@@ -527,7 +526,7 @@ def test_vertex_p_high_order_saturates_without_raising(const_params, const_lifet
     # on plain floats mass_gap**200 underflows to 0.0 near T_c and overflows far above
     # it; the vertex then saturates to -inf and to 0.0 instead of raising
     base = cr.find_tc(const_params, const_lifetime, Vacuum())
-    crit = replace(base, state=Fock(200), slope=float(base.slope), t_c=float(base.t_c))
+    crit = base._replace(state=Fock(200), slope=float(base.slope), t_c=float(base.t_c))
     t_c = crit.t_c
     assert cr.momentum_vertex(crit, t_c * (1 + 1e-4), fock_form=fock_form)(0.0, 0.0) == -math.inf
     assert cr.momentum_vertex(crit, t_c * 101.0, fock_form=fock_form)(0.0, 0.0) == 0.0
@@ -714,7 +713,7 @@ def test_constant_fit_data_are_rejected(const_params, const_lifetime):
     crit = cr.find_tc(const_params, const_lifetime, Thermal())
     with pytest.raises(ladder.CriticalityError, match=r"\|1 - pole_mass\| = .* < 1e-14"):
         cr.fit_gamma(crit, window=(1e-300, 1e-299))
-    above = replace(crit, t_c=crit.t_c * (1 + 1e-9))
+    above = crit._replace(t_c=crit.t_c * (1 + 1e-9))
     with pytest.raises(cr.FitRejected, match=r"r\^2 = nan"):
         cr.fit_gamma(above, window=(1e-300, 1e-299))
 

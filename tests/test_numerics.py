@@ -153,12 +153,8 @@ def _unit_term(order):
 
 
 def _transform(nu, x):
-    """log C of the unit term at x, or None where the transform leaves the float range."""
-    try:
-        return cr._log_bessel_transform(_unit_term(nu + 1), [x])[0]
-    except sec.QuadratureError as exc:
-        assert f"pole of order {nu + 1} leaves the float range" in str(exc)
-        return None
+    """log C of the unit term at x."""
+    return cr._log_bessel_transform(_unit_term(nu + 1), [x])[0]
 
 
 def _mp_log_c(nu, x):
@@ -172,7 +168,7 @@ def _scale(nu, x):
 
 
 def _overflows(nu, x):
-    """Whether e^x sqrt(x) K_nu(x), which the recurrence carries, is past the largest float."""
+    """Whether e^x sqrt(x) K_nu(x) is past the largest float."""
     with mpmath.workdps(30):
         return mpmath.exp(x) * mpmath.sqrt(x) * mpmath.besselk(nu, x) > sys.float_info.max
 
@@ -184,7 +180,7 @@ def test_bessel_transform_matches_scipy_kve_for_orders_0_to_186():
     for nu in range(187):
         for x, k in zip(xs, kve(nu, xs).tolist()):
             got = _transform(nu, x)
-            if got is None or not math.isfinite(k):  # past the float range for either
+            if not math.isfinite(k):  # past the float range of kve
                 continue
             want = -math.log(2 * math.pi) - math.lgamma(nu + 1) + nu * math.log(x / 2) \
                 + math.log(k) - x
@@ -203,26 +199,21 @@ def test_bessel_transform_matches_mpmath_besselk():
                 if nu > 60 and 0.5 * nu < x < 4 * nu:
                     continue
                 got = _transform(nu, x)
-                if got is None:
-                    assert _overflows(nu, x)
-                    continue
                 assert abs(got - _mp_log_c(nu, x)) <= 4 * sys.float_info.epsilon * _scale(nu, x)
 
 
-def test_log_c_at_pole_orders_185_and_186_matches_mpmath():
-    # the power form reaches K_185: the recurrence overflows at the real float
-    # limit, so pole orders 185 and 186 fit over the whole fit grid x in [3, 10]
-    # and order 187 is the first whose log leaves the float range at x = 3
+def test_log_c_past_the_float_range_of_k_matches_mpmath():
+    # e^x sqrt(x) K_186(x) is past the largest float at x = 3, the first point
+    # of the power form's fit grid; the recurrence then carries k as a float
+    # times a power of two, so pole order 187 and far above fit over x in [3, 10]
     xs = cr._geometric_grid(3.0, 10.0, 20)
+    assert _overflows(186, 3.0) and not _overflows(185, 3.0)
     with mpmath.workdps(30):
-        for order in (185, 186):
+        for order in (185, 186, 187, 301):
             got = cr._log_bessel_transform(_unit_term(order), xs)
             for x, v in zip(xs, got):
                 assert abs(v - _mp_log_c(order - 1, x)) <= 4 * sys.float_info.epsilon * _scale(
                     order - 1, x)
-    assert _overflows(186, 3.0) and not _overflows(185, 3.0)
-    with pytest.raises(sec.QuadratureError, match="pole of order 187 leaves the float range"):
-        cr._log_bessel_transform(_unit_term(187), xs)
 
 
 def test_bessel_series_below_x_2_matches_mpmath_and_meets_the_tables_at_2():
@@ -244,9 +235,6 @@ def test_bessel_transform_below_x_2_matches_mpmath():
         for nu in (0, 1, 2, 3, 7, 20):
             for x in xs:
                 got = _transform(nu, x)
-                if got is None:
-                    assert _overflows(nu, x)
-                    continue
                 assert abs(got - _mp_log_c(nu, x)) <= 4 * sys.float_info.epsilon * _scale(nu, x)
 
 
